@@ -42,11 +42,11 @@ int main(int argc, char** argv) {
     printf("train PGs (top 12 of %zu):\n", v.size());
     for (size_t i = 0; i < std::min<size_t>(12, v.size()); ++i)
         printf("  pc=%x slot=%+d issued=%lu used=%lu u=%.2f\n",
-               v[i].first.loadPc, v[i].first.slot, v[i].second.issued,
+               v[i].first.loadPc.raw(), v[i].first.slot, v[i].second.issued,
                v[i].second.used, v[i].second.usefulness());
     const HintTable& h = ctx.hints(name);
     printf("hint table: %zu PCs:", h.size());
-    for (auto& [pc, hint] : h) printf(" %x(pos=%x,neg=%x)", pc, hint.pos, hint.neg);
+    for (auto& [pc, hint] : h) printf(" %x(pos=%x,neg=%x)", pc.raw(), hint.pos, hint.neg);
     printf("\n");
 
     report("np",   ctx.run(name, configs::noPrefetch(), "noprefetch"));

@@ -14,8 +14,11 @@
  * min. A separate, profiled event-driven rep attributes wall time to
  * phases (core advance, cache probe, CDP scan, DRAM, scheduler,
  * stats) via obs::PhaseProfiler; its clock-read overhead is why it is
- * never one of the timed reps. The output is machine-readable JSON
- * (schema BENCH_simbench/v3, see EXPERIMENTS.md).
+ * never one of the timed reps. The same rep counts the scheduler's
+ * loop visits (the sim.loop_visits registry counter): simulated
+ * cycles the event-driven loop actually ticked, a deterministic
+ * figure independent of the machine. The output is machine-readable
+ * JSON (schema BENCH_simbench/v4, see EXPERIMENTS.md).
  *
  * Besides the legacy two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
@@ -30,10 +33,12 @@
  * baseline with `--check`:
  *   - the geometric-mean speedup (machine-independent), and
  *   - `mst` event-driven cycles/sec (machine-class-sensitive, hence
- *     the generous tolerance): mst is event-dense, skipping cannot
- *     help it, so its cycles/sec is the canary for raw per-event-cost
- *     regressions that the speedup ratio is blind to — a slowdown
- *     hitting both modes equally leaves the ratio unchanged.
+ *     the generous tolerance): mst floods its prefetch queue, so its
+ *     cycles/sec is the canary for per-event-cost regressions that
+ *     the speedup ratio is blind to — a slowdown hitting both modes
+ *     equally leaves the ratio unchanged — and
+ *   - every workload's loop visits, exactly: more visits than the
+ *     baseline means the wakeup bounds got looser.
  *
  * Usage:
  *   simbench [--quick] [--reps N] [--out FILE]
@@ -43,9 +48,10 @@
  *                harness and the identity oracle work at all.
  *   --check F    exit non-zero if any workload's stats diverge
  *                between modes, if the geometric-mean speedup drops
- *                below baseline * (1 - tolerance), or if mst
+ *                below baseline * (1 - tolerance), if mst
  *                event-driven cycles/sec drops below baseline mst
- *                cycles/sec * (1 - tolerance).
+ *                cycles/sec * (1 - tolerance), or if any workload
+ *                visits more cycles than its baseline entry.
  *   --tolerance  slack fraction for --check (default 0.25).
  */
 
@@ -53,6 +59,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,6 +104,8 @@ struct PhaseBreakdown
 {
     double seconds[obs::PhaseProfiler::kPhaseCount] = {};
     double total = 0.0;
+    /** Event-driven loop iterations (sim.loop_visits). */
+    std::uint64_t visits = 0;
 };
 
 struct WorkloadResult
@@ -147,16 +156,19 @@ timeMode(const SystemConfig &base, const Workload &workload,
     return t;
 }
 
-/** One additional event-driven rep with phase attribution attached.
- *  Clock reads at every phase switch make this rep slower than the
- *  timed ones; only the *distribution* across phases is reported. */
+/** One additional event-driven rep with phase attribution and the
+ *  registry attached. Clock reads at every phase switch make this rep
+ *  slower than the timed ones; only the *distribution* across phases
+ *  is reported, beside the (deterministic) loop-visit count. */
 PhaseBreakdown
 profilePhases(const SystemConfig &base, const Workload &workload)
 {
     SystemConfig cfg = base;
     cfg.cycleSkipping = true;
     obs::PhaseProfiler profiler;
+    obs::MetricRegistry registry;
     Observability obs;
+    obs.metrics = &registry;
     obs.phases = &profiler;
     profiler.start();
     simulate(cfg, workload, obs);
@@ -167,6 +179,7 @@ profilePhases(const SystemConfig &base, const Workload &workload)
             static_cast<obs::PhaseProfiler::Phase>(p));
     }
     b.total = profiler.totalSeconds();
+    b.visits = registry.value("sim.loop_visits");
     return b;
 }
 
@@ -221,14 +234,15 @@ writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
             double gmean_speedup)
 {
     os.precision(6);
-    os << "{\n  \"schema\": \"BENCH_simbench/v3\",\n"
+    os << "{\n  \"schema\": \"BENCH_simbench/v4\",\n"
        << "  \"config\": \"" << jsonEscape(config_label) << "\",\n"
        << "  \"reps\": " << reps << ",\n  \"workloads\": [\n";
     for (std::size_t i = 0; i < rs.size(); ++i) {
         const WorkloadResult &r = rs[i];
         os << "    {\"name\": \"" << jsonEscape(r.name)
            << "\", \"cycles\": " << r.cycles
-           << ", \"instructions\": " << r.instructions << ",\n     ";
+           << ", \"instructions\": " << r.instructions
+           << ", \"visits\": " << r.phases.visits << ",\n     ";
         writeModeJson(os, "percycle", r.percycle);
         os << ",\n     ";
         writeModeJson(os, "eventDriven", r.eventDriven);
@@ -250,7 +264,8 @@ writeHybridJson(std::ostream &os, const WorkloadResult &r,
     os << "  \"hybrid\": {\"config\": \"" << jsonEscape(config_label)
        << "\", \"name\": \"" << jsonEscape(r.name)
        << "\", \"cycles\": " << r.cycles
-       << ", \"instructions\": " << r.instructions << ",\n   ";
+       << ", \"instructions\": " << r.instructions
+       << ", \"visits\": " << r.phases.visits << ",\n   ";
     writeModeJson(os, "percycle", r.percycle);
     os << ",\n   ";
     writeModeJson(os, "eventDriven", r.eventDriven);
@@ -266,9 +281,11 @@ struct Baseline
     double mstEventCyclesPerSec = 0.0;
     /** Hybrid-stack event-driven cycles/sec (v3); 0 when absent. */
     double hybridEventCyclesPerSec = 0.0;
+    /** Event-driven loop visits by workload name (v4). */
+    std::map<std::string, std::uint64_t> visits;
 };
 
-/** Baseline figures from a committed BENCH_simbench.json (v3). */
+/** Baseline figures from a committed BENCH_simbench.json (v4). */
 Baseline
 readBaseline(const std::string &path)
 {
@@ -280,14 +297,16 @@ readBaseline(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     JsonValue doc = parseJson(buf.str());
-    if (doc.at("schema").asString() != "BENCH_simbench/v3") {
+    if (doc.at("schema").asString() != "BENCH_simbench/v4") {
         throw std::runtime_error(
             "simbench: unexpected baseline schema (want "
-            "BENCH_simbench/v3)");
+            "BENCH_simbench/v4)");
     }
     Baseline base;
     base.gmeanSpeedup = doc.at("gmeanSpeedup").asDouble();
     for (const JsonValue &w : doc.at("workloads").asArray()) {
+        base.visits[w.at("name").asString()] =
+            static_cast<std::uint64_t>(w.at("visits").asDouble());
         if (w.at("name").asString() == "mst") {
             base.mstEventCyclesPerSec =
                 w.at("eventDriven").at("cyclesPerSec").asDouble();
@@ -366,7 +385,8 @@ main(int argc, char **argv)
                   << "x (" << r.percycle.wallSeconds << "s -> "
                   << r.eventDriven.wallSeconds << "s), "
                   << r.eventDriven.cyclesPerSec
-                  << " cyc/s event-driven, identical="
+                  << " cyc/s event-driven, " << r.phases.visits
+                  << " of " << r.cycles << " cycles visited, identical="
                   << (r.identical ? "yes" : "NO") << "\n";
         all_identical = all_identical && r.identical;
         ratios.push_back(r.speedup);
@@ -454,6 +474,19 @@ main(int argc, char **argv)
                 std::cerr << "simbench: FAIL — hybrid per-event "
                              "cost regressed beyond "
                           << tolerance * 100.0 << "% tolerance\n";
+                failed = true;
+            }
+        }
+        // Loop visits are deterministic: any growth is a scheduler
+        // bound that stopped skipping idle cycles, on any machine.
+        for (const WorkloadResult &r : results) {
+            auto it = base.visits.find(r.name);
+            if (it == base.visits.end())
+                continue;
+            if (r.phases.visits > it->second) {
+                std::cerr << "simbench: FAIL — " << r.name << " visits "
+                          << r.phases.visits << " cycles, baseline "
+                          << it->second << "\n";
                 failed = true;
             }
         }

@@ -71,14 +71,14 @@ class MshrFile
     /** Find the in-flight entry for @p block_addr, or nullptr. */
     Mshr *find(Addr block_addr)
     {
-        const std::uint32_t raw = block_addr.raw();
-        for (std::uint64_t mask = validMask_; mask; mask &= mask - 1) {
-            const unsigned i =
-                static_cast<unsigned>(std::countr_zero(mask));
-            if (addrs_[i] == raw)
-                return &entries_[i];
-        }
-        return nullptr;
+        const unsigned i = slotOf(block_addr);
+        return i < entries_.size() ? &entries_[i] : nullptr;
+    }
+
+    /** True when @p block_addr has an in-flight entry. */
+    bool contains(Addr block_addr) const
+    {
+        return slotOf(block_addr) < entries_.size();
     }
 
     /** True when no entry is free. */
@@ -151,6 +151,19 @@ class MshrFile
     /** @} */
 
   private:
+    /** Index of @p block_addr's valid entry, or entries_.size(). */
+    unsigned slotOf(Addr block_addr) const
+    {
+        const std::uint32_t raw = block_addr.raw();
+        for (std::uint64_t mask = validMask_; mask; mask &= mask - 1) {
+            const unsigned i =
+                static_cast<unsigned>(std::countr_zero(mask));
+            if (addrs_[i] == raw)
+                return i;
+        }
+        return static_cast<unsigned>(entries_.size());
+    }
+
     std::vector<Mshr> entries_;
     /** Hot probe lane: addrs_[i] mirrors entries_[i].blockAddr for
      *  every bit i set in validMask_. */

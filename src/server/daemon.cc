@@ -255,10 +255,8 @@ Daemon::handleSubmitGrid(const HttpRequest &req,
             grid.remaining = n;
             grid.submitted = Clock::now();
             grid.cells.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                grid.cells[i].spec = specs[i];
+            for (std::size_t i = 0; i < n; ++i)
                 grid.cells[i].key = keys[i];
-            }
             if (wait)
                 grid.waiters.push_back(respond);
             gridsSubmitted_.fetch_add(1);

@@ -150,7 +150,6 @@ class Daemon
 
     struct Cell
     {
-        CellSpec spec;
         std::uint64_t key = 0;
         enum class State { Pending, Done, Failed };
         State state = State::Pending;

@@ -23,7 +23,7 @@ namespace
 int
 connectLoopback(std::uint16_t port)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throw std::runtime_error("socket: " +
                                  std::string(std::strerror(errno)));

@@ -43,7 +43,7 @@ HttpServer::~HttpServer()
 void
 HttpServer::start(std::uint16_t port)
 {
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0)
         throw std::runtime_error("socket: " +
                                  std::string(std::strerror(errno)));
@@ -75,8 +75,8 @@ HttpServer::start(std::uint16_t port)
     port_ = ntohs(sin.sin_port);
     setNonBlocking(listenFd_);
 
-    epollFd_ = ::epoll_create1(0);
-    wakeFd_ = ::eventfd(0, EFD_NONBLOCK);
+    epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    wakeFd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (epollFd_ < 0 || wakeFd_ < 0)
         throw std::runtime_error("epoll/eventfd setup failed");
 
@@ -178,7 +178,7 @@ void
 HttpServer::acceptReady()
 {
     while (true) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
+        int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0)
             return; // EAGAIN or transient error: try next wakeup
         if (conns_.size() >= kMaxConnections) {

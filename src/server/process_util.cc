@@ -23,9 +23,12 @@ struct Pipe
 {
     int fds[2] = {-1, -1};
 
+    // Close-on-exec: a child forked by another thread must not inherit
+    // this pipe, or it would hold our child's stdin open forever. The
+    // dup2 onto stdio below clears the flag on the copies we hand over.
     Pipe()
     {
-        if (::pipe(fds) != 0)
+        if (::pipe2(fds, O_CLOEXEC) != 0)
             throw std::runtime_error(
                 "pipe: " + std::string(std::strerror(errno)));
     }
@@ -97,10 +100,9 @@ runChild(const std::vector<std::string> &argv,
     Pipe toChild;
     Pipe fromChild;
     Pipe errFromChild;
-    // Detect exec failure in the child through a CLOEXEC pipe: it
-    // stays silent on success and carries errno when exec fails.
+    // Detect exec failure in the child through a pipe that exec closes:
+    // it stays silent on success and carries errno when exec fails.
     Pipe execStatus;
-    ::fcntl(execStatus.writeEnd(), F_SETFD, FD_CLOEXEC);
 
     pid_t pid = ::fork();
     if (pid < 0)

@@ -699,31 +699,15 @@ MemorySystem::issuePrefetches(Cycle now)
     while (budget > 0 && !readyQueue_.empty()) {
         const QueuedPrefetch &queued = readyQueue_.front();
         const PrefetchRequest &req = queued.req;
-        // Classify the filter decision so each discard is counted
-        // (and traced) under its reason instead of vanishing.
-        std::optional<obs::DropReason> reject;
-        if (!enabled_[req.engine])
-            reject = obs::DropReason::SourceDisabled;
-        else if (l2_.peek(req.blockAddr))
-            reject = obs::DropReason::AlreadyCached;
-        else if (mshrs_.find(req.blockAddr))
-            reject = obs::DropReason::AlreadyInFlight;
-        else if (cfg_.idealNoPollution &&
-                 sideBuffer_.count(req.blockAddr))
-            reject = obs::DropReason::SideBuffered;
-        else if (hwFilter_ && ldsClass_[req.engine] &&
-                 !hwFilter_->allow(l2_.geom().blockOf(req.blockAddr)))
-            reject = obs::DropReason::HwFilter;
-        if (reject) {
+        // Count (and trace) each discard under its reason instead of
+        // letting it vanish.
+        if (const auto reject = dropReason(req)) {
             dropPrefetch(req.engine, *reject, req.blockAddr, now);
             readyQueue_.pop_front();
             continue;
         }
-        if (mshrs_.full() ||
-            mshrs_.inFlight() + cfg_.mshrReserveForDemand >=
-                cfg_.l2Mshrs) {
+        if (mshrsRefusePrefetch())
             break;
-        }
         std::optional<Cycle> done = dram_->read(
             coreId_, req.blockAddr, now, cfg_.dramReserveForDemand);
         if (!done)
@@ -752,6 +736,31 @@ MemorySystem::issuePrefetches(Cycle now)
         readyQueue_.pop_front();
         --budget;
     }
+}
+
+std::optional<obs::DropReason>
+MemorySystem::dropReason(const PrefetchRequest &req) const
+{
+    if (!enabled_[req.engine])
+        return obs::DropReason::SourceDisabled;
+    if (l2_.peek(req.blockAddr))
+        return obs::DropReason::AlreadyCached;
+    if (mshrs_.contains(req.blockAddr))
+        return obs::DropReason::AlreadyInFlight;
+    if (cfg_.idealNoPollution && sideBuffer_.count(req.blockAddr))
+        return obs::DropReason::SideBuffered;
+    if (hwFilter_ && ldsClass_[req.engine] &&
+        !hwFilter_->allow(l2_.geom().blockOf(req.blockAddr))) {
+        return obs::DropReason::HwFilter;
+    }
+    return std::nullopt;
+}
+
+bool
+MemorySystem::mshrsRefusePrefetch() const
+{
+    return mshrs_.full() ||
+           mshrs_.inFlight() + cfg_.mshrReserveForDemand >= cfg_.l2Mshrs;
 }
 
 FeedbackSnapshot
@@ -902,12 +911,16 @@ MemorySystem::tick(Cycle now)
 Cycle
 MemorySystem::nextEventCycle(Cycle now) const
 {
-    // Ready prefetches are (re)tried every cycle, and every attempt
-    // can have observable effects (drop counters, DRAM buffer-reject
-    // counters), so no cycle with a non-empty ready queue may be
-    // skipped.
-    if (!readyQueue_.empty())
+    // A ready-queue head acts on the next tick — it is dropped, or
+    // it tries DRAM, which may count a buffer reject — unless it
+    // passes every filter and only the MSHRs refuse it. That wait
+    // changes nothing and lasts until a fill: MSHRs free only in
+    // processFills, and the filter inputs move only on fills, core
+    // events (which bound the wake themselves) or endInterval.
+    if (!readyQueue_.empty() &&
+        (!mshrsRefusePrefetch() || dropReason(readyQueue_.front().req))) {
         return now + 1;
+    }
     // An already-crossed interval boundary fires at the next tick;
     // the eviction delta is monotonic and only moves on fill/demand
     // activity, so if it has not crossed yet it cannot cross during

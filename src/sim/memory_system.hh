@@ -84,14 +84,23 @@ class MemorySystem : public CoreMemoryInterface
     /**
      * Earliest cycle after @p now at which tick() could do anything —
      * the event-driven scheduler's wakeup bound. Call after the
-     * owning core's tick(now) (core activity enqueues prefetches and
-     * allocates MSHRs). Guarantees every cycle in (now, bound) is a
-     * no-op tick: no fill is due before earliestFill_, a non-empty
-     * ready queue forces now + 1 (issuePrefetches runs — and counts
-     * drops / DRAM rejects — every cycle it has work), delayed
-     * prefetches wake at their readyAt, and a crossed eviction-delta
-     * interval boundary forces now + 1 so endInterval fires on the
-     * same cycle it would have under per-cycle polling.
+     * owning core's tick(now): core activity enqueues prefetches,
+     * allocates MSHRs and fills the L2, and the bound must see it.
+     * Guarantees every cycle in (now, bound) is a no-op tick:
+     *  - a ready-queue head forces now + 1 when the next tick would
+     *    drop it (dropReason(), counted) or send it to DRAM (which
+     *    may count a buffer reject and then retries every cycle);
+     *  - a head that passes every filter and is held back only by
+     *    the MSHRs (mshrsRefusePrefetch()) waits silently, so it
+     *    does not pin the clock: MSHRs free only in processFills,
+     *    and the filter inputs (L2 and MSHR contents, side buffer,
+     *    hardware filter, enable bits) change only on fills, on core
+     *    events, which bound the wake themselves, or in endInterval;
+     *  - a crossed eviction-delta interval boundary forces now + 1 so
+     *    endInterval fires on the same cycle as under per-cycle
+     *    polling;
+     *  - otherwise the bound is the earliest MSHR fill or delayed-
+     *    prefetch release.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -292,6 +301,13 @@ class MemorySystem : public CoreMemoryInterface
     void handleVictim(const Cache::Victim &victim,
                       std::uint8_t insert_owner, Cycle now);
     void issuePrefetches(Cycle now);
+    /** The filter chain issuePrefetches runs on a ready-queue head:
+     *  why @p req would be dropped now, or nullopt if it may issue. */
+    std::optional<obs::DropReason>
+    dropReason(const PrefetchRequest &req) const;
+    /** True while MSHR occupancy (including the demand reserve)
+     *  holds back every prefetch; only a fill can clear it. */
+    bool mshrsRefusePrefetch() const;
     /** Is any fill-scanning engine currently enabled? (Gates the
      *  demand-MSHR scanOnFill bit.) */
     bool anyFillScanEnabled() const;

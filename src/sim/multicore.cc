@@ -63,7 +63,9 @@ simulateMultiCore(const SystemConfig &cfg,
     // completion timestamps, so the global minimum is exactly the
     // next cycle anything in the system can do — skipping to it is
     // bit-identical to per-cycle polling.
+    std::uint64_t visits = 0;
     while (!all_done() && cycle < cfg.maxCycles) {
+        ++visits;
         for (unsigned i = 0; i < n; ++i)
             memories[i]->tick(cycle);
         for (unsigned i = 0; i < n; ++i)
@@ -84,6 +86,9 @@ simulateMultiCore(const SystemConfig &cfg,
         }
         cycle = next;
     }
+    // Registry only (see simulate()).
+    if (obs.metrics)
+        obs.metrics->counter("sim.loop_visits").add(visits);
 
     MultiCoreResult result;
     // Unconditional watchdog check; an assert here disappears under

@@ -37,7 +37,9 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     // DESIGN.md), so results are bit-identical with skipping on or
     // off — only wall-clock differs.
     Cycle cycle{};
+    std::uint64_t visits = 0;
     while (!core.finishedOnce() && cycle < cfg.maxCycles) {
+        ++visits;
         {
             obs::PhaseProfiler::Scoped scope(prof, Phase::MemTick);
             memory.tick(cycle);
@@ -66,6 +68,10 @@ simulate(const SystemConfig &cfg, const Workload &workload,
         }
         cycle = next;
     }
+    // Registry only, never RunStats: the stats JSON must stay
+    // byte-identical with skipping on or off.
+    if (obs.metrics)
+        obs.metrics->counter("sim.loop_visits").add(visits);
 
     obs::PhaseProfiler::Scoped stats_scope(prof, Phase::Stats);
     RunStats stats;

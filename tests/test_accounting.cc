@@ -93,7 +93,7 @@ checkCoreIdentities(const obs::MetricRegistry &m, unsigned core,
         return m.value(root + path);
     };
 
-    for (const std::string pf :
+    for (const auto &pf :
          {std::string("pf.primary."), std::string("pf.lds.")}) {
         SCOPED_TRACE(context + " " + root + pf);
 

@@ -9,7 +9,9 @@
  * cycle count, the interval series, the timeout flag — must be
  * byte-identical with skipping on and off, across the prefetcher /
  * throttler / oracle configuration matrix, in single- and multi-core
- * runs, and through the maxCycles watchdog.
+ * runs, and through the maxCycles watchdog. Every registry counter
+ * but sim.loop_visits must match as well; that one counts the loop
+ * iterations skipping saves.
  *
  * Also covers the trailing-partial-interval flush: a run that ends
  * mid-feedback-interval emits one final sample at its end cycle
@@ -59,18 +61,74 @@ statsJson(const RunStats &stats)
     return os.str();
 }
 
+constexpr const char *kLoopVisits = "sim.loop_visits";
+
+/** Require equal registries except for the loop-visit count, which
+ *  skipping may only lower. */
+void
+expectSameCounters(const obs::MetricRegistry &polled,
+                   const obs::MetricRegistry &skipped)
+{
+    auto withoutVisits = [](const obs::MetricRegistry &registry) {
+        auto all = registry.sorted();
+        std::erase_if(all,
+                      [](const auto &kv) { return kv.first == kLoopVisits; });
+        return all;
+    };
+    EXPECT_EQ(withoutVisits(polled), withoutVisits(skipped));
+    EXPECT_LE(skipped.value(kLoopVisits), polled.value(kLoopVisits));
+}
+
 /** Run @p bench under @p cfg with skipping forced on and off and
  *  require byte-identical stats JSON. Returns the (shared) stats. */
 RunStats
 expectExact(const std::string &bench, SystemConfig cfg)
 {
     const Workload workload = buildWorkload(bench, InputSet::Train);
+    obs::MetricRegistry polledCounters, skippedCounters;
     cfg.cycleSkipping = false;
-    RunStats polled = simulate(cfg, workload);
+    RunStats polled =
+        simulate(cfg, workload, Observability{&polledCounters});
     cfg.cycleSkipping = true;
-    RunStats skipped = simulate(cfg, workload);
+    RunStats skipped =
+        simulate(cfg, workload, Observability{&skippedCounters});
     EXPECT_EQ(statsJson(polled), statsJson(skipped)) << bench;
+    expectSameCounters(polledCounters, skippedCounters);
     return skipped;
+}
+
+/** The multi-core counterpart of expectExact over one mix. */
+void
+expectMultiCoreExact(const std::vector<std::string> &benches,
+                     SystemConfig cfg)
+{
+    std::vector<Workload> workloads;
+    for (const std::string &bench : benches)
+        workloads.push_back(buildWorkload(bench, InputSet::Train));
+    std::vector<const Workload *> mix;
+    for (const Workload &workload : workloads)
+        mix.push_back(&workload);
+    const std::vector<double> alone(mix.size(), 1.0);
+
+    obs::MetricRegistry polledCounters, skippedCounters;
+    cfg.cycleSkipping = false;
+    MultiCoreResult polled = simulateMultiCore(
+        cfg, mix, alone, Observability{&polledCounters});
+    cfg.cycleSkipping = true;
+    MultiCoreResult skipped = simulateMultiCore(
+        cfg, mix, alone, Observability{&skippedCounters});
+
+    EXPECT_EQ(polled.timedOut, skipped.timedOut);
+    EXPECT_EQ(polled.busTransactions, skipped.busTransactions);
+    EXPECT_DOUBLE_EQ(polled.weightedSpeedup, skipped.weightedSpeedup);
+    EXPECT_DOUBLE_EQ(polled.hmeanSpeedup, skipped.hmeanSpeedup);
+    ASSERT_EQ(polled.perCore.size(), skipped.perCore.size());
+    for (std::size_t i = 0; i < polled.perCore.size(); ++i) {
+        EXPECT_EQ(statsJson(polled.perCore[i]),
+                  statsJson(skipped.perCore[i]))
+            << "core " << i;
+    }
+    expectSameCounters(polledCounters, skippedCounters);
 }
 
 struct ExactCase
@@ -91,6 +149,8 @@ caseConfig(const ExactCase &c)
         return configs::noPrefetch();
     if (config == "baseline")
         return configs::baseline();
+    if (config == "cdp")
+        return configs::streamCdp();
     if (config == "cdp+throttle")
         return configs::streamCdpThrottled();
     if (config == "full")
@@ -125,6 +185,12 @@ INSTANTIATE_TEST_SUITE_P(
     ConfigMatrix, SkippingIsExact,
     ::testing::Values(ExactCase{"health", "baseline"},
                       ExactCase{"mst", "cdp+throttle"},
+                      // The greedy-CDP flood: the prefetch queue sits
+                      // behind the MSHR demand reserve for most of
+                      // the run, and the scheduler skips that wait.
+                      ExactCase{"mst", "cdp"},
+                      ExactCase{"pfast", "cdp"},
+                      ExactCase{"xalancbmk", "cdp"},
                       ExactCase{"bisort", "full"},
                       ExactCase{"perimeter", "ecdp+fdp"},
                       ExactCase{"health", "cdp+pab"},
@@ -166,27 +232,15 @@ TEST(SkippingIsExactEdge, MaxCyclesWatchdog)
 
 TEST(SkippingIsExactEdge, MultiCoreSharedDram)
 {
-    const Workload health = buildWorkload("health", InputSet::Train);
-    const Workload mst = buildWorkload("mst", InputSet::Train);
-    const std::vector<const Workload *> mix = {&health, &mst};
-    const std::vector<double> alone = {1.0, 1.0};
+    expectMultiCoreExact({"health", "mst"},
+                         configs::streamCdpThrottled());
+}
 
-    SystemConfig cfg = configs::streamCdpThrottled();
-    cfg.cycleSkipping = false;
-    MultiCoreResult polled = simulateMultiCore(cfg, mix, alone);
-    cfg.cycleSkipping = true;
-    MultiCoreResult skipped = simulateMultiCore(cfg, mix, alone);
-
-    EXPECT_EQ(polled.timedOut, skipped.timedOut);
-    EXPECT_EQ(polled.busTransactions, skipped.busTransactions);
-    EXPECT_DOUBLE_EQ(polled.weightedSpeedup, skipped.weightedSpeedup);
-    EXPECT_DOUBLE_EQ(polled.hmeanSpeedup, skipped.hmeanSpeedup);
-    ASSERT_EQ(polled.perCore.size(), skipped.perCore.size());
-    for (std::size_t i = 0; i < polled.perCore.size(); ++i) {
-        EXPECT_EQ(statsJson(polled.perCore[i]),
-                  statsJson(skipped.perCore[i]))
-            << "core " << i;
-    }
+TEST(SkippingIsExactEdge, MultiCoreCdpFlood)
+{
+    // Two unthrottled CDP floods on one DRAM: one core's queue can
+    // wait on its MSHRs while the other's DRAM traffic moves on.
+    expectMultiCoreExact({"mst", "xalancbmk"}, configs::streamCdp());
 }
 
 // ---------------------------------------------------------------

@@ -41,6 +41,14 @@ struct GoldenCase
     const char *file;
 };
 
+// Keeps the listed parameter (and so the test ID) free of pointer
+// bytes, which change with ASLR.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.bench << ":" << c.config;
+}
+
 constexpr GoldenCase kCases[] = {
     {"health", "baseline", "health_baseline.json"},
     {"mst", "cdp+throttle", "mst_cdp_throttle.json"},

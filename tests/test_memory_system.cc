@@ -2,10 +2,12 @@
  * @file
  * Tests for the per-core memory system: hit/miss timing, MSHR merges,
  * prefetched-bit accounting, CDP scan-at-fill, ECDP gating, oracle
- * modes, and interval throttling.
+ * modes, interval throttling, and the scheduler wakeup bound.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "dram/dram.hh"
 #include "sim/memory_system.hh"
@@ -49,11 +51,14 @@ struct Rig
 {
     explicit Rig(SystemConfig config = {})
         : cfg(config), dram(cfg.dram, 1), mem(cfg, 0, SimMemory{},
-                                              &dram)
+                                              &dram, &obs)
     {
+        dram.attachObservability(obs);
     }
 
     SystemConfig cfg;
+    obs::MetricRegistry registry;
+    Observability obs{&registry};
     DramSystem dram;
     MemorySystem mem;
 };
@@ -404,6 +409,187 @@ TEST(MemorySystem, PabKeepsOnlyOnePrefetcherEnabled)
     }
     EXPECT_GT(rig.mem.intervalsElapsed(), 2u);
     EXPECT_NE(rig.mem.primaryEnabled(), rig.mem.ldsEnabled());
+}
+
+// ---------------------------------------------------------------
+// nextEventCycle: the wakeup bound for a non-empty ready queue.
+// ---------------------------------------------------------------
+
+/** A pointer-carrying LDS block and the target it points to. */
+constexpr std::uint32_t kTrigger = 0x40000000;
+constexpr std::uint32_t kTarget = 0x40010000;
+
+/**
+ * Leave a CDP prefetch of kTarget at the head of the ready queue,
+ * passing every filter but held back by the MSHR demand reserve: the
+ * trigger's fill is scanned while enough later demand misses are in
+ * flight that in-flight + reserve >= l2Mshrs. Returns the trigger's
+ * fill cycle, whose memory tick has run; @p next_fill is the
+ * earliest fill among the misses holding the MSHRs.
+ */
+Cycle
+blockPrefetchBehindMshrs(Rig &rig, Cycle &next_fill)
+{
+    rig.mem.image().writePointer(kTrigger, kTarget);
+    const auto trigger =
+        rig.mem.load(loadAt(kTrigger, 0x1000, true), Cycle{});
+    EXPECT_TRUE(trigger.has_value());
+    next_fill = Cycle{~std::uint64_t{0}};
+    const unsigned hogs = rig.cfg.l2Mshrs - rig.cfg.mshrReserveForDemand;
+    for (unsigned i = 0; i < hogs; ++i) {
+        const auto done =
+            rig.mem.load(loadAt(0x41000000 + i * 0x100000), Cycle{10});
+        EXPECT_TRUE(done.has_value());
+        next_fill = std::min(next_fill, *done - rig.cfg.l1Latency);
+    }
+    const Cycle fill = *trigger - rig.cfg.l1Latency;
+    tickUntil(rig.mem, Cycle{}, fill);
+    return fill;
+}
+
+TEST(MemorySystemWakeup, MshrBlockedHeadWakesAtNextFill)
+{
+    Rig rig(cdpConfig());
+    Cycle next_fill;
+    const Cycle fill = blockPrefetchBehindMshrs(rig, next_fill);
+    ASSERT_GT(next_fill, fill + 1);
+    EXPECT_EQ(rig.mem.nextEventCycle(fill), next_fill);
+
+    // The skipped cycles are no-ops for the head; the fill frees an
+    // MSHR and the prefetch issues on that very tick.
+    tickUntil(rig.mem, fill + 1, next_fill - 1);
+    RunStats stats;
+    rig.mem.collectStats(stats);
+    EXPECT_EQ(stats.prefIssued[1], 0u);
+    rig.mem.tick(next_fill);
+    rig.mem.collectStats(stats);
+    EXPECT_EQ(stats.prefIssued[1], 1u);
+}
+
+TEST(MemorySystemWakeup, SameCycleDemandInFlightWakesNextCycle)
+{
+    Rig rig(cdpConfig());
+    Cycle next_fill;
+    const Cycle fill = blockPrefetchBehindMshrs(rig, next_fill);
+    // The core, ticking after the memory system, misses on the
+    // head's block: the head is now a duplicate, dropped next tick.
+    ASSERT_TRUE(rig.mem.load(loadAt(kTarget), fill).has_value());
+    EXPECT_EQ(rig.mem.nextEventCycle(fill), fill + 1);
+    rig.mem.tick(fill + 1);
+    EXPECT_EQ(rig.registry.value("core0.pf.lds.dropped.in_flight"), 1u);
+}
+
+TEST(MemorySystemWakeup, SameCycleStoreMakesHeadCachedWakesNextCycle)
+{
+    Rig rig(cdpConfig());
+    Cycle next_fill;
+    const Cycle fill = blockPrefetchBehindMshrs(rig, next_fill);
+    // A store miss write-allocates the head's block into the L2.
+    rig.mem.store(storeAt(kTarget, 1), fill);
+    EXPECT_EQ(rig.mem.nextEventCycle(fill), fill + 1);
+    rig.mem.tick(fill + 1);
+    EXPECT_EQ(rig.registry.value("core0.pf.lds.dropped.cached"), 1u);
+}
+
+TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
+{
+    // PAB keeps one engine per interval; with no outcomes recorded
+    // the tie goes to slot 0, so the first interval boundary turns
+    // the CDP (slot 1) off. A one-set L2 makes the trigger's fill the
+    // first eviction, and intervalEvictions = 1 ends the interval on
+    // that same tick, after the head was found MSHR-blocked.
+    SystemConfig cfg;
+    cfg.lds = LdsKind::Cdp;
+    cfg.throttle = ThrottleKind::Pab;
+    cfg.intervalEvictions = 1;
+    cfg.l2Bytes = cfg.l2Assoc * cfg.l2BlockBytes;
+    Rig rig(cfg);
+    Cycle now{};
+    for (unsigned way = 0; way < cfg.l2Assoc; ++way) {
+        const auto done =
+            rig.mem.load(loadAt(0x43000000 + way * 0x100000), now);
+        ASSERT_TRUE(done.has_value());
+        tickUntil(rig.mem, now, *done);
+        now = *done + 1;
+    }
+    ASSERT_EQ(rig.mem.l2().evictions(), 0u);
+    ASSERT_TRUE(rig.mem.ldsEnabled());
+
+    rig.mem.image().writePointer(kTrigger, kTarget);
+    const auto trigger =
+        rig.mem.load(loadAt(kTrigger, 0x1000, true), now);
+    ASSERT_TRUE(trigger.has_value());
+    const unsigned hogs = cfg.l2Mshrs - cfg.mshrReserveForDemand;
+    for (unsigned i = 0; i < hogs; ++i) {
+        ASSERT_TRUE(rig.mem
+                        .load(loadAt(0x41000000 + i * 0x100000),
+                              now + 10)
+                        .has_value());
+    }
+    const Cycle fill = *trigger - cfg.l1Latency;
+    tickUntil(rig.mem, now, fill);
+    ASSERT_FALSE(rig.mem.ldsEnabled());
+    EXPECT_EQ(rig.mem.nextEventCycle(fill), fill + 1);
+    rig.mem.tick(fill + 1);
+    EXPECT_EQ(rig.registry.value("core0.pf.lds.dropped.source_disabled"),
+              1u);
+}
+
+/**
+ * Let a prefetch head meet a DRAM request buffer that writebacks
+ * have filled past the prefetch reserve, then drive the memory
+ * system to @p end either every cycle or only at its (and the
+ * DRAM's) wakeup bound. Returns the whole counter set.
+ */
+std::vector<std::pair<std::string, std::uint64_t>>
+runDramRejectScenario(bool skipping, Cycle end, Cycle &fill_out)
+{
+    Rig rig(cdpConfig());
+    rig.mem.image().writePointer(kTrigger, kTarget);
+    const auto trigger =
+        rig.mem.load(loadAt(kTrigger, 0x1000, true), Cycle{});
+    EXPECT_TRUE(trigger.has_value());
+    const Cycle fill = *trigger - rig.cfg.l1Latency;
+    fill_out = fill;
+    tickUntil(rig.mem, Cycle{}, fill - 1);
+    // Store misses post writebacks; each holds a buffer entry until
+    // the bus has carried it.
+    for (unsigned i = 0; i < rig.dram.bufferCapacity(); ++i)
+        rig.mem.store(storeAt(0x42000000 + i * 0x100000, i), fill - 1);
+
+    Cycle cycle = fill;
+    while (cycle <= end) {
+        rig.mem.tick(cycle);
+        Cycle next = cycle + 1;
+        if (skipping) {
+            if (cycle == fill) {
+                EXPECT_EQ(rig.mem.nextEventCycle(cycle), cycle + 1);
+            }
+            next = std::max(next,
+                            std::min(rig.mem.nextEventCycle(cycle),
+                                     rig.dram.nextEventCycle(cycle)));
+        }
+        cycle = next;
+    }
+    RunStats stats;
+    rig.mem.collectStats(stats, end);
+    return rig.registry.sorted();
+}
+
+TEST(MemorySystemWakeup, DramRejectedHeadRetriesEveryCycle)
+{
+    const Cycle end{5000};
+    Cycle fill;
+    const auto polled = runDramRejectScenario(false, end, fill);
+    const auto skipped = runDramRejectScenario(true, end, fill);
+    ASSERT_LT(fill, end);
+    EXPECT_EQ(polled, skipped);
+    const auto rejects =
+        std::find_if(polled.begin(), polled.end(), [](const auto &kv) {
+            return kv.first == "dram.buffer_rejects";
+        });
+    ASSERT_NE(rejects, polled.end());
+    EXPECT_GT(rejects->second, 1u);
 }
 
 } // namespace

@@ -404,9 +404,10 @@ TEST(ServerIntegration, PendingPollsAnswerOutsideTheDaemonLock)
     // (tolerate a pathologically slow test host finishing first).
     ASSERT_TRUE(poll.status == 202 || poll.status == 200)
         << poll.body;
-    if (poll.status == 202)
+    if (poll.status == 202) {
         EXPECT_NE(poll.body.find("\"remaining\":1"),
                   std::string::npos);
+    }
     EXPECT_EQ(client.get("/v1/grids/g1").status, 200);
 
     // Parked waiter: answered by the final cell completion.

@@ -147,6 +147,14 @@ struct Table3Case
     ThrottleDecision expected;
 };
 
+// Without a printer gtest dumps the raw bytes, pointer included, into
+// the test's listed parameter, and the test ID changes with ASLR.
+void
+PrintTo(const Table3Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class Table3Test : public ::testing::TestWithParam<Table3Case>
 {
 };

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -37,6 +38,14 @@ class Collector
     {
         std::unique_lock<std::mutex> lock(mutex_);
         cv_.wait(lock, [&] { return outputs.size() >= n; });
+    }
+
+    /** waitFor() with a deadline; false if it passed first. */
+    bool waitFor(std::size_t n, std::chrono::seconds deadline)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, deadline,
+                            [&] { return outputs.size() >= n; });
     }
 
     std::vector<std::string> outputs;
@@ -178,6 +187,24 @@ TEST(WorkerPool, ExplicitStopIsIdempotentAndFailsLateSubmits)
                     collector.outputs[i].empty())
             << i;
     }
+}
+
+TEST(WorkerPool, ConcurrentSpawnsOnTwoShardsAllComplete)
+{
+    // Two shards fork children at the same time. Every pipe end must
+    // be close-on-exec: a child that inherits its sibling's stdin
+    // write end keeps that sibling from seeing EOF until it exits
+    // itself, so two children holding each other's wait forever.
+    Collector collector;
+    WorkerPool pool({"/bin/cat"}, 2);
+    constexpr int kJobs = 2000;
+    for (int i = 0; i < kJobs; ++i)
+        pool.submit("job" + std::to_string(i), collector.done());
+    ASSERT_TRUE(collector.waitFor(kJobs, std::chrono::seconds(60)))
+        << "concurrently spawned workers never saw stdin EOF";
+    EXPECT_EQ(pool.spawned(), std::uint64_t{kJobs});
+    for (const std::string &error : collector.errors)
+        EXPECT_EQ(error, "");
 }
 
 TEST(WorkerPool, QueueDepthDrainsToZero)

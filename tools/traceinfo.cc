@@ -68,7 +68,7 @@ pcTable(const Workload &workload)
     table.header({"pc", "accesses", "lds", "kind"});
     for (const auto &[pc, site] : sites) {
         char buf[16];
-        std::snprintf(buf, sizeof(buf), "0x%x", pc);
+        std::snprintf(buf, sizeof(buf), "0x%x", pc.raw());
         table.row()
             .cell(buf)
             .cell(site.count)
