@@ -20,13 +20,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "compiler/profiling_compiler.hh"
+#include "named_cells.hh"
 #include "sim/experiment.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
@@ -37,21 +35,6 @@ namespace ecdp
 {
 namespace
 {
-
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
-    }
-    return it->second;
-}
 
 std::string
 statsJson(const RunStats &stats)
@@ -131,50 +114,16 @@ expectMultiCoreExact(const std::vector<std::string> &benches,
     expectSameCounters(polledCounters, skippedCounters);
 }
 
-struct ExactCase
-{
-    const char *bench;
-    const char *config;
-};
+using cells::NamedCell;
 
-class SkippingIsExact : public ::testing::TestWithParam<ExactCase>
+class SkippingIsExact : public ::testing::TestWithParam<NamedCell>
 {
 };
-
-SystemConfig
-caseConfig(const ExactCase &c)
-{
-    const std::string config = c.config;
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp")
-        return configs::streamCdp();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(c.bench));
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(c.bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    throw std::runtime_error("unknown exactness config " + config);
-}
 
 TEST_P(SkippingIsExact, StatsJsonIsByteIdentical)
 {
-    const ExactCase &c = GetParam();
-    RunStats stats = expectExact(c.bench, caseConfig(c));
+    const NamedCell &c = GetParam();
+    RunStats stats = expectExact(c.bench, cells::cellConfig(c));
     // Sanity: these runs actually finish and do real work.
     EXPECT_FALSE(stats.timedOut);
     EXPECT_GT(stats.cycles, Cycle{});
@@ -183,39 +132,31 @@ TEST_P(SkippingIsExact, StatsJsonIsByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigMatrix, SkippingIsExact,
-    ::testing::Values(ExactCase{"health", "baseline"},
-                      ExactCase{"mst", "cdp+throttle"},
+    ::testing::Values(NamedCell{"health", "baseline"},
+                      NamedCell{"mst", "cdp+throttle"},
                       // The greedy-CDP flood: the prefetch queue sits
                       // behind the MSHR demand reserve for most of
                       // the run, and the scheduler skips that wait.
-                      ExactCase{"mst", "cdp"},
-                      ExactCase{"pfast", "cdp"},
-                      ExactCase{"xalancbmk", "cdp"},
-                      ExactCase{"bisort", "full"},
-                      ExactCase{"perimeter", "ecdp+fdp"},
-                      ExactCase{"health", "cdp+pab"},
-                      ExactCase{"mst", "dbp"},
-                      ExactCase{"bisort", "markov"},
-                      ExactCase{"health", "side-buffer"},
-                      ExactCase{"mst", "noprefetch"}),
-    [](const ::testing::TestParamInfo<ExactCase> &info) {
-        std::string name = std::string(info.param.bench) + "_" +
-                           info.param.config;
-        for (char &ch : name) {
-            if (ch == '+' || ch == '-')
-                ch = '_';
-        }
-        return name;
-    });
+                      NamedCell{"mst", "cdp"},
+                      NamedCell{"pfast", "cdp"},
+                      NamedCell{"xalancbmk", "cdp"},
+                      NamedCell{"bisort", "full"},
+                      // bisort reaches interval boundaries on train
+                      // inputs, so FDP decisions and PAB selection
+                      // run under the scheduler.
+                      NamedCell{"bisort", "ecdp+fdp"},
+                      NamedCell{"bisort", "cdp+pab"},
+                      NamedCell{"mst", "dbp"},
+                      NamedCell{"bisort", "markov"},
+                      NamedCell{"health", "side-buffer"},
+                      NamedCell{"mst", "noprefetch"}),
+    cells::cellTestName);
 
 TEST(SkippingIsExactEdge, SmallBlockSizeConfig)
 {
     // 64 B blocks exercise the block-size-derived DRAM bank hash
     // together with the scheduler.
-    SystemConfig cfg = configs::baseline();
-    cfg.l1BlockBytes = 64;
-    cfg.l2BlockBytes = 64;
-    expectExact("health", cfg);
+    expectExact("health", cells::cellConfig("small-blocks", "health"));
 }
 
 TEST(SkippingIsExactEdge, MaxCyclesWatchdog)

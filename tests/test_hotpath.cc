@@ -23,16 +23,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
-#include "compiler/profiling_compiler.hh"
+#include "named_cells.hh"
 #include "obs/phase_profiler.hh"
 #include "prefetch/cdp.hh"
 #include "sim/experiment.hh"
@@ -249,21 +247,6 @@ TEST(PhaseConservation, BreakdownAccountsForSimulationWall)
 // Stats identity with the profiler attached.
 // ---------------------------------------------------------------
 
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
-    }
-    return it->second;
-}
-
 std::string
 statsJson(const RunStats &stats)
 {
@@ -293,80 +276,41 @@ expectProfiledIdentical(const std::string &bench, SystemConfig cfg)
     EXPECT_GT(prof.totalSeconds(), 0.0);
 }
 
-struct ProfiledCase
-{
-    const char *bench;
-    const char *config;
-};
+using cells::NamedCell;
 
 class ProfilerIsPureObservation
-    : public ::testing::TestWithParam<ProfiledCase>
+    : public ::testing::TestWithParam<NamedCell>
 {
 };
-
-SystemConfig
-profiledCaseConfig(const ProfiledCase &c)
-{
-    const std::string config = c.config;
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(c.bench));
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(c.bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    throw std::runtime_error("unknown hotpath config " + config);
-}
 
 TEST_P(ProfilerIsPureObservation, StatsJsonIsByteIdentical)
 {
-    const ProfiledCase &c = GetParam();
-    expectProfiledIdentical(c.bench, profiledCaseConfig(c));
+    const NamedCell &c = GetParam();
+    expectProfiledIdentical(c.bench, cells::cellConfig(c));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigMatrix, ProfilerIsPureObservation,
-    ::testing::Values(ProfiledCase{"health", "baseline"},
-                      ProfiledCase{"mst", "cdp+throttle"},
-                      ProfiledCase{"bisort", "full"},
-                      ProfiledCase{"perimeter", "ecdp+fdp"},
-                      ProfiledCase{"health", "cdp+pab"},
-                      ProfiledCase{"mst", "dbp"},
-                      ProfiledCase{"bisort", "markov"},
-                      ProfiledCase{"health", "side-buffer"},
-                      ProfiledCase{"mst", "noprefetch"}),
-    [](const ::testing::TestParamInfo<ProfiledCase> &info) {
-        std::string name = std::string(info.param.bench) + "_" +
-                           info.param.config;
-        for (char &ch : name) {
-            if (ch == '+' || ch == '-')
-                ch = '_';
-        }
-        return name;
-    });
+    ::testing::Values(NamedCell{"health", "baseline"},
+                      NamedCell{"mst", "cdp+throttle"},
+                      NamedCell{"bisort", "full"},
+                      // bisort reaches interval boundaries on train
+                      // inputs, so FDP decisions and PAB selection
+                      // run under the profiler.
+                      NamedCell{"bisort", "ecdp+fdp"},
+                      NamedCell{"bisort", "cdp+pab"},
+                      NamedCell{"mst", "dbp"},
+                      NamedCell{"bisort", "markov"},
+                      NamedCell{"health", "side-buffer"},
+                      NamedCell{"mst", "noprefetch"}),
+    cells::cellTestName);
 
 TEST(ProfilerIsPureObservationEdge, SmallBlockSizeConfig)
 {
     // 64 B blocks: 16-slot scans exercise the short-block path of the
     // candidate kernel inside a whole run.
-    SystemConfig cfg = configs::baseline();
-    cfg.l1BlockBytes = 64;
-    cfg.l2BlockBytes = 64;
-    expectProfiledIdentical("health", cfg);
+    expectProfiledIdentical("health",
+                            cells::cellConfig("small-blocks", "health"));
 }
 
 } // namespace
