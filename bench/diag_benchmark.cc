@@ -13,10 +13,10 @@ using namespace ecdp;
 static void report(const char* tag, const RunStats& s) {
     printf("%-6s ipc=%.3f bpki=%6.1f misses=%lu | prim iss=%lu used=%lu late=%lu lvl=%d en=%d | lds iss=%lu used=%lu late=%lu lvl=%d en=%d | intervals=%lu\n",
         tag, s.ipc, s.bpki, s.l2DemandMisses,
-        s.prefIssued[0], s.prefUsed[0], s.prefLate[0],
-        (int)s.finalPrimaryLevel, (int)s.finalPrimaryEnabled,
-        s.prefIssued[1], s.prefUsed[1], s.prefLate[1],
-        (int)s.finalLdsLevel, (int)s.finalLdsEnabled, s.intervals);
+        s.slot(0).issued, s.slot(0).used, s.slot(0).late,
+        (int)s.slot(0).finalLevel, (int)s.slot(0).finalEnabled,
+        s.slot(1).issued, s.slot(1).used, s.slot(1).late,
+        (int)s.slot(1).finalLevel, (int)s.slot(1).finalEnabled, s.intervals);
 }
 
 int main(int argc, char** argv) {

@@ -17,10 +17,12 @@ namespace
 double
 usefulLatency(const RunStats &stats)
 {
-    std::uint64_t sum = stats.usefulLatencySum[0] +
-                        stats.usefulLatencySum[1];
-    std::uint64_t count = stats.usefulLatencyCount[0] +
-                          stats.usefulLatencyCount[1];
+    std::uint64_t sum = 0;
+    std::uint64_t count = 0;
+    for (const RunStats::EngineRunStats &es : stats.engineStats) {
+        sum += es.usefulLatencySum;
+        count += es.usefulLatencyCount;
+    }
     return count ? static_cast<double>(sum) /
                        static_cast<double>(count)
                  : 0.0;
@@ -37,7 +39,7 @@ main()
     // Stream alone, CDP alone, and the naive hybrid.
     NamedConfig stream_only = cfgBaseline();
     SystemConfig cdp_only_cfg = configs::streamCdp();
-    cdp_only_cfg.primary = PrimaryKind::None;
+    cdp_only_cfg.engines[0] = "none";
     NamedConfig cdp_only = fixedConfig("cdponly", cdp_only_cfg);
     NamedConfig hybrid = cfgCdp();
     runGrid(ctx, names, {stream_only, cdp_only, hybrid});

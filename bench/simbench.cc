@@ -20,7 +20,7 @@
  * figure independent of the machine. The output is machine-readable
  * JSON (schema BENCH_simbench/v4, see EXPERIMENTS.md).
  *
- * Besides the legacy two-slot stack, one run benchmarks a
+ * Besides the paper's two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
  * on `health`: the N-engine stack walks more per-event state (one
  * feedback lane and counter scope per slot), so its event-driven

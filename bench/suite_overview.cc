@@ -66,8 +66,8 @@ main()
             .cell(cdp_s.bpki, 1)
             .cell(full_s.bpki, 1)
             .cell(base_s.l2DemandMisses / 1000, 0)
-            .cell(full_s.prefDropped[0])
-            .cell(full_s.prefDropped[1]);
+            .cell(full_s.slot(0).dropped)
+            .cell(full_s.slot(1).dropped);
     }
     table.print(std::cout);
     return 0;

@@ -129,7 +129,7 @@ main()
     std::cout << "\n               IPC     BPKI   LDS-prefetches\n";
     auto row = [](const char *label, const RunStats &s) {
         std::cout << label << s.ipc << "   " << s.bpki << "   "
-                  << s.prefIssued[1] << '\n';
+                  << s.slot(1).issued << '\n';
     };
     row("baseline:      ", base);
     row("greedy CDP:    ", cdp);

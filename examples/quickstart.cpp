@@ -55,11 +55,11 @@ main(int argc, char **argv)
         std::cout << label << ": IPC " << stats.ipc << ", BPKI "
                   << stats.bpki << ", L2 demand misses "
                   << stats.l2DemandMisses << "\n  stream: issued "
-                  << stats.prefIssued[0] << ", used "
-                  << stats.prefUsed[0] << "\n  LDS:    issued "
-                  << stats.prefIssued[1] << ", used "
-                  << stats.prefUsed[1] << " (late "
-                  << stats.prefLate[1] << ")\n";
+                  << stats.slot(0).issued << ", used "
+                  << stats.slot(0).used << "\n  LDS:    issued "
+                  << stats.slot(1).issued << ", used "
+                  << stats.slot(1).used << " (late "
+                  << stats.slot(1).late << ")\n";
     };
     report("baseline (stream only)", base);
     report("full proposal (ECDP + coordinated throttling)", full);

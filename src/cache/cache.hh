@@ -32,7 +32,7 @@ enum class PrefetchSource : std::uint8_t { None = 0, Primary, Lds };
 /**
  * "No engine": sentinel for the per-block prefetched-owner tag and the
  * MSHR engine field. Real owners are indices into the MemorySystem's
- * engine stack (0 = the legacy primary slot, 1 = the legacy LDS slot),
+ * engine stack (0 = the paper's primary slot, 1 = its LDS slot),
  * so the all-ones byte can never collide with one.
  */
 inline constexpr std::uint8_t kNoPrefetchOwner = 0xff;
@@ -72,7 +72,7 @@ struct CacheBlock
     /**
      * The paper's prefetched-by tag, generalized: the engine-stack
      * index of the prefetcher that fetched the block, or
-     * kNoPrefetchOwner for demand fills. Engine 0 is the legacy
+     * kNoPrefetchOwner for demand fills. Engine 0 is the paper's
      * "prefetched-stream" bit, engine 1 the "prefetched-CDP" bit.
      */
     std::uint8_t prefetchOwner = kNoPrefetchOwner;
@@ -185,8 +185,8 @@ class Cache
      */
     std::uint64_t contentVersion() const { return contentVersion_; }
 
-    /** End-of-run census of still-resident unused prefetches (legacy
-     *  two-slot view: owner 0 = primary, owner 1 = lds). */
+    /** End-of-run census of still-resident unused prefetches (the
+     *  paper's two-slot view: owner 0 = primary, owner 1 = lds). */
     struct PrefetchedResident
     {
         std::uint64_t primary = 0;

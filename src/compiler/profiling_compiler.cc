@@ -18,12 +18,16 @@ ProfilingCompiler::profileWithInformingLoads(const Workload &train,
     // Full timing run with the unfiltered prefetcher; the memory
     // system's per-PG bookkeeping plays the role of the informing
     // loads, reporting for every load whether it consumed a
-    // prefetched block.
-    target.lds = LdsKind::Cdp;
+    // prefetched block. Whatever the target runs in its LDS slot
+    // (ECDP would need the very hints being computed), the training
+    // run uses plain CDP there.
+    if (target.engines.size() < 2)
+        target.engines.resize(2, "none");
+    target.engines[1] = "cdp";
     target.hints = nullptr;
     target.hwFilter = false;
     target.grpCoarse = false;
-    target.throttle = ThrottleKind::None;
+    target.throttlePolicy = "static";
     target.idealLds = false;
     target.idealNoPollution = false;
     RunStats stats = simulate(target, train);
@@ -108,7 +112,7 @@ ProfilingCompiler::profileStats(const Workload &train,
             ++expanded;
             if (req.pgValid)
                 ++stats[req.pg].issued;
-            l2.insert(req.blockAddr, 1); // LDS slot of the legacy stack
+            l2.insert(req.blockAddr, 1); // the paper's LDS slot
             CacheBlock *block = l2.lookup(req.blockAddr, false);
             block->pgValid = req.pgValid;
             block->pg = req.pg;

@@ -21,10 +21,10 @@
 namespace ecdp
 {
 
-/** Empty stack slot: never prefetches. Legacy two-slot configurations
- *  with PrimaryKind::None / LdsKind::None derive to this engine so the
- *  slot still owns a feedback lane (an idle lane reports accuracy 1.0,
- *  exactly as before the registry). */
+/** Empty stack slot: never prefetches. The named configs put it in
+ *  an unused paper slot so the slot still exists: it owns a feedback
+ *  lane and a PAB window, and an idle slot reports accuracy 1.0 in
+ *  both, which PAB's tie-break reads. */
 class NullEngine final : public PrefetchEngine
 {
   public:

@@ -40,7 +40,7 @@ unsigned
 PabSelector::select() const
 {
     // Strict greater-than keeps ties at the lowest index, which for
-    // the legacy two-lane configuration means ties go to the primary.
+    // the paper's two-lane configuration means ties go to the primary.
     unsigned best = 0;
     double bestAcc = accuracy(0);
     for (unsigned i = 1; i < outcomes_.size(); ++i) {

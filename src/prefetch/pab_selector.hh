@@ -20,7 +20,7 @@ namespace ecdp
 
 /**
  * Sliding-window accuracy selector over an engine stack (lane i =
- * stack slot i; the legacy pair is lanes 0 = primary, 1 = LDS).
+ * stack slot i; the paper's pair is lanes 0 = primary, 1 = LDS).
  */
 class PabSelector
 {
@@ -39,8 +39,8 @@ class PabSelector
 
     /**
      * Re-evaluate: returns the index of the only prefetcher that
-     * should stay enabled (ties go to the lowest index, so the legacy
-     * pair still ties to the primary).
+     * should stay enabled (ties go to the lowest index, so the
+     * paper's pair ties to the primary).
      */
     unsigned select() const;
 

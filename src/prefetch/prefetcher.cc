@@ -15,28 +15,4 @@ aggLevelName(AggLevel level)
     return "?";
 }
 
-const char *
-primaryKindName(PrimaryKind kind)
-{
-    switch (kind) {
-      case PrimaryKind::None: return "none";
-      case PrimaryKind::Stream: return "stream";
-      case PrimaryKind::Ghb: return "ghb";
-    }
-    return "?";
-}
-
-const char *
-ldsKindName(LdsKind kind)
-{
-    switch (kind) {
-      case LdsKind::None: return "none";
-      case LdsKind::Cdp: return "cdp";
-      case LdsKind::Ecdp: return "ecdp";
-      case LdsKind::Dbp: return "dbp";
-      case LdsKind::Markov: return "markov";
-    }
-    return "?";
-}
-
 } // namespace ecdp

@@ -1,15 +1,13 @@
 /**
  * @file
- * Common prefetcher types: requests, aggressiveness levels (Table 2 of
- * the paper), and the identifiers of the prefetchers a system can pair.
+ * Common prefetcher types: requests and aggressiveness levels (Table 2
+ * of the paper).
  */
 
 #ifndef ECDP_PREFETCH_PREFETCHER_HH
 #define ECDP_PREFETCH_PREFETCHER_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "memsim/types.hh"
@@ -65,15 +63,6 @@ struct PrefetchRequest
     bool pgValid = false;
     PgId pg{};
 };
-
-/** The primary (streaming-capable) prefetcher of the hybrid system. */
-enum class PrimaryKind : std::uint8_t { None, Stream, Ghb };
-
-/** The LDS prefetcher slot of the hybrid system. */
-enum class LdsKind : std::uint8_t { None, Cdp, Ecdp, Dbp, Markov };
-
-const char *primaryKindName(PrimaryKind kind);
-const char *ldsKindName(LdsKind kind);
 
 } // namespace ecdp
 

@@ -124,24 +124,6 @@ ResultCache::load(const std::string &name, std::uint64_t hash) const
         stats.l2DemandAccesses = doc.at("l2DemandAccesses").asU64();
         stats.l2DemandMisses = doc.at("l2DemandMisses").asU64();
         stats.l2LdsMisses = doc.at("l2LdsMisses").asU64();
-        const JsonValue &issued = doc.at("prefIssued");
-        const JsonValue &used = doc.at("prefUsed");
-        const JsonValue &late = doc.at("prefLate");
-        const JsonValue &dropped = doc.at("prefDropped");
-        const JsonValue &lat_sum = doc.at("usefulLatencySum");
-        const JsonValue &lat_count = doc.at("usefulLatencyCount");
-        for (unsigned which = 0; which < 2; ++which) {
-            stats.prefIssued[which] =
-                issued.asArray().at(which).asU64();
-            stats.prefUsed[which] = used.asArray().at(which).asU64();
-            stats.prefLate[which] = late.asArray().at(which).asU64();
-            stats.prefDropped[which] =
-                dropped.asArray().at(which).asU64();
-            stats.usefulLatencySum[which] =
-                lat_sum.asArray().at(which).asU64();
-            stats.usefulLatencyCount[which] =
-                lat_count.asArray().at(which).asU64();
-        }
         for (const JsonValue &pg : doc.at("pgStats").asArray()) {
             PgId id;
             id.loadPc = pg.at("pc").asU64();
@@ -151,45 +133,21 @@ ResultCache::load(const std::string &name, std::uint64_t hash) const
             entry.issued = pg.at("issued").asU64();
             entry.used = pg.at("used").asU64();
         }
-        stats.finalPrimaryLevel = static_cast<AggLevel>(
-            doc.at("finalPrimaryLevel").asI64());
-        stats.finalLdsLevel =
-            static_cast<AggLevel>(doc.at("finalLdsLevel").asI64());
-        stats.finalPrimaryEnabled =
-            doc.at("finalPrimaryEnabled").asBool();
-        stats.finalLdsEnabled = doc.at("finalLdsEnabled").asBool();
         stats.intervals = doc.at("intervals").asU64();
         for (const JsonValue &item :
              doc.at("intervalSeries").asArray()) {
             IntervalSample sample;
             sample.cycle = Cycle{item.at("cycle").asU64()};
-            for (unsigned which = 0; which < 2; ++which) {
-                sample.accuracy[which] =
-                    item.at("accuracy").asArray().at(which)
-                        .asDouble();
-                sample.coverage[which] =
-                    item.at("coverage").asArray().at(which)
-                        .asDouble();
-            }
-            sample.primaryLevel = static_cast<AggLevel>(
-                item.at("primaryLevel").asI64());
-            sample.ldsLevel =
-                static_cast<AggLevel>(item.at("ldsLevel").asI64());
-            sample.primaryEnabled =
-                item.at("primaryEnabled").asBool();
-            sample.ldsEnabled = item.at("ldsEnabled").asBool();
-            for (const JsonValue &x : item.at("extra").asArray()) {
-                EngineIntervalExtra extra;
-                extra.accuracy = x.at("accuracy").asDouble();
-                extra.coverage = x.at("coverage").asDouble();
-                extra.level =
+            for (const JsonValue &x : item.at("slots").asArray()) {
+                IntervalSample::Slot slot;
+                slot.accuracy = x.at("accuracy").asDouble();
+                slot.coverage = x.at("coverage").asDouble();
+                slot.level =
                     static_cast<AggLevel>(x.at("level").asI64());
-                extra.enabled = x.at("enabled").asBool();
-                sample.extra.push_back(extra);
+                slot.enabled = x.at("enabled").asBool();
+                sample.slots.push_back(slot);
             }
-            // Optional (written only when non-empty): find(), not
-            // at() — at() would turn every pre-policy cache entry
-            // into a miss.
+            // Optional: written only when non-empty.
             if (const JsonValue *p = item.find("policy"))
                 sample.policy = p->asString();
             stats.intervalSeries.push_back(sample);
@@ -202,11 +160,16 @@ ResultCache::load(const std::string &name, std::uint64_t hash) const
             es.used = item.at("used").asU64();
             es.late = item.at("late").asU64();
             es.dropped = item.at("dropped").asU64();
+            es.usefulLatencySum = item.at("usefulLatencySum").asU64();
+            es.usefulLatencyCount =
+                item.at("usefulLatencyCount").asU64();
+            es.finalLevel =
+                static_cast<AggLevel>(item.at("finalLevel").asI64());
+            es.finalEnabled = item.at("finalEnabled").asBool();
             stats.engineStats.push_back(std::move(es));
         }
-        // Optional policy fields (written only for stateful
-        // policies): conditional access keeps pre-policy entries
-        // loadable.
+        // Optional policy fields, written only for stateful
+        // policies.
         if (const JsonValue *p = doc.find("throttlePolicy"))
             stats.throttlePolicy = p->asString();
         if (const JsonValue *p = doc.find("throttlePolicyState"))
@@ -251,17 +214,6 @@ ResultCache::store(const std::string &name, std::uint64_t hash,
            << ",\"l2DemandAccesses\":" << stats.l2DemandAccesses
            << ",\"l2DemandMisses\":" << stats.l2DemandMisses
            << ",\"l2LdsMisses\":" << stats.l2LdsMisses;
-        auto array2 = [&os](const char *key,
-                            const std::uint64_t (&v)[2]) {
-            os << ",\"" << key << "\":[" << v[0] << "," << v[1]
-               << "]";
-        };
-        array2("prefIssued", stats.prefIssued);
-        array2("prefUsed", stats.prefUsed);
-        array2("prefLate", stats.prefLate);
-        array2("prefDropped", stats.prefDropped);
-        array2("usefulLatencySum", stats.usefulLatencySum);
-        array2("usefulLatencyCount", stats.usefulLatencyCount);
         os << ",\"pgStats\":[";
         bool first = true;
         for (const auto &[id_, pg] : stats.pgStats) {
@@ -274,45 +226,22 @@ ResultCache::store(const std::string &name, std::uint64_t hash,
                << ",\"used\":" << pg.used << "}";
         }
         os << "]"
-           << ",\"finalPrimaryLevel\":"
-           << static_cast<int>(stats.finalPrimaryLevel)
-           << ",\"finalLdsLevel\":"
-           << static_cast<int>(stats.finalLdsLevel)
-           << ",\"finalPrimaryEnabled\":"
-           << (stats.finalPrimaryEnabled ? "true" : "false")
-           << ",\"finalLdsEnabled\":"
-           << (stats.finalLdsEnabled ? "true" : "false")
            << ",\"intervals\":" << stats.intervals
            << ",\"intervalSeries\":[";
         for (std::size_t i = 0; i < stats.intervalSeries.size();
              ++i) {
             const IntervalSample &s = stats.intervalSeries[i];
             os << (i ? "," : "") << "{\"cycle\":" << s.cycle.raw()
-               << ",\"accuracy\":[";
-            writeDouble(os, s.accuracy[0]);
-            os << ",";
-            writeDouble(os, s.accuracy[1]);
-            os << "],\"coverage\":[";
-            writeDouble(os, s.coverage[0]);
-            os << ",";
-            writeDouble(os, s.coverage[1]);
-            os << "],\"primaryLevel\":"
-               << static_cast<int>(s.primaryLevel)
-               << ",\"ldsLevel\":" << static_cast<int>(s.ldsLevel)
-               << ",\"primaryEnabled\":"
-               << (s.primaryEnabled ? "true" : "false")
-               << ",\"ldsEnabled\":"
-               << (s.ldsEnabled ? "true" : "false")
-               << ",\"extra\":[";
-            for (std::size_t e = 0; e < s.extra.size(); ++e) {
-                const EngineIntervalExtra &x = s.extra[e];
-                os << (e ? "," : "") << "{\"accuracy\":";
-                writeDouble(os, x.accuracy);
+               << ",\"slots\":[";
+            for (std::size_t k = 0; k < s.slots.size(); ++k) {
+                const IntervalSample::Slot &slot = s.slots[k];
+                os << (k ? "," : "") << "{\"accuracy\":";
+                writeDouble(os, slot.accuracy);
                 os << ",\"coverage\":";
-                writeDouble(os, x.coverage);
-                os << ",\"level\":" << static_cast<int>(x.level)
+                writeDouble(os, slot.coverage);
+                os << ",\"level\":" << static_cast<int>(slot.level)
                    << ",\"enabled\":"
-                   << (x.enabled ? "true" : "false") << "}";
+                   << (slot.enabled ? "true" : "false") << "}";
             }
             os << "]";
             // The raw policy blob round-trips as an escaped string
@@ -330,7 +259,12 @@ ResultCache::store(const std::string &name, std::uint64_t hash,
                << jsonEscape(es.instance) << "\",\"engine\":\""
                << jsonEscape(es.engine) << "\",\"issued\":" << es.issued
                << ",\"used\":" << es.used << ",\"late\":" << es.late
-               << ",\"dropped\":" << es.dropped << "}";
+               << ",\"dropped\":" << es.dropped
+               << ",\"usefulLatencySum\":" << es.usefulLatencySum
+               << ",\"usefulLatencyCount\":" << es.usefulLatencyCount
+               << ",\"finalLevel\":" << static_cast<int>(es.finalLevel)
+               << ",\"finalEnabled\":"
+               << (es.finalEnabled ? "true" : "false") << "}";
         }
         os << "]";
         if (!stats.throttlePolicyState.empty()) {

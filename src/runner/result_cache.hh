@@ -37,8 +37,10 @@ class ResultCache
     /** Cache format version; readers reject anything else.
      *  v2 added the per-interval feedback series (intervalSeries);
      *  v3 added per-engine-slot totals (engineStats) and the extra
-     *  interval slots of N-engine stacks. */
-    static constexpr int kVersion = 3;
+     *  interval slots of N-engine stacks; v4 keeps everything per
+     *  slot (no fixed primary/LDS pair) and keys on a configHash that
+     *  always covers the engine stack and the throttle policy. */
+    static constexpr int kVersion = 4;
 
     /**
      * Cache configured by ECDP_RESULT_CACHE, or nullptr when the

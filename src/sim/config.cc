@@ -7,18 +7,6 @@
 namespace ecdp
 {
 
-const char *
-throttleKindName(ThrottleKind kind)
-{
-    switch (kind) {
-      case ThrottleKind::None: return "none";
-      case ThrottleKind::Coordinated: return "coordinated";
-      case ThrottleKind::Fdp: return "fdp";
-      case ThrottleKind::Pab: return "pab";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -30,6 +18,16 @@ class FieldHasher
     {
         for (unsigned i = 0; i < 8; ++i) {
             hash_ ^= (v >> (8 * i)) & 0xffu;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    /** Length, then one FNV round per byte. */
+    void str(const std::string &v)
+    {
+        u64(v.size());
+        for (char c : v) {
+            hash_ ^= static_cast<unsigned char>(c);
             hash_ *= 0x100000001b3ull;
         }
     }
@@ -78,18 +76,13 @@ configHash(const SystemConfig &cfg)
     h.u64(cfg.dram.frontLatency.raw());
     h.u64(cfg.dram.requestBufferPerCore);
 
-    h.u64(static_cast<std::uint64_t>(cfg.primary));
-    h.u64(static_cast<std::uint64_t>(cfg.lds));
-    // The explicit engine stack is hashed order- and duplicate-
-    // sensitively: ["stream","cdp"] and ["cdp","stream"] assign
-    // different slots (start levels, counter scopes, PAB tie-breaks),
-    // so they are different configurations.
+    // The engine stack is hashed order- and duplicate-sensitively:
+    // ["stream","cdp"] and ["cdp","stream"] assign different slots
+    // (start levels, counter scopes, PAB tie-breaks), so they are
+    // different configurations.
     h.u64(cfg.engines.size());
-    for (const std::string &name : cfg.engines) {
-        h.u64(name.size());
-        for (char c : name)
-            h.u64(static_cast<unsigned char>(c));
-    }
+    for (const std::string &name : cfg.engines)
+        h.str(name);
     h.u64(cfg.streamEntries);
     h.u64(cfg.cdpCompareBits);
     h.u64(cfg.prefetchQueueEntries);
@@ -119,7 +112,6 @@ configHash(const SystemConfig &cfg)
         }
     }
 
-    h.u64(static_cast<std::uint64_t>(cfg.throttle));
     h.u64(static_cast<std::uint64_t>(cfg.primaryStartLevel));
     h.u64(static_cast<std::uint64_t>(cfg.ldsStartLevel));
     h.u64(cfg.intervalEvictions);
@@ -133,17 +125,8 @@ configHash(const SystemConfig &cfg)
     h.u64(cfg.fdpThresholds.intervalEvictions);
     h.u64(cfg.fdpThresholds.pollutionFilterEntries);
     h.u64(cfg.pabWindow);
-    // The throttle policy (and its seed) is hashed only when it
-    // overrides the legacy ThrottleKind dispatch: a default (empty)
-    // policy names exactly the configuration the kind already hashed
-    // above, and folding the empty string in unconditionally would
-    // shift every pre-policy hash and orphan existing result caches.
-    if (!cfg.throttlePolicy.empty()) {
-        h.u64(cfg.throttlePolicy.size());
-        for (char c : cfg.throttlePolicy)
-            h.u64(static_cast<unsigned char>(c));
-        h.u64(cfg.throttleRlSeed);
-    }
+    h.str(cfg.throttlePolicy);
+    h.u64(cfg.throttleRlSeed);
 
     h.u64(cfg.idealLds ? 1 : 0);
     h.u64(cfg.idealNoPollution ? 1 : 0);
@@ -155,44 +138,6 @@ configHash(const SystemConfig &cfg)
     // simulated configuration and must share memo/result-cache keys.
 
     return h.value();
-}
-
-std::vector<std::string>
-effectiveEngineStack(const SystemConfig &cfg)
-{
-    if (!cfg.engines.empty())
-        return cfg.engines;
-
-    std::vector<std::string> stack(2);
-    switch (cfg.primary) {
-      case PrimaryKind::None: stack[0] = "none"; break;
-      case PrimaryKind::Stream: stack[0] = "stream"; break;
-      case PrimaryKind::Ghb: stack[0] = "ghb"; break;
-    }
-    switch (cfg.lds) {
-      case LdsKind::None: stack[1] = "none"; break;
-      case LdsKind::Cdp: stack[1] = "cdp"; break;
-      case LdsKind::Ecdp: stack[1] = "ecdp"; break;
-      case LdsKind::Dbp: stack[1] = "dbp"; break;
-      case LdsKind::Markov: stack[1] = "markov"; break;
-    }
-    return stack;
-}
-
-std::string
-effectiveThrottlePolicy(const SystemConfig &cfg)
-{
-    if (!cfg.throttlePolicy.empty())
-        return cfg.throttlePolicy;
-    switch (cfg.throttle) {
-      case ThrottleKind::None: return "static";
-      case ThrottleKind::Coordinated: return "coordinated";
-      case ThrottleKind::Fdp: return "fdp";
-      // PAB flips enable bits instead of levels; the level policy of
-      // a PAB run is the do-nothing one.
-      case ThrottleKind::Pab: return "static";
-    }
-    return "static";
 }
 
 std::vector<std::string>

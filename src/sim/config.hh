@@ -22,24 +22,11 @@
 namespace ecdp
 {
 
-/** Throttling policy of the hybrid prefetching system. */
-enum class ThrottleKind : std::uint8_t
-{
-    /** Fixed aggressiveness (Table 5 baseline). */
-    None,
-    /** The paper's coordinated throttling (Section 4). */
-    Coordinated,
-    /** Feedback-directed prefetching, individually (Section 6.5). */
-    Fdp,
-    /** Gendler-style keep-only-the-most-accurate (Section 7.4). */
-    Pab,
-};
-
-const char *throttleKindName(ThrottleKind kind);
-
 /**
  * Full system configuration. Defaults reproduce the paper's baseline:
  * an aggressive stream prefetcher, no LDS prefetcher, no throttling.
+ * A configuration's prefetching is its engine stack plus its throttle
+ * policy name; the configs:: builders set both.
  */
 struct SystemConfig
 {
@@ -63,17 +50,17 @@ struct SystemConfig
     DramParams dram{};
 
     /** @{ Prefetcher selection. */
-    PrimaryKind primary = PrimaryKind::Stream;
-    LdsKind lds = LdsKind::None;
     /**
-     * Explicit engine stack by registry name (e.g. {"stream", "cdp",
-     * "isb"}). When empty (the default), the stack derives from the
-     * legacy primary/lds pair above — see effectiveEngineStack().
-     * Slot order matters: slot 0 keeps the "primary" counter scope and
-     * start level, slot 1 "lds", and the order is part of
-     * configHash().
+     * The engine stack by registry name, one engine per slot. Slot
+     * order matters: slot 0 is the primary (streaming-capable)
+     * prefetcher, with the "primary" counter scope and start level;
+     * slot 1 is the LDS prefetcher, with "lds"; further slots are
+     * "<engine><slot>". The order is part of configHash(). The named
+     * configs always fill both paper slots, "none" included: PAB's
+     * tie-break and the stats JSON's primary/lds keys read slots 0
+     * and 1.
      */
-    std::vector<std::string> engines;
+    std::vector<std::string> engines = {"stream", "none"};
     unsigned streamEntries = 32;
     unsigned cdpCompareBits = 8;
     unsigned prefetchQueueEntries = 128;
@@ -86,12 +73,11 @@ struct SystemConfig
     bool hwFilter = false;
     /** GRP-style coarse gating instead of per-PG hints (Sec 7.1). */
     bool grpCoarse = false;
-    /** Compiler hints (required for LdsKind::Ecdp; not owned). */
+    /** Compiler hints (required by the "ecdp" engine; not owned). */
     const HintTable *hints = nullptr;
     /** @} */
 
     /** @{ Throttling. */
-    ThrottleKind throttle = ThrottleKind::None;
     AggLevel primaryStartLevel = AggLevel::Aggressive;
     AggLevel ldsStartLevel = AggLevel::Aggressive;
     /** The paper uses 8192 L2 evictions per interval for 200M-
@@ -106,23 +92,17 @@ struct SystemConfig
      *  bench/ablation_thresholds sweeps the thresholds. */
     CoordinatedThrottler::Thresholds coordThresholds{0.3, 0.4, 0.7};
     FdpThrottler::Thresholds fdpThresholds{};
+    /** Outcomes per slot in the "pab" policy's accuracy window. */
     unsigned pabWindow = 64;
     /**
-     * Decision policy for the per-slot aggressiveness levels, by
-     * PolicyRegistry name ("static", "coordinated", "fdp",
-     * "tabular-rl"). Empty (the default) derives the policy from the
-     * ThrottleKind above — None/Pab -> "static", Coordinated ->
-     * "coordinated", Fdp -> "fdp" — reproducing the legacy rule
-     * dispatch byte-identically (see effectiveThrottlePolicy()). A
-     * non-empty name overrides the level rules for every kind; PAB's
-     * enable-bit selector still keys on the kind and runs alongside.
-     * Excluded from configHash() when default so pre-policy hashes
-     * (and with them memo/result-cache keys) are unchanged.
+     * Throttle policy by PolicyRegistry name: "static" (fixed
+     * aggressiveness), "coordinated" (Section 4), "fdp" (Section 6.5),
+     * "pab" (Section 7.4) or "tabular-rl". Part of configHash().
      */
-    std::string throttlePolicy;
+    std::string throttlePolicy = "static";
     /**
      * Exploration seed for randomized policies ("tabular-rl"), folded
-     * into configHash() together with the (non-default) policy name.
+     * into configHash() together with the policy name.
      * Policies derive all randomness from it — never from wall clock —
      * so equal seeds give byte-identical runs (enforced by the
      * seeded-determinism tests).
@@ -181,25 +161,6 @@ using PgStatsMap = std::unordered_map<PgId, PgStats, PgIdHash>;
 std::uint64_t configHash(const SystemConfig &cfg);
 
 /**
- * The engine stack a configuration actually runs: cfg.engines when
- * non-empty, otherwise exactly two slots derived from the legacy
- * primary/lds kinds ("none" fills an empty slot so both legacy
- * feedback lanes keep existing — an idle lane reports accuracy 1.0,
- * which the PAB selector's tie-breaking depends on).
- */
-std::vector<std::string> effectiveEngineStack(const SystemConfig &cfg);
-
-/**
- * The PolicyRegistry name of the throttle policy a configuration
- * actually runs: cfg.throttlePolicy when non-empty, otherwise the
- * legacy ThrottleKind's rule set (None/Pab -> "static", Coordinated ->
- * "coordinated", Fdp -> "fdp"). Pab maps to "static" because PAB
- * selects enable bits rather than levels; its selector keys on the
- * kind and runs regardless of the level policy.
- */
-std::string effectiveThrottlePolicy(const SystemConfig &cfg);
-
-/**
  * Stats/counter instance name of each stack slot: slot 0 is always
  * "primary" and slot 1 "lds" (the accounting tests and JSON schema key
  * on those), further slots are "<engine><slot>" — unique even when
@@ -214,30 +175,21 @@ engineInstanceNames(const std::vector<std::string> &stack);
  * applied. RunStats carries the full series so post-hoc tooling can
  * plot throttle-level timelines without re-running the simulation.
  */
-/** Feedback/throttle state of one engine-stack slot beyond the legacy
- *  pair (IntervalSample::extra[i] describes stack slot i + 2). */
-struct EngineIntervalExtra
-{
-    double accuracy = 0.0;
-    double coverage = 0.0;
-    AggLevel level = AggLevel::Aggressive;
-    bool enabled = true;
-};
-
 struct IntervalSample
 {
+    /** Feedback and throttle state of one engine-stack slot. */
+    struct Slot
+    {
+        double accuracy = 0.0;
+        double coverage = 0.0;
+        AggLevel level = AggLevel::Aggressive;
+        bool enabled = true;
+    };
+
     /** Cycle at which the interval ended. */
     Cycle cycle{};
-    /** @{ Indexed by prefetcher: 0 = primary, 1 = LDS. */
-    double accuracy[2] = {0.0, 0.0};
-    double coverage[2] = {0.0, 0.0};
-    /** @} */
-    AggLevel primaryLevel = AggLevel::Aggressive;
-    AggLevel ldsLevel = AggLevel::Aggressive;
-    bool primaryEnabled = true;
-    bool ldsEnabled = true;
-    /** Slots 2.. of an N-engine stack (empty for legacy pairs). */
-    std::vector<EngineIntervalExtra> extra;
+    /** One entry per stack slot, in stack order. */
+    std::vector<Slot> slots;
     /** Raw JSON blob of per-interval policy state (tabular-rl action
      *  trace); empty — and omitted from the stats JSON — for the
      *  built-in rule policies, keeping the goldens byte-identical. */
@@ -265,32 +217,16 @@ struct RunStats
     std::uint64_t l2DemandMisses = 0;
     std::uint64_t l2LdsMisses = 0;
 
-    /** @{ Indexed by prefetcher: 0 = primary, 1 = LDS. */
-    std::uint64_t prefIssued[2] = {0, 0};
-    std::uint64_t prefUsed[2] = {0, 0};
-    std::uint64_t prefLate[2] = {0, 0};
-    /** Requests dropped on prefetch-queue overflow, per source. */
-    std::uint64_t prefDropped[2] = {0, 0};
-    /** Sum/count of issue-to-use latencies of useful prefetches. */
-    std::uint64_t usefulLatencySum[2] = {0, 0};
-    std::uint64_t usefulLatencyCount[2] = {0, 0};
-    /** @} */
-
     PgStatsMap pgStats;
 
-    /** Final throttling state (diagnostics). */
-    AggLevel finalPrimaryLevel = AggLevel::Aggressive;
-    AggLevel finalLdsLevel = AggLevel::Aggressive;
-    bool finalPrimaryEnabled = true;
-    bool finalLdsEnabled = true;
     std::uint64_t intervals = 0;
 
     /** Per-interval feedback/throttle time series (one entry per
      *  completed interval, in order). */
     std::vector<IntervalSample> intervalSeries;
 
-    /** @{ Throttle policy of the run (effectiveThrottlePolicy()) and
-     *  its final serialized state. Emitted to the stats JSON only
+    /** @{ Throttle policy of the run (cfg.throttlePolicy) and its
+     *  final serialized state. Emitted to the stats JSON only
      *  when the state blob is non-empty — the built-in rule policies
      *  serialize nothing, so default runs stay byte-identical to the
      *  pinned goldens. */
@@ -298,8 +234,7 @@ struct RunStats
     std::string throttlePolicyState;
     /** @} */
 
-    /** Lifetime totals of one engine-stack slot (all slots, including
-     *  the legacy pair, in stack order). */
+    /** Lifetime totals and final state of one engine-stack slot. */
     struct EngineRunStats
     {
         /** Counter-scope instance name ("primary", "lds", "isb2"). */
@@ -309,48 +244,65 @@ struct RunStats
         std::uint64_t issued = 0;
         std::uint64_t used = 0;
         std::uint64_t late = 0;
+        /** Requests dropped on prefetch-queue overflow. */
         std::uint64_t dropped = 0;
+        /** Sum/count of issue-to-use latencies of useful prefetches. */
+        std::uint64_t usefulLatencySum = 0;
+        std::uint64_t usefulLatencyCount = 0;
+        /** Throttling state at the end of the run. */
+        AggLevel finalLevel = AggLevel::Aggressive;
+        bool finalEnabled = true;
     };
 
-    /** Per-engine totals; the legacy arrays above remain the slot-0/1
-     *  view the paper's two-prefetcher analyses consume. */
+    /** One entry per stack slot, in stack order; slot 0 is the
+     *  paper's primary prefetcher and slot 1 its LDS prefetcher. */
     std::vector<EngineRunStats> engineStats;
 
-    /** Fraction of prefetches used from the cache (tag-bit metric). */
+    /** Fraction of prefetches used from the cache (tag-bit metric);
+     *  0 for an idle or missing slot. */
     double accuracy(unsigned which) const
     {
-        return prefIssued[which] == 0
-            ? 0.0
-            : static_cast<double>(prefUsed[which]) /
-                  static_cast<double>(prefIssued[which]);
+        const EngineRunStats &e = slot(which);
+        return e.issued == 0 ? 0.0
+                             : static_cast<double>(e.used) /
+                                   static_cast<double>(e.issued);
     }
 
     /** Fraction of prefetches demanded at all (cache use or late
      *  MSHR merge) — the throttling mechanism's view. */
     double accuracyDemanded(unsigned which) const
     {
-        return prefIssued[which] == 0
-            ? 0.0
-            : static_cast<double>(prefUsed[which] + prefLate[which]) /
-                  static_cast<double>(prefIssued[which]);
+        const EngineRunStats &e = slot(which);
+        return e.issued == 0 ? 0.0
+                             : static_cast<double>(e.used + e.late) /
+                                   static_cast<double>(e.issued);
     }
 
-    /** Fraction of demand misses eliminated by prefetcher @p which. */
+    /** Fraction of demand misses eliminated by slot @p which. */
     double coverage(unsigned which) const
     {
-        std::uint64_t denom = prefUsed[which] + l2DemandMisses;
-        return denom == 0
-            ? 0.0
-            : static_cast<double>(prefUsed[which]) /
-                  static_cast<double>(denom);
+        const std::uint64_t used = slot(which).used;
+        const std::uint64_t denom = used + l2DemandMisses;
+        return denom == 0 ? 0.0
+                          : static_cast<double>(used) /
+                                static_cast<double>(denom);
     }
 
     double avgUsefulPrefetchLatency(unsigned which) const
     {
-        return usefulLatencyCount[which] == 0
+        const EngineRunStats &e = slot(which);
+        return e.usefulLatencyCount == 0
             ? 0.0
-            : static_cast<double>(usefulLatencySum[which]) /
-                  static_cast<double>(usefulLatencyCount[which]);
+            : static_cast<double>(e.usefulLatencySum) /
+                  static_cast<double>(e.usefulLatencyCount);
+    }
+
+    /** Slot @p which's totals, or an idle slot's (zero counts, level
+     *  Aggressive, enabled) when the stack is narrower. */
+    const EngineRunStats &slot(unsigned which) const
+    {
+        static const EngineRunStats kIdle{};
+        return which < engineStats.size() ? engineStats[which] : kIdle;
     }
 };
 

@@ -15,25 +15,21 @@ SystemConfig
 noPrefetch()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::None;
+    cfg.engines[0] = "none";
     return cfg;
 }
 
 SystemConfig
 baseline()
 {
-    SystemConfig cfg;
-    cfg.primary = PrimaryKind::Stream;
-    cfg.lds = LdsKind::None;
-    return cfg;
+    return SystemConfig{};
 }
 
 SystemConfig
 streamCdp()
 {
     SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Cdp;
+    cfg.engines[1] = "cdp";
     return cfg;
 }
 
@@ -41,7 +37,7 @@ SystemConfig
 streamEcdp(const HintTable *hints)
 {
     SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = hints;
     return cfg;
 }
@@ -50,7 +46,7 @@ SystemConfig
 streamCdpThrottled()
 {
     SystemConfig cfg = streamCdp();
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -58,7 +54,7 @@ SystemConfig
 fullProposal(const HintTable *hints)
 {
     SystemConfig cfg = streamEcdp(hints);
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -66,7 +62,7 @@ SystemConfig
 streamDbp()
 {
     SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Dbp;
+    cfg.engines[1] = "dbp";
     return cfg;
 }
 
@@ -74,7 +70,7 @@ SystemConfig
 streamMarkov()
 {
     SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Markov;
+    cfg.engines[1] = "markov";
     return cfg;
 }
 
@@ -82,8 +78,7 @@ SystemConfig
 ghbAlone()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::Ghb;
-    cfg.lds = LdsKind::None;
+    cfg.engines[0] = "ghb";
     return cfg;
 }
 
@@ -91,10 +86,10 @@ SystemConfig
 ghbEcdp(const HintTable *hints, bool throttled)
 {
     SystemConfig cfg = ghbAlone();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = hints;
     if (throttled)
-        cfg.throttle = ThrottleKind::Coordinated;
+        cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -104,7 +99,7 @@ streamCdpHwFilter(bool throttled)
     SystemConfig cfg = streamCdp();
     cfg.hwFilter = true;
     if (throttled)
-        cfg.throttle = ThrottleKind::Coordinated;
+        cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -112,7 +107,7 @@ SystemConfig
 streamEcdpFdp(const HintTable *hints)
 {
     SystemConfig cfg = streamEcdp(hints);
-    cfg.throttle = ThrottleKind::Fdp;
+    cfg.throttlePolicy = "fdp";
     return cfg;
 }
 
@@ -120,7 +115,7 @@ SystemConfig
 streamCdpPab()
 {
     SystemConfig cfg = streamCdp();
-    cfg.throttle = ThrottleKind::Pab;
+    cfg.throttlePolicy = "pab";
     return cfg;
 }
 

@@ -15,7 +15,7 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
       coreId_(core_id),
       image_(std::move(image)),
       dram_(dram),
-      stackNames_(effectiveEngineStack(cfg)),
+      stackNames_(cfg.engines),
       instanceNames_(engineInstanceNames(stackNames_)),
       ownedMetrics_(obs && obs->metrics
                         ? nullptr
@@ -27,9 +27,7 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
       l1_("L1D", cfg.l1Bytes, cfg.l1Assoc, cfg.l1BlockBytes),
       l2_("L2", cfg.l2Bytes, cfg.l2Assoc, cfg.l2BlockBytes),
       mshrs_(cfg.l2Mshrs),
-      pab_(cfg.pabWindow,
-           static_cast<unsigned>(stackNames_.size())),
-      policyName_(effectiveThrottlePolicy(cfg)),
+      policyName_(cfg.throttlePolicy),
       blockBuf_(cfg.l2BlockBytes, 0)
 {
     assert(dram_);
@@ -44,7 +42,10 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
     pctx.seed = cfg_.throttleRlSeed +
                 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(
                                             core_id);
+    pctx.slots = static_cast<unsigned>(stackNames_.size());
+    pctx.pabWindow = cfg_.pabWindow;
     policy_ = PolicyRegistry::instance().create(policyName_, pctx);
+    policyWantsOutcomes_ = policy_->wantsOutcomes();
 
     EngineContext ectx;
     ectx.geom = l2_.geom();
@@ -200,10 +201,10 @@ MemorySystem::applyLevel(std::size_t which, AggLevel level)
 }
 
 void
-MemorySystem::pabRecord(std::size_t which, bool used)
+MemorySystem::recordOutcome(std::size_t which, bool used)
 {
-    if (cfg_.throttle == ThrottleKind::Pab)
-        pab_.recordOutcome(static_cast<unsigned>(which), used);
+    if (policyWantsOutcomes_)
+        policy_->onPrefetchOutcome(which, used);
 }
 
 void
@@ -265,7 +266,7 @@ MemorySystem::onDemandUseOfPrefetch(CacheBlock *block, Addr block_addr,
     pf_[owner].usefulLatencyCount->inc();
     if (block->pgValid)
         ++pgStats_[block->pg].used;
-    pabRecord(owner, true);
+    recordOutcome(owner, true);
     if (hwFilter_ && ldsClass_[owner])
         hwFilter_->onPrefetchUsed(l2_.geom().blockOf(block_addr));
     if (enabled_[owner]) {
@@ -556,7 +557,7 @@ MemorySystem::handleVictim(const Cache::Victim &victim,
     if (victim.prefetchOwner != kNoPrefetchOwner) {
         const std::uint8_t owner = victim.prefetchOwner;
         pf_[owner].evictedUnused->inc();
-        pabRecord(owner, false);
+        recordOutcome(owner, false);
         if (hwFilter_ && ldsClass_[owner])
             hwFilter_->onPrefetchEvictedUnused(
                 l2_.geom().blockOf(victim.addr));
@@ -629,7 +630,7 @@ MemorySystem::installFill(Mshr &mshr, Cycle now)
                 pf_[owner].consumedLate->inc();
                 if (mshr.pgRootValid)
                     ++pgStats_[mshr.pgRoot].used;
-                pabRecord(owner, true);
+                recordOutcome(owner, true);
                 if (hwFilter_ && ldsClass_[owner])
                     hwFilter_->onPrefetchUsed(
                         l2_.geom().blockOf(block_addr));
@@ -787,6 +788,23 @@ MemorySystem::snapshot(std::size_t which) const
                         pollutionEvents_[which].value());
 }
 
+IntervalSample
+MemorySystem::makeSample(Cycle now,
+                         const std::vector<FeedbackSnapshot> &snaps) const
+{
+    IntervalSample sample;
+    sample.cycle = now;
+    sample.slots.resize(snaps.size());
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+        IntervalSample::Slot &slot = sample.slots[i];
+        slot.accuracy = snaps[i].accuracy;
+        slot.coverage = snaps[i].coverage;
+        slot.level = levels_[i];
+        slot.enabled = enabled_[i] != 0;
+    }
+    return sample;
+}
+
 void
 MemorySystem::endInterval(Cycle now)
 {
@@ -818,20 +836,11 @@ MemorySystem::endInterval(Cycle now)
     lastIntervalInstructions_ = retired;
     lastIntervalBus_ = bus;
 
-    // PAB selects enable bits and keys on the ThrottleKind; the level
-    // policy below runs regardless (a PAB run's default level policy
-    // is "static", a no-op).
-    if (cfg_.throttle == ThrottleKind::Pab) {
-        const unsigned keep = pab_.select();
-        for (std::size_t i = 0; i < n; ++i)
-            enabled_[i] = i == keep ? 1 : 0;
-    }
-
-    // Uniform per-slot level decisions through the policy. Applying a
-    // "Nothing" decision re-applies the unchanged level; every
-    // engine's setAggressiveness is an idempotent parameter set, so
-    // this is behaviourally identical to the pre-policy code that
-    // skipped applyLevel entirely for ThrottleKind::None.
+    // Enable-bit selection first (PAB keeps only its most accurate
+    // slot), then the per-slot level decisions. Applying a "Nothing"
+    // decision re-applies the unchanged level; every engine's
+    // setAggressiveness is an idempotent parameter set.
+    policy_->selectEnabled(enabled_);
     throttleIntervalsCtr_->inc();
     for (std::size_t i = 0; i < n; ++i) {
         const ThrottleDecision decision =
@@ -851,28 +860,9 @@ MemorySystem::endInterval(Cycle now)
                    CoordinatedThrottler::apply(levels_[i], decision));
     }
 
-    IntervalSample sample;
-    sample.cycle = now;
-    sample.accuracy[0] = snaps[0].accuracy;
-    sample.coverage[0] = snaps[0].coverage;
-    sample.primaryLevel = levels_[0];
-    sample.primaryEnabled = enabled_[0] != 0;
-    if (n > 1) {
-        sample.accuracy[1] = snaps[1].accuracy;
-        sample.coverage[1] = snaps[1].coverage;
-        sample.ldsLevel = levels_[1];
-        sample.ldsEnabled = enabled_[1] != 0;
-    }
-    for (std::size_t i = 2; i < n; ++i) {
-        EngineIntervalExtra extra;
-        extra.accuracy = snaps[i].accuracy;
-        extra.coverage = snaps[i].coverage;
-        extra.level = levels_[i];
-        extra.enabled = enabled_[i] != 0;
-        sample.extra.push_back(extra);
-    }
+    IntervalSample sample = makeSample(now, snaps);
     sample.policy = policy_->intervalStateJson();
-    intervalSeries_.push_back(sample);
+    intervalSeries_.push_back(std::move(sample));
 
     if (tracer_) {
         for (std::size_t which = 0; which < n; ++which) {
@@ -979,23 +969,6 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
     out.l2DemandAccesses = demandAccessesCtr_->value();
     out.l2DemandMisses = demandMissesCtr_->value();
     out.l2LdsMisses = ldsMissesCtr_->value();
-    for (std::size_t which = 0; which < std::min<std::size_t>(2, n);
-         ++which) {
-        out.prefIssued[which] = feedback_[which].lifetimeIssued();
-        out.prefUsed[which] = feedback_[which].lifetimeUsed();
-        out.prefLate[which] = feedback_[which].lifetimeLate();
-        // RunStats keeps the historical meaning: queue-overflow drops
-        // only. The registry holds the full per-reason breakdown.
-        out.prefDropped[which] =
-            pf_[which]
-                .drop[static_cast<unsigned>(
-                    obs::DropReason::QueueFull)]
-                ->value();
-        out.usefulLatencySum[which] =
-            pf_[which].usefulLatencySum->value();
-        out.usefulLatencyCount[which] =
-            pf_[which].usefulLatencyCount->value();
-    }
     out.engineStats.clear();
     out.engineStats.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -1005,23 +978,20 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
         es.issued = feedback_[i].lifetimeIssued();
         es.used = feedback_[i].lifetimeUsed();
         es.late = feedback_[i].lifetimeLate();
+        // Queue-overflow drops only; the registry holds the full
+        // per-reason breakdown.
         es.dropped =
             pf_[i]
                 .drop[static_cast<unsigned>(
                     obs::DropReason::QueueFull)]
                 ->value();
+        es.usefulLatencySum = pf_[i].usefulLatencySum->value();
+        es.usefulLatencyCount = pf_[i].usefulLatencyCount->value();
+        es.finalLevel = levels_[i];
+        es.finalEnabled = enabled_[i] != 0;
         out.engineStats.push_back(std::move(es));
     }
     out.pgStats = pgStats_;
-    out.finalPrimaryLevel = levels_[0];
-    out.finalPrimaryEnabled = enabled_[0] != 0;
-    if (n > 1) {
-        out.finalLdsLevel = levels_[1];
-        out.finalLdsEnabled = enabled_[1] != 0;
-    } else {
-        out.finalLdsLevel = AggLevel::Aggressive;
-        out.finalLdsEnabled = true;
-    }
     out.intervals = intervals_;
     out.intervalSeries = intervalSeries_;
     out.throttlePolicy = policyName_;
@@ -1060,27 +1030,7 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
                                     pollution[i].value());
         }
 
-        IntervalSample sample;
-        sample.cycle = now;
-        sample.accuracy[0] = snaps[0].accuracy;
-        sample.coverage[0] = snaps[0].coverage;
-        sample.primaryLevel = levels_[0];
-        sample.primaryEnabled = enabled_[0] != 0;
-        if (n > 1) {
-            sample.accuracy[1] = snaps[1].accuracy;
-            sample.coverage[1] = snaps[1].coverage;
-            sample.ldsLevel = levels_[1];
-            sample.ldsEnabled = enabled_[1] != 0;
-        }
-        for (std::size_t i = 2; i < n; ++i) {
-            EngineIntervalExtra extra;
-            extra.accuracy = snaps[i].accuracy;
-            extra.coverage = snaps[i].coverage;
-            extra.level = levels_[i];
-            extra.enabled = enabled_[i] != 0;
-            sample.extra.push_back(extra);
-        }
-        out.intervalSeries.push_back(sample);
+        out.intervalSeries.push_back(makeSample(now, snaps));
     }
 }
 

@@ -9,10 +9,9 @@
  * CacheBlock::prefetchOwner index), its feedback/throttle lane and its
  * counter scope, so the paper's accuracy/coverage/pollution machinery
  * applies uniformly whether the stack is the paper's stream+CDP pair
- * or an arbitrary N-engine hybrid. Legacy two-slot configurations
- * (primary/lds kinds, empty cfg.engines) derive their stack via
- * effectiveEngineStack() and behave bit-identically to the
- * pre-registry implementation.
+ * or an arbitrary N-engine hybrid. Throttling — level moves and
+ * enable-bit selection alike — goes through the configured
+ * ThrottlePolicy.
  *
  * Accounting lives in an obs::MetricRegistry (prefix "core<N>.")
  * rather than ad-hoc struct fields, so every run exposes the full
@@ -45,7 +44,6 @@
 #include "prefetch/cdp.hh"
 #include "prefetch/engine.hh"
 #include "prefetch/hardware_filter.hh"
-#include "prefetch/pab_selector.hh"
 #include "sim/config.hh"
 #include "throttle/coordinated_throttler.hh"
 #include "throttle/feedback.hh"
@@ -125,16 +123,6 @@ class MemorySystem : public CoreMemoryInterface
     /** @{ Introspection for tests and benches. */
     const Cache &l2() const { return l2_; }
     const Cache &l1() const { return l1_; }
-    AggLevel primaryLevel() const { return levels_[0]; }
-    AggLevel ldsLevel() const
-    {
-        return levels_.size() > 1 ? levels_[1] : AggLevel::Aggressive;
-    }
-    bool primaryEnabled() const { return enabled_[0] != 0; }
-    bool ldsEnabled() const
-    {
-        return levels_.size() > 1 ? enabled_[1] != 0 : true;
-    }
     const PgStatsMap &pgStats() const { return pgStats_; }
     SimMemory &image() { return image_; }
     std::uint64_t intervalsElapsed() const { return intervals_; }
@@ -157,9 +145,9 @@ class MemorySystem : public CoreMemoryInterface
     }
     bool engineEnabled(std::size_t i) const { return enabled_[i] != 0; }
     AggLevel engineLevel(std::size_t i) const { return levels_[i]; }
-    /** Test hook: force a slot's enable bit (what a selector-style
-     *  throttler does). The conformance harness uses it to prove a
-     *  disabled engine issues nothing. */
+    /** Test hook: force a slot's enable bit (what a selector policy
+     *  such as "pab" does). The conformance harness uses it to prove
+     *  a disabled engine issues nothing. */
     void setEngineEnabled(std::size_t i, bool on)
     {
         enabled_[i] = on ? 1 : 0;
@@ -185,7 +173,7 @@ class MemorySystem : public CoreMemoryInterface
      * Attach the owning core as the progress source for the policy's
      * interval-level IPC deltas (the tabular-rl reward signal). Pure
      * observation: the built-in rule policies never read the deltas,
-     * so attaching (or not) cannot change legacy behaviour. Without a
+     * so attaching (or not) cannot change their runs. Without a
      * core, deltaInstructions reads 0 (tests driving a bare
      * MemorySystem).
      */
@@ -318,7 +306,13 @@ class MemorySystem : public CoreMemoryInterface
                                          std::uint64_t aged_pollution);
     FeedbackSnapshot snapshot(std::size_t which) const;
     void applyLevel(std::size_t which, AggLevel level);
-    void pabRecord(std::size_t which, bool used);
+    /** Report a resolved prefetch to the policy, if it asked. */
+    void recordOutcome(std::size_t which, bool used);
+    /** The series entry for the interval ending at @p now, from the
+     *  given per-slot snapshots and the current levels/enables. */
+    IntervalSample makeSample(Cycle now,
+                              const std::vector<FeedbackSnapshot> &snaps)
+        const;
 
     SystemConfig cfg_;
     unsigned coreId_;
@@ -352,11 +346,12 @@ class MemorySystem : public CoreMemoryInterface
     MshrFile mshrs_;
 
     std::unique_ptr<HardwareFilter> hwFilter_;
-    PabSelector pab_;
 
-    /** The level-decision policy (effectiveThrottlePolicy(cfg)). */
+    /** The throttle policy (cfg.throttlePolicy). */
     std::string policyName_;
     std::unique_ptr<ThrottlePolicy> policy_;
+    /** policy_->wantsOutcomes(), asked once. */
+    bool policyWantsOutcomes_ = false;
     /** Progress source for interval IPC deltas (attachCore()). */
     const Core *progressCore_ = nullptr;
     /** @{ Baselines for the IntervalContext deltas. */

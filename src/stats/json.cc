@@ -59,36 +59,41 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
        << "\"l2LdsMisses\":" << stats.l2LdsMisses << ","
        << "\"intervals\":" << stats.intervals << ","
        << "\"intervalSeries\":[";
+    // The "primary"/"lds" keys are stack slots 0 and 1. A narrower
+    // stack reports an idle slot there (zero counts, level 3,
+    // enabled); slots 2.. go to "extra" and, with the per-slot
+    // totals, to "engines" below.
     for (std::size_t i = 0; i < stats.intervalSeries.size(); ++i) {
         const IntervalSample &s = stats.intervalSeries[i];
+        auto slot = [&s](std::size_t k) {
+            return k < s.slots.size() ? s.slots[k]
+                                      : IntervalSample::Slot{};
+        };
+        const IntervalSample::Slot primary = slot(0);
+        const IntervalSample::Slot lds = slot(1);
         os << (i ? "," : "") << "{\"cycle\":" << s.cycle.raw()
-           << ",\"accuracy\":[" << s.accuracy[0] << ","
-           << s.accuracy[1] << "],\"coverage\":[" << s.coverage[0]
-           << "," << s.coverage[1] << "],\"primaryLevel\":"
-           << static_cast<int>(s.primaryLevel)
-           << ",\"ldsLevel\":" << static_cast<int>(s.ldsLevel)
+           << ",\"accuracy\":[" << primary.accuracy << ","
+           << lds.accuracy << "],\"coverage\":[" << primary.coverage
+           << "," << lds.coverage << "],\"primaryLevel\":"
+           << static_cast<int>(primary.level)
+           << ",\"ldsLevel\":" << static_cast<int>(lds.level)
            << ",\"primaryEnabled\":"
-           << (s.primaryEnabled ? "true" : "false")
-           << ",\"ldsEnabled\":"
-           << (s.ldsEnabled ? "true" : "false");
-        // Slots beyond the legacy pair. Omitted when empty so the
-        // two-slot schema stays byte-identical to the pinned goldens.
-        if (!s.extra.empty()) {
+           << (primary.enabled ? "true" : "false")
+           << ",\"ldsEnabled\":" << (lds.enabled ? "true" : "false");
+        if (s.slots.size() > 2) {
             os << ",\"extra\":[";
-            for (std::size_t e = 0; e < s.extra.size(); ++e) {
-                const EngineIntervalExtra &x = s.extra[e];
-                os << (e ? "," : "") << "{\"accuracy\":" << x.accuracy
-                   << ",\"coverage\":" << x.coverage
+            for (std::size_t e = 2; e < s.slots.size(); ++e) {
+                const IntervalSample::Slot &x = s.slots[e];
+                os << (e > 2 ? "," : "") << "{\"accuracy\":"
+                   << x.accuracy << ",\"coverage\":" << x.coverage
                    << ",\"level\":" << static_cast<int>(x.level)
                    << ",\"enabled\":" << (x.enabled ? "true" : "false")
                    << "}";
             }
             os << "]";
         }
-        // Per-interval policy state (raw JSON blob). The built-in
-        // rule policies emit none, so default-policy output — and
-        // with it the pinned goldens — is byte-identical to the
-        // pre-policy schema.
+        // Per-interval policy state (raw JSON blob); the built-in
+        // rule policies emit none.
         if (!s.policy.empty())
             os << ",\"policy\":" << s.policy;
         os << "}";
@@ -97,11 +102,12 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
        << "\"prefetchers\":{";
     const char *names[2] = {"primary", "lds"};
     for (unsigned which = 0; which < 2; ++which) {
+        const RunStats::EngineRunStats &es = stats.slot(which);
         os << "\"" << names[which] << "\":{"
-           << "\"issued\":" << stats.prefIssued[which] << ","
-           << "\"used\":" << stats.prefUsed[which] << ","
-           << "\"late\":" << stats.prefLate[which] << ","
-           << "\"dropped\":" << stats.prefDropped[which] << ","
+           << "\"issued\":" << es.issued << ","
+           << "\"used\":" << es.used << ","
+           << "\"late\":" << es.late << ","
+           << "\"dropped\":" << es.dropped << ","
            << "\"accuracy\":" << stats.accuracy(which) << ","
            << "\"accuracyDemanded\":"
            << stats.accuracyDemanded(which) << ","
@@ -109,14 +115,12 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
            << (which == 0 ? "," : "");
     }
     os << "},\"finalLevels\":{\"primary\":"
-       << static_cast<int>(stats.finalPrimaryLevel)
-       << ",\"lds\":" << static_cast<int>(stats.finalLdsLevel)
+       << static_cast<int>(stats.slot(0).finalLevel)
+       << ",\"lds\":" << static_cast<int>(stats.slot(1).finalLevel)
        << "}";
-    // Per-slot engine totals. The legacy two-slot layout is fully
-    // described by the "prefetchers" object above; only wider (or
-    // narrower) stacks add the "engines" array, so two-slot output —
-    // and with it the pinned goldens — is byte-identical to the
-    // pre-registry schema.
+    // Per-slot engine totals. A two-slot stack is fully described by
+    // the "prefetchers" object above; only wider (or narrower) stacks
+    // add the "engines" array.
     if (stats.engineStats.size() != 2) {
         os << ",\"engines\":[";
         for (std::size_t i = 0; i < stats.engineStats.size(); ++i) {
@@ -131,8 +135,8 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
     }
     // Throttle policy identification + final state, keyed on the
     // state blob: rule policies serialize nothing and stay invisible
-    // here (goldens unchanged); stateful policies (tabular-rl) record
-    // which policy/seed produced the run and what it learned.
+    // here; stateful policies (tabular-rl) record which policy
+    // produced the run and what it learned.
     if (!stats.throttlePolicyState.empty()) {
         os << ",\"throttlePolicy\":\""
            << jsonEscape(stats.throttlePolicy)

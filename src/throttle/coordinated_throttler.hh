@@ -55,7 +55,7 @@ class CoordinatedThrottler
      * The rival snapshot for stack slot @p self in an N-engine stack:
      * the Table 3 rules only consume the rival's *coverage*, so the
      * rival of an engine is the best-covering other engine (ties to
-     * the lowest slot). For the legacy pair this is exactly "the other
+     * the lowest slot). For the paper's pair this is exactly "the other
      * prefetcher"; an engine running alone gets a neutral
      * (zero-coverage) rival and throttles on its own feedback.
      */

@@ -1,21 +1,21 @@
 /**
  * @file
  * The built-in throttle policies: the ports of the paper's rule
- * matrices onto the ThrottlePolicy interface, plus the static
- * (no-throttling) policy. The tabular-RL policy lives in
- * tabular_rl_policy.cc.
+ * matrices onto the ThrottlePolicy interface, the PAB selector of the
+ * Section 7.4 comparison, and the static (no-throttling) policy. The
+ * tabular-RL policy lives in tabular_rl_policy.cc.
  *
  * The ports are thin adapters over the existing CoordinatedThrottler
  * and FdpThrottler so the Table 3/4 and FDP decision logic has exactly
- * one implementation — the pre-policy unit tests keep pinning the
- * matrices, and the golden byte-identity matrix in
- * tests/test_throttle_policy.cc pins the adapters.
+ * one implementation — the unit tests keep pinning the matrices, and
+ * the pinned goldens (tests/golden) pin the adapters.
  */
 
 #include "throttle/throttle_policy.hh"
 
 #include <memory>
 
+#include "prefetch/pab_selector.hh"
 #include "throttle/tabular_rl_policy.hh"
 
 namespace ecdp
@@ -24,7 +24,7 @@ namespace ecdp
 namespace
 {
 
-/** Fixed aggressiveness: never moves a slot (ThrottleKind::None). */
+/** Fixed aggressiveness: never moves a slot. */
 class StaticPolicy final : public ThrottlePolicy
 {
   public:
@@ -84,6 +84,51 @@ class FdpPolicy final : public ThrottlePolicy
     FdpThrottler throttler_;
 };
 
+/**
+ * Gendler-style PAB (Section 7.4): at every interval end, keep only
+ * the slot with the best accuracy over its last pabWindow resolved
+ * prefetches enabled. It flips enable bits and never moves a level.
+ */
+class PabPolicy final : public ThrottlePolicy
+{
+  public:
+    explicit PabPolicy(const PolicyContext &ctx)
+        : window_(ctx.pabWindow), slots_(ctx.slots),
+          selector_(window_, slots_)
+    {}
+
+    const char *name() const override { return "pab"; }
+
+    bool wantsOutcomes() const override { return true; }
+
+    void onPrefetchOutcome(std::size_t slot, bool used) override
+    {
+        selector_.recordOutcome(static_cast<unsigned>(slot), used);
+    }
+
+    void selectEnabled(std::vector<std::uint8_t> &enabled) override
+    {
+        const unsigned keep = selector_.select();
+        for (std::size_t i = 0; i < enabled.size(); ++i)
+            enabled[i] = i == keep ? 1 : 0;
+    }
+
+    ThrottleDecision
+    onIntervalEnd(std::size_t /*slot*/,
+                  const std::vector<FeedbackSnapshot> & /*snapshots*/,
+                  const IntervalContext & /*interval*/) override
+    {
+        return ThrottleDecision::Nothing;
+    }
+
+    void reset() override { selector_ = PabSelector(window_, slots_); }
+
+  private:
+    unsigned window_;
+    unsigned slots_;
+    PabSelector selector_;
+};
+
 } // namespace
 
 void
@@ -97,6 +142,9 @@ registerBuiltinPolicies(PolicyRegistry &policies)
     });
     policies.add("fdp", [](const PolicyContext &ctx) {
         return std::make_unique<FdpPolicy>(ctx);
+    });
+    policies.add("pab", [](const PolicyContext &ctx) {
+        return std::make_unique<PabPolicy>(ctx);
     });
     policies.add("tabular-rl", [](const PolicyContext &ctx) {
         return std::make_unique<TabularRlPolicy>(ctx);

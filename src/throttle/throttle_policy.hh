@@ -45,7 +45,7 @@ namespace ecdp
  * the deltas since the previous interval boundary. deltaInstructions
  * is 0 when no progress source is attached (tests that drive a bare
  * MemorySystem); the built-in rule policies never read the context,
- * so legacy behaviour cannot depend on it.
+ * so their decisions cannot depend on it.
  */
 struct IntervalContext
 {
@@ -72,6 +72,10 @@ struct PolicyContext
      * seeded-replay tests pin down.
      */
     std::uint64_t seed = 1;
+    /** Engine-stack slots the policy decides for. */
+    unsigned slots = 2;
+    /** Outcomes per slot in the "pab" accuracy window. */
+    unsigned pabWindow = 64;
 };
 
 /**
@@ -93,7 +97,8 @@ class ThrottlePolicy
   public:
     virtual ~ThrottlePolicy() = default;
 
-    /** Registry name ("coordinated", "fdp", "static", "tabular-rl"). */
+    /** Registry name ("coordinated", "fdp", "pab", "static",
+     *  "tabular-rl"). */
     virtual const char *name() const = 0;
 
     /** Decide slot @p slot's aggressiveness move at an interval end. */
@@ -101,6 +106,27 @@ class ThrottlePolicy
     onIntervalEnd(std::size_t slot,
                   const std::vector<FeedbackSnapshot> &snapshots,
                   const IntervalContext &interval) = 0;
+
+    /**
+     * Whether the policy consumes onPrefetchOutcome(). Asked once at
+     * construction; policies that answer false cost the prefetch
+     * path no virtual call.
+     */
+    virtual bool wantsOutcomes() const { return false; }
+
+    /** A prefetch of slot @p slot resolved: demanded (@p used), or
+     *  evicted unused. Called only when wantsOutcomes(). */
+    virtual void onPrefetchOutcome(std::size_t /*slot*/, bool /*used*/)
+    {}
+
+    /**
+     * Interval end, before the level decisions: set the per-slot
+     * enable bits (one entry per slot, nonzero = enabled). Selector
+     * policies ("pab") switch slots off here; the default leaves
+     * them as they are.
+     */
+    virtual void selectEnabled(std::vector<std::uint8_t> & /*enabled*/)
+    {}
 
     /** Forget all learned/adaptive state (fresh-replay reset path). */
     virtual void reset() {}

@@ -208,7 +208,6 @@ makeEngineFixture(const std::string &engine)
     fixture.expectsTraffic = spec.expectsTraffic;
     fixture.workload = buildFixtureWorkload(spec.kind);
     fixture.cfg.engines = {engine};
-    fixture.cfg.throttle = ThrottleKind::None;
     if (engine == "ecdp") {
         fixture.hints = std::make_shared<HintTable>(
             ProfilingCompiler::profile(fixture.workload));

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "compiler/profiling_compiler.hh"
+#include "sim/experiment.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -78,6 +84,38 @@ TEST(InformingLoads, ProducesUsableHintsForRealBenchmarks)
     // health's patient-next PG is the single most obviously
     // beneficial PG in the suite; any sane profiler finds it.
     EXPECT_FALSE(hints.empty());
+}
+
+/** (pc, positive, negative) rows in pc order, for exact comparison. */
+std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>>
+hintRows(const HintTable &hints)
+{
+    std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>>
+        rows;
+    for (const auto &[pc, hint] : hints)
+        rows.emplace_back(pc.raw(), hint.pos, hint.neg);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+TEST(InformingLoads, TrainingRunPutsCdpInTheLdsSlotOfAnyStack)
+{
+    // Whatever the target runs in its LDS slot, the training run uses
+    // plain CDP there: ECDP would need the very hints being computed,
+    // and any other engine would profile the wrong pointer groups.
+    const Workload train = buildWorkload("health", InputSet::Train);
+    const auto expected = hintRows(
+        ProfilingCompiler::profileWithInformingLoads(
+            train, configs::baseline()));
+    ASSERT_FALSE(expected.empty());
+    for (const char *lds : {"ecdp", "isb"}) {
+        SystemConfig target = configs::baseline();
+        target.engines = {"stream", lds};
+        EXPECT_EQ(hintRows(ProfilingCompiler::profileWithInformingLoads(
+                      train, target)),
+                  expected)
+            << lds;
+    }
 }
 
 } // namespace

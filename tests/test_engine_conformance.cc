@@ -179,7 +179,7 @@ TEST_P(EngineConformance, ResetEngineStackRestoresFreshFeedback)
     // leak across replays).
     const EngineFixture &f = fixture();
     SystemConfig cfg = f.cfg;
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     obs::MetricRegistry metrics;
     Observability obs{&metrics, nullptr};
     DramSystem dram(cfg.dram, 1);
@@ -231,8 +231,7 @@ TEST_P(EngineConformance, FiresWhenExpectedAndConserves)
     }
 
     harness::checkEngineIdentities(
-        metrics, 0, engineInstanceNames(effectiveEngineStack(f.cfg)),
-        f.engine);
+        metrics, 0, engineInstanceNames(f.cfg.engines), f.engine);
 
     ASSERT_EQ(stats.engineStats.size(), 1u);
     EXPECT_EQ(stats.engineStats[0].engine, f.engine);
@@ -286,14 +285,14 @@ TEST(EngineStacks, ThreeEngineHybridConserves)
     Workload workload = harness::pointerChaseWorkload();
     SystemConfig cfg;
     cfg.engines = {"stream", "cdp", "isb"};
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
 
     obs::MetricRegistry metrics;
     RunStats stats =
         simulate(cfg, workload, Observability{&metrics, nullptr});
 
     const std::vector<std::string> instances =
-        engineInstanceNames(effectiveEngineStack(cfg));
+        engineInstanceNames(cfg.engines);
     ASSERT_EQ(instances,
               (std::vector<std::string>{"primary", "lds", "isb2"}));
     harness::checkEngineIdentities(metrics, 0, instances, "hybrid");
@@ -302,15 +301,15 @@ TEST(EngineStacks, ThreeEngineHybridConserves)
     EXPECT_EQ(stats.engineStats[2].instance, "isb2");
     EXPECT_EQ(stats.engineStats[2].engine, "isb");
     for (const IntervalSample &s : stats.intervalSeries)
-        EXPECT_EQ(s.extra.size(), 1u);
+        EXPECT_EQ(s.slots.size(), 3u);
 
     const std::string json = statsJson(stats);
     EXPECT_NE(json.find("\"engines\":["), std::string::npos);
     EXPECT_NE(json.find("\"isb2\""), std::string::npos);
 }
 
-/** The legacy two-slot stack must NOT grow the new JSON fields — the
- *  pinned goldens depend on the old shape byte-for-byte. */
+/** A two-slot stack is fully described by the "prefetchers" object:
+ *  no "engines" array and no interval "extra" slots. */
 TEST(EngineStacks, TwoSlotJsonKeepsLegacyShape)
 {
     Workload workload = harness::sequentialWorkload();

@@ -134,8 +134,8 @@ TEST(EngineStackNames, InstanceNamesNeverCollide)
         const std::vector<std::string> instances =
             engineInstanceNames(stack);
         ASSERT_EQ(instances.size(), stack.size());
-        // Slot 0/1 keep the legacy scope names the pinned goldens
-        // and RunStats arrays rely on.
+        // Slots 0/1 keep the paper's scope names, which the pinned
+        // goldens and the stats JSON's primary/lds keys rely on.
         EXPECT_EQ(instances[0], "primary");
         if (instances.size() > 1) {
             EXPECT_EQ(instances[1], "lds");

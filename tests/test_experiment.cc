@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/experiment.hh"
 
 namespace ecdp
@@ -17,9 +20,9 @@ namespace
 TEST(Configs, BaselineIsStreamOnlyAggressive)
 {
     SystemConfig cfg = configs::baseline();
-    EXPECT_EQ(cfg.primary, PrimaryKind::Stream);
-    EXPECT_EQ(cfg.lds, LdsKind::None);
-    EXPECT_EQ(cfg.throttle, ThrottleKind::None);
+    using Stack = std::vector<std::string>;
+    EXPECT_EQ(cfg.engines, (Stack{"stream", "none"}));
+    EXPECT_EQ(cfg.throttlePolicy, "static");
     EXPECT_EQ(cfg.primaryStartLevel, AggLevel::Aggressive);
 }
 
@@ -47,9 +50,8 @@ TEST(Configs, FullProposalWiresEcdpAndCoordination)
 {
     HintTable hints;
     SystemConfig cfg = configs::fullProposal(&hints);
-    EXPECT_EQ(cfg.primary, PrimaryKind::Stream);
-    EXPECT_EQ(cfg.lds, LdsKind::Ecdp);
-    EXPECT_EQ(cfg.throttle, ThrottleKind::Coordinated);
+    EXPECT_EQ(cfg.engines, (std::vector<std::string>{"stream", "ecdp"}));
+    EXPECT_EQ(cfg.throttlePolicy, "coordinated");
     EXPECT_EQ(cfg.hints, &hints);
     EXPECT_FALSE(cfg.grpCoarse);
     EXPECT_FALSE(cfg.hwFilter);
@@ -57,27 +59,25 @@ TEST(Configs, FullProposalWiresEcdpAndCoordination)
 
 TEST(Configs, GhbConfigsReplaceTheStreamPrefetcher)
 {
-    EXPECT_EQ(configs::ghbAlone().primary, PrimaryKind::Ghb);
-    EXPECT_EQ(configs::ghbAlone().lds, LdsKind::None);
+    using Stack = std::vector<std::string>;
+    EXPECT_EQ(configs::ghbAlone().engines, (Stack{"ghb", "none"}));
     HintTable hints;
     SystemConfig hybrid = configs::ghbEcdp(&hints, true);
-    EXPECT_EQ(hybrid.primary, PrimaryKind::Ghb);
-    EXPECT_EQ(hybrid.lds, LdsKind::Ecdp);
-    EXPECT_EQ(hybrid.throttle, ThrottleKind::Coordinated);
+    EXPECT_EQ(hybrid.engines, (Stack{"ghb", "ecdp"}));
+    EXPECT_EQ(hybrid.throttlePolicy, "coordinated");
 }
 
 TEST(Configs, ComparisonConfigsSelectTheirMechanisms)
 {
-    EXPECT_EQ(configs::streamDbp().lds, LdsKind::Dbp);
-    EXPECT_EQ(configs::streamMarkov().lds, LdsKind::Markov);
+    EXPECT_EQ(configs::streamDbp().engines[1], "dbp");
+    EXPECT_EQ(configs::streamMarkov().engines[1], "markov");
     EXPECT_TRUE(configs::streamCdpHwFilter(false).hwFilter);
-    EXPECT_EQ(configs::streamCdpHwFilter(true).throttle,
-              ThrottleKind::Coordinated);
-    EXPECT_EQ(configs::streamCdpPab().throttle, ThrottleKind::Pab);
+    EXPECT_EQ(configs::streamCdpHwFilter(true).throttlePolicy,
+              "coordinated");
+    EXPECT_EQ(configs::streamCdpPab().throttlePolicy, "pab");
     HintTable hints;
     EXPECT_TRUE(configs::streamGrpCoarse(&hints).grpCoarse);
-    EXPECT_EQ(configs::streamEcdpFdp(&hints).throttle,
-              ThrottleKind::Fdp);
+    EXPECT_EQ(configs::streamEcdpFdp(&hints).throttlePolicy, "fdp");
 }
 
 TEST(Configs, OracleModes)

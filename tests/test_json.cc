@@ -36,9 +36,10 @@ TEST(Json, WritesAllTopLevelFields)
     stats.bpki = 12.5;
     stats.busTransactions = 50;
     stats.l2DemandMisses = 7;
-    stats.prefIssued[1] = 10;
-    stats.prefUsed[1] = 6;
-    stats.prefLate[1] = 2;
+    stats.engineStats.resize(2);
+    stats.engineStats[1].issued = 10;
+    stats.engineStats[1].used = 6;
+    stats.engineStats[1].late = 2;
 
     std::ostringstream oss;
     writeRunStatsJson(oss, stats, "full");
@@ -234,8 +235,9 @@ TEST(JsonParser, RoundTripsTheStatsWriter)
     stats.instructions = 42;
     stats.ipc = 0.1234567890123456;
     stats.timedOut = true;
-    stats.prefIssued[0] = 7;
-    stats.prefDropped[1] = 3;
+    stats.engineStats.resize(2);
+    stats.engineStats[0].issued = 7;
+    stats.engineStats[1].dropped = 3;
     std::ostringstream oss;
     writeRunStatsJson(oss, stats, "full");
     JsonValue doc = parseJson(oss.str());

@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "dram/dram.hh"
+#include "sim/experiment.hh"
 #include "sim/memory_system.hh"
 
 namespace ecdp
@@ -66,10 +67,7 @@ struct Rig
 SystemConfig
 noPrefetchConfig()
 {
-    SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::None;
-    return cfg;
+    return configs::noPrefetch();
 }
 
 TEST(MemorySystem, MissThenL1Hit)
@@ -168,16 +166,15 @@ TEST(MemorySystem, StreamPrefetchCountsAsUsedOnHit)
     rig.mem.load(loadAt(0x40000000 + 3 * 128), now);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_GT(stats.prefIssued[0], 0u);
-    EXPECT_GT(stats.prefUsed[0], 0u);
+    EXPECT_GT(stats.slot(0).issued, 0u);
+    EXPECT_GT(stats.slot(0).used, 0u);
 }
 
 SystemConfig
 cdpConfig()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::Cdp;
+    cfg.engines = {"none", "cdp"};
     return cfg;
 }
 
@@ -192,14 +189,14 @@ TEST(MemorySystem, CdpScansDemandFillsAndPrefetches)
     tickUntil(rig.mem, Cycle{}, *fill + 600);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 1u);
+    EXPECT_EQ(stats.slot(1).issued, 1u);
     // The prefetched block is an L2 hit for a later demand.
     Cycle later = *fill + 601;
     auto hit = rig.mem.load(loadAt(0x40008000), later);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit - later, rig.cfg.l1Latency + rig.cfg.l2Latency);
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefUsed[1], 1u);
+    EXPECT_EQ(stats.slot(1).used, 1u);
 }
 
 TEST(MemorySystem, CdpRecursionFollowsChains)
@@ -214,7 +211,7 @@ TEST(MemorySystem, CdpRecursionFollowsChains)
     rig.mem.collectStats(stats);
     // Both B (depth 1) and C (depth 2, from the recursive scan of
     // B's fill) were prefetched.
-    EXPECT_EQ(stats.prefIssued[1], 2u);
+    EXPECT_EQ(stats.slot(1).issued, 2u);
 }
 
 TEST(MemorySystem, CdpDepthOneDoesNotRecurse)
@@ -228,14 +225,14 @@ TEST(MemorySystem, CdpDepthOneDoesNotRecurse)
     tickUntil(rig.mem, Cycle{}, *fill + 1200);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 1u);
+    EXPECT_EQ(stats.slot(1).issued, 1u);
 }
 
 TEST(MemorySystem, EcdpHintsGateDemandScans)
 {
     HintTable hints; // empty: nothing is beneficial
     SystemConfig cfg = cdpConfig();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = &hints;
     Rig rig(cfg);
     rig.mem.image().writePointer(0x40000004, 0x40008000);
@@ -243,7 +240,7 @@ TEST(MemorySystem, EcdpHintsGateDemandScans)
     tickUntil(rig.mem, Cycle{}, *fill + 10);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 0u);
+    EXPECT_EQ(stats.slot(1).issued, 0u);
 }
 
 TEST(MemorySystem, EcdpHintedSlotIsPrefetched)
@@ -251,7 +248,7 @@ TEST(MemorySystem, EcdpHintedSlotIsPrefetched)
     HintTable hints;
     hints.entry(0x1000).set(+1);
     SystemConfig cfg = cdpConfig();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = &hints;
     Rig rig(cfg);
     rig.mem.image().writePointer(0x40000004, 0x40008000); // slot +1
@@ -260,7 +257,7 @@ TEST(MemorySystem, EcdpHintedSlotIsPrefetched)
     tickUntil(rig.mem, Cycle{}, *fill + 10);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 1u);
+    EXPECT_EQ(stats.slot(1).issued, 1u);
     ASSERT_EQ(stats.pgStats.size(), 1u);
     EXPECT_EQ(stats.pgStats.begin()->first.slot, 1);
 }
@@ -277,8 +274,8 @@ TEST(MemorySystem, LatePrefetchCountsAsLateNotUsed)
     tickUntil(rig.mem, *fill + 3, *merged + 2);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefLate[1], 1u);
-    EXPECT_EQ(stats.prefUsed[1], 0u);
+    EXPECT_EQ(stats.slot(1).late, 1u);
+    EXPECT_EQ(stats.slot(1).used, 0u);
     // The merged demand still counts as a demand miss.
     EXPECT_EQ(stats.l2DemandMisses, 2u);
 }
@@ -313,7 +310,7 @@ TEST(MemorySystem, IdealNoPollutionSideBuffersPrefetches)
     EXPECT_EQ(*hit - later, rig.cfg.l1Latency + rig.cfg.l2Latency);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefUsed[1], 1u);
+    EXPECT_EQ(stats.slot(1).used, 1u);
 }
 
 TEST(MemorySystem, HardwareFilterDropsRepeatOffenders)
@@ -345,15 +342,14 @@ TEST(MemorySystem, HardwareFilterDropsRepeatOffenders)
     tickUntil(rig.mem, now, *refill + 20);
     RunStats after;
     rig.mem.collectStats(after);
-    EXPECT_EQ(after.prefIssued[1], before.prefIssued[1]);
+    EXPECT_EQ(after.slot(1).issued, before.slot(1).issued);
 }
 
 TEST(MemorySystem, CoordinatedThrottlingReactsToUselessPrefetches)
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None; // keep the miss stream visible
-    cfg.lds = LdsKind::Cdp;
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.engines = {"none", "cdp"}; // keep the miss stream visible
+    cfg.throttlePolicy = "coordinated";
     cfg.intervalEvictions = 32;
     cfg.l2Bytes = 64 * 1024;
     Rig rig(cfg);
@@ -379,15 +375,13 @@ TEST(MemorySystem, CoordinatedThrottlingReactsToUselessPrefetches)
     }
     EXPECT_GT(rig.mem.intervalsElapsed(), 2u);
     // A uniformly useless CDP must have been throttled down.
-    EXPECT_LT(static_cast<int>(rig.mem.ldsLevel()),
+    EXPECT_LT(static_cast<int>(rig.mem.engineLevel(1)),
               static_cast<int>(AggLevel::Aggressive));
 }
 
 TEST(MemorySystem, PabKeepsOnlyOnePrefetcherEnabled)
 {
-    SystemConfig cfg;
-    cfg.lds = LdsKind::Cdp;
-    cfg.throttle = ThrottleKind::Pab;
+    SystemConfig cfg = configs::streamCdpPab();
     cfg.intervalEvictions = 32;
     cfg.l2Bytes = 64 * 1024;
     Rig rig(cfg);
@@ -408,7 +402,7 @@ TEST(MemorySystem, PabKeepsOnlyOnePrefetcherEnabled)
         }
     }
     EXPECT_GT(rig.mem.intervalsElapsed(), 2u);
-    EXPECT_NE(rig.mem.primaryEnabled(), rig.mem.ldsEnabled());
+    EXPECT_NE(rig.mem.engineEnabled(0), rig.mem.engineEnabled(1));
 }
 
 // ---------------------------------------------------------------
@@ -460,10 +454,10 @@ TEST(MemorySystemWakeup, MshrBlockedHeadWakesAtNextFill)
     tickUntil(rig.mem, fill + 1, next_fill - 1);
     RunStats stats;
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 0u);
+    EXPECT_EQ(stats.slot(1).issued, 0u);
     rig.mem.tick(next_fill);
     rig.mem.collectStats(stats);
-    EXPECT_EQ(stats.prefIssued[1], 1u);
+    EXPECT_EQ(stats.slot(1).issued, 1u);
 }
 
 TEST(MemorySystemWakeup, SameCycleDemandInFlightWakesNextCycle)
@@ -498,9 +492,7 @@ TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
     // the CDP (slot 1) off. A one-set L2 makes the trigger's fill the
     // first eviction, and intervalEvictions = 1 ends the interval on
     // that same tick, after the head was found MSHR-blocked.
-    SystemConfig cfg;
-    cfg.lds = LdsKind::Cdp;
-    cfg.throttle = ThrottleKind::Pab;
+    SystemConfig cfg = configs::streamCdpPab();
     cfg.intervalEvictions = 1;
     cfg.l2Bytes = cfg.l2Assoc * cfg.l2BlockBytes;
     Rig rig(cfg);
@@ -513,7 +505,7 @@ TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
         now = *done + 1;
     }
     ASSERT_EQ(rig.mem.l2().evictions(), 0u);
-    ASSERT_TRUE(rig.mem.ldsEnabled());
+    ASSERT_TRUE(rig.mem.engineEnabled(1));
 
     rig.mem.image().writePointer(kTrigger, kTarget);
     const auto trigger =
@@ -528,7 +520,7 @@ TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
     }
     const Cycle fill = *trigger - cfg.l1Latency;
     tickUntil(rig.mem, now, fill);
-    ASSERT_FALSE(rig.mem.ldsEnabled());
+    ASSERT_FALSE(rig.mem.engineEnabled(1));
     EXPECT_EQ(rig.mem.nextEventCycle(fill), fill + 1);
     rig.mem.tick(fill + 1);
     EXPECT_EQ(rig.registry.value("core0.pf.lds.dropped.source_disabled"),

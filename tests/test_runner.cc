@@ -116,11 +116,15 @@ TEST(ConfigHashTest, EveryTweakedKnobChangesTheHash)
     EXPECT_NE(base, tweaked([](SystemConfig &c) { c.l2Bytes *= 2; }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) { c.l2Assoc = 4; }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
-                  c.lds = LdsKind::Cdp;
+                  c.engines[1] = "cdp";
               }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
-                  c.throttle = ThrottleKind::Coordinated;
+                  c.throttlePolicy = "coordinated";
               }));
+    EXPECT_NE(base,
+              tweaked([](SystemConfig &c) { c.throttleRlSeed = 2; }));
+    EXPECT_NE(tweaked([](SystemConfig &c) { c.engines = {"ab", "c"}; }),
+              tweaked([](SystemConfig &c) { c.engines = {"a", "bc"}; }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
                   c.coordThresholds.tCoverage += 0.1;
               }));
@@ -223,15 +227,20 @@ expectSameStats(const RunStats &a, const RunStats &b)
     EXPECT_EQ(a.l2DemandAccesses, b.l2DemandAccesses);
     EXPECT_EQ(a.l2DemandMisses, b.l2DemandMisses);
     EXPECT_EQ(a.l2LdsMisses, b.l2LdsMisses);
-    for (unsigned which = 0; which < 2; ++which) {
-        EXPECT_EQ(a.prefIssued[which], b.prefIssued[which]);
-        EXPECT_EQ(a.prefUsed[which], b.prefUsed[which]);
-        EXPECT_EQ(a.prefLate[which], b.prefLate[which]);
-        EXPECT_EQ(a.prefDropped[which], b.prefDropped[which]);
-        EXPECT_EQ(a.usefulLatencySum[which],
-                  b.usefulLatencySum[which]);
-        EXPECT_EQ(a.usefulLatencyCount[which],
-                  b.usefulLatencyCount[which]);
+    ASSERT_EQ(a.engineStats.size(), b.engineStats.size());
+    for (std::size_t i = 0; i < a.engineStats.size(); ++i) {
+        const RunStats::EngineRunStats &x = a.engineStats[i];
+        const RunStats::EngineRunStats &y = b.engineStats[i];
+        EXPECT_EQ(x.instance, y.instance);
+        EXPECT_EQ(x.engine, y.engine);
+        EXPECT_EQ(x.issued, y.issued);
+        EXPECT_EQ(x.used, y.used);
+        EXPECT_EQ(x.late, y.late);
+        EXPECT_EQ(x.dropped, y.dropped);
+        EXPECT_EQ(x.usefulLatencySum, y.usefulLatencySum);
+        EXPECT_EQ(x.usefulLatencyCount, y.usefulLatencyCount);
+        EXPECT_EQ(x.finalLevel, y.finalLevel);
+        EXPECT_EQ(x.finalEnabled, y.finalEnabled);
     }
     ASSERT_EQ(a.pgStats.size(), b.pgStats.size());
     for (const auto &[id, pg] : a.pgStats) {
@@ -240,24 +249,20 @@ expectSameStats(const RunStats &a, const RunStats &b)
         EXPECT_EQ(pg.issued, it->second.issued);
         EXPECT_EQ(pg.used, it->second.used);
     }
-    EXPECT_EQ(a.finalPrimaryLevel, b.finalPrimaryLevel);
-    EXPECT_EQ(a.finalLdsLevel, b.finalLdsLevel);
-    EXPECT_EQ(a.finalPrimaryEnabled, b.finalPrimaryEnabled);
-    EXPECT_EQ(a.finalLdsEnabled, b.finalLdsEnabled);
     EXPECT_EQ(a.intervals, b.intervals);
     ASSERT_EQ(a.intervalSeries.size(), b.intervalSeries.size());
     for (std::size_t i = 0; i < a.intervalSeries.size(); ++i) {
         const IntervalSample &x = a.intervalSeries[i];
         const IntervalSample &y = b.intervalSeries[i];
         EXPECT_EQ(x.cycle, y.cycle);
-        for (unsigned which = 0; which < 2; ++which) {
-            EXPECT_EQ(x.accuracy[which], y.accuracy[which]);
-            EXPECT_EQ(x.coverage[which], y.coverage[which]);
+        ASSERT_EQ(x.slots.size(), y.slots.size());
+        for (std::size_t k = 0; k < x.slots.size(); ++k) {
+            EXPECT_EQ(x.slots[k].accuracy, y.slots[k].accuracy);
+            EXPECT_EQ(x.slots[k].coverage, y.slots[k].coverage);
+            EXPECT_EQ(x.slots[k].level, y.slots[k].level);
+            EXPECT_EQ(x.slots[k].enabled, y.slots[k].enabled);
         }
-        EXPECT_EQ(x.primaryLevel, y.primaryLevel);
-        EXPECT_EQ(x.ldsLevel, y.ldsLevel);
-        EXPECT_EQ(x.primaryEnabled, y.primaryEnabled);
-        EXPECT_EQ(x.ldsEnabled, y.ldsEnabled);
+        EXPECT_EQ(x.policy, y.policy);
     }
 }
 
@@ -372,13 +377,14 @@ TEST(ResultCacheTest, RoundTripsExactly)
     // run records none of its own.
     IntervalSample sample;
     sample.cycle = Cycle{12345};
-    sample.accuracy[0] = 0.125;
-    sample.accuracy[1] = 1.0 / 3.0; // not exactly representable
-    sample.coverage[0] = 0.75;
-    sample.coverage[1] = 0.0;
-    sample.primaryLevel = AggLevel::Conservative;
-    sample.ldsLevel = AggLevel::Aggressive;
-    sample.primaryEnabled = false;
+    sample.slots.resize(3);
+    sample.slots[0].accuracy = 0.125;
+    sample.slots[1].accuracy = 1.0 / 3.0; // not exactly representable
+    sample.slots[0].coverage = 0.75;
+    sample.slots[2].coverage = 0.5;
+    sample.slots[0].level = AggLevel::Conservative;
+    sample.slots[0].enabled = false;
+    sample.slots[2].level = AggLevel::VeryConservative;
     stats.intervalSeries.push_back(sample);
     const std::uint64_t hash = configHash(cfg);
 

@@ -112,7 +112,7 @@ TEST(Simulator, BpkiAndBusTransactionsConsistent)
 TEST(Simulator, StatsAreInternallyConsistent)
 {
     RunStats s = runTrain("health", configs::streamCdp());
-    EXPECT_LE(s.prefUsed[1], s.prefIssued[1]);
+    EXPECT_LE(s.slot(1).used, s.slot(1).issued);
     EXPECT_LE(s.l2LdsMisses, s.l2DemandMisses);
     EXPECT_LE(s.l2DemandMisses, s.l2DemandAccesses);
     EXPECT_GT(s.cycles, Cycle{});
@@ -125,7 +125,7 @@ TEST(Simulator, RunsAreDeterministic)
     RunStats b = runTrain("voronoi", configs::streamCdp());
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.busTransactions, b.busTransactions);
-    EXPECT_EQ(a.prefIssued[1], b.prefIssued[1]);
+    EXPECT_EQ(a.slot(1).issued, b.slot(1).issued);
 }
 
 TEST(Simulator, GhbCoversStreamsWhenAlone)
@@ -138,14 +138,14 @@ TEST(Simulator, GhbCoversStreamsWhenAlone)
 TEST(Simulator, DbpIssuesPrefetchesOnPointerChains)
 {
     RunStats dbp = runTrain("health", configs::streamDbp());
-    EXPECT_GT(dbp.prefIssued[1], 0u);
+    EXPECT_GT(dbp.slot(1).issued, 0u);
 }
 
 TEST(Simulator, MarkovLearnsRepeatedMissSequences)
 {
     RunStats markov = runTrain("health", configs::streamMarkov());
-    EXPECT_GT(markov.prefIssued[1], 0u);
-    EXPECT_GT(markov.prefUsed[1] + markov.prefLate[1], 0u);
+    EXPECT_GT(markov.slot(1).issued, 0u);
+    EXPECT_GT(markov.slot(1).used + markov.slot(1).late, 0u);
 }
 
 TEST(Simulator, ProfilingInputSensitivityIsSmall)

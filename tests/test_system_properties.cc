@@ -94,7 +94,7 @@ TEST_P(AggressivenessSweep, MoreAggressiveStreamsIssueMore)
     Workload wl = buildWorkload("libquantum", InputSet::Train);
     RunStats c = simulate(conservative, wl);
     RunStats l = simulate(level, wl);
-    EXPECT_GE(l.prefIssued[0], c.prefIssued[0]);
+    EXPECT_GE(l.slot(0).issued, c.slot(0).issued);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, AggressivenessSweep,
@@ -116,8 +116,8 @@ TEST_P(DeterminismSweep, BitExactRepeats)
     RunStats b = simulate(configs::streamCdp(), wl);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.busTransactions, b.busTransactions);
-    EXPECT_EQ(a.prefIssued[0], b.prefIssued[0]);
-    EXPECT_EQ(a.prefIssued[1], b.prefIssued[1]);
+    EXPECT_EQ(a.slot(0).issued, b.slot(0).issued);
+    EXPECT_EQ(a.slot(1).issued, b.slot(1).issued);
 }
 
 INSTANTIATE_TEST_SUITE_P(Benchmarks, DeterminismSweep,

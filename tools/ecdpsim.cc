@@ -14,14 +14,12 @@
  *          dbp, markov, ghb, ghb+ecdp, cdp+filter, ecdp+fdp,
  *          cdp+pab, grp, ideal-lds.
  *
- * --engines replaces the chosen config's engine stack with an
- * explicit registry-name list (any length), keeping the config's
- * throttling/feedback knobs — the N-engine hybrid recipe in
- * EXPERIMENTS.md builds on it.
- *
- * --throttle-policy overrides the interval-end aggressiveness policy
- * (static, coordinated, fdp, tabular-rl) independent of the config's
- * ThrottleKind; --rl-seed seeds the tabular-rl explorer.
+ * A config is an engine stack plus a throttle policy name. --engines
+ * replaces the chosen config's stack with a registry-name list (any
+ * length), keeping its policy and feedback knobs — the N-engine
+ * hybrid recipe in EXPERIMENTS.md builds on it. --throttle-policy
+ * replaces its policy (static, coordinated, fdp, pab, tabular-rl);
+ * --rl-seed seeds the tabular-rl explorer.
  */
 
 #include <cstring>
@@ -58,7 +56,7 @@ struct Options
     std::string config = "baseline";
     /** Explicit engine stack overriding the config's (empty: keep). */
     std::vector<std::string> engines;
-    /** Throttle-policy override (empty: derive from ThrottleKind). */
+    /** Throttle policy replacing the config's (empty: keep). */
     std::string throttlePolicy;
     long rlSeed = -1;
     InputSet input = InputSet::Ref;
@@ -132,13 +130,13 @@ printHuman(const RunStats &stats, const std::string &config)
               << "  instructions  " << stats.instructions << '\n'
               << "  L2 misses     " << stats.l2DemandMisses << " ("
               << stats.l2LdsMisses << " LDS)\n"
-              << "  primary PF    issued " << stats.prefIssued[0]
-              << ", used " << stats.prefUsed[0] << ", acc "
+              << "  primary PF    issued " << stats.slot(0).issued
+              << ", used " << stats.slot(0).used << ", acc "
               << stats.accuracyDemanded(0) << ", cov "
               << stats.coverage(0) << '\n'
-              << "  LDS PF        issued " << stats.prefIssued[1]
-              << ", used " << stats.prefUsed[1] << " (late "
-              << stats.prefLate[1] << "), acc "
+              << "  LDS PF        issued " << stats.slot(1).issued
+              << ", used " << stats.slot(1).used << " (late "
+              << stats.slot(1).late << "), acc "
               << stats.accuracyDemanded(1) << ", cov "
               << stats.coverage(1) << '\n';
 }
