@@ -127,13 +127,7 @@ canonicalCellJson(const CellSpec &spec)
 std::uint64_t
 cellKey(const CellSpec &spec)
 {
-    const std::string canon = canonicalCellJson(spec);
-    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
-    for (unsigned char c : canon) {
-        hash ^= c;
-        hash *= 1099511628211ull; // FNV prime
-    }
-    return hash;
+    return resultKey(canonicalCellJson(spec));
 }
 
 std::string
@@ -151,19 +145,25 @@ cellLabel(const CellSpec &spec)
     return label;
 }
 
-SystemConfig
-makeCellConfig(const CellSpec &spec, ExperimentContext &ctx)
+bool
+cellNeedsHints(const CellSpec &spec)
 {
-    const HintTable *hints = nullptr;
-    const bool needsHints =
-        configs::nameNeedsHints(spec.config) ||
-        std::find(spec.engines.begin(), spec.engines.end(),
-                  "ecdp") != spec.engines.end();
-    if (needsHints)
-        hints = &ctx.hints(spec.bench);
+    return configs::nameNeedsHints(spec.config) ||
+           std::find(spec.engines.begin(), spec.engines.end(),
+                     "ecdp") != spec.engines.end();
+}
+
+SystemConfig
+makeCellConfig(const CellSpec &spec, const HintTable *hints)
+{
     SystemConfig cfg = configs::byName(spec.config, hints);
     if (!spec.engines.empty())
         cfg.engines = spec.engines;
+    // A stack naming ecdp needs the hints even when the named config
+    // (e.g. "baseline") takes none.
+    if (std::find(cfg.engines.begin(), cfg.engines.end(), "ecdp") !=
+        cfg.engines.end())
+        cfg.hints = hints;
     if (!spec.throttlePolicy.empty())
         cfg.throttlePolicy = spec.throttlePolicy;
     if (spec.rlSeed >= 0)
@@ -180,7 +180,8 @@ makeCellConfig(const CellSpec &spec, ExperimentContext &ctx)
 RunStats
 runCell(const CellSpec &spec, ExperimentContext &ctx)
 {
-    SystemConfig cfg = makeCellConfig(spec, ctx);
+    const SystemConfig cfg = makeCellConfig(
+        spec, cellNeedsHints(spec) ? &ctx.hints(spec.bench) : nullptr);
     if (spec.input == "train") {
         // The memo context runs ref inputs; train cells simulate
         // directly (still deterministic, still byte-stable).

@@ -3,10 +3,10 @@
  * The grid-cell wire format of ecdpd: one cell = one (workload,
  * configuration) simulation. Clients submit cells as JSON objects;
  * the daemon canonicalizes them (fixed key order, defaults omitted)
- * and content-addresses the result store by the 64-bit FNV-1a hash
- * of the canonical form, so any two textually different but
- * semantically identical submissions share one store entry and one
- * single-flight simulation.
+ * and content-addresses the result store by resultKey() over the
+ * canonical form, so any two textually different but semantically
+ * identical submissions share one store entry and one single-flight
+ * simulation, and a kStatsSchema bump orphans every older spill.
  *
  * Execution is shared between the worker processes (`ecdpd
  * --worker`) and the in-process path the byte-identity tests diff
@@ -59,17 +59,26 @@ CellSpec parseCellSpec(const JsonValue &v);
 /** Canonical JSON: fixed key order, defaulted members omitted. */
 std::string canonicalCellJson(const CellSpec &spec);
 
-/** Content address: FNV-1a 64 over the canonical JSON. */
+/** Content address: resultKey() over the canonical JSON, so it
+ *  folds kStatsSchema. */
 std::uint64_t cellKey(const CellSpec &spec);
 
-/** Human-readable config label, matching ecdpsim's convention
+/** Human-readable config label, the one ecdpsim prints
  *  ("cdp+throttle[stream,cdp,isb]{tabular-rl}"). */
 std::string cellLabel(const CellSpec &spec);
 
-/** Build the SystemConfig the cell names (profiles hints through
- *  @p ctx when the config or engine stack needs them). */
+/** True when the cell's named config or its engine stack runs ECDP,
+ *  i.e. the config needs train-profiled compiler hints. */
+bool cellNeedsHints(const CellSpec &spec);
+
+/**
+ * The SystemConfig the cell names: the named config with the cell's
+ * overrides applied. @p hints (the train-profiled table, required
+ * when cellNeedsHints()) is wired in whenever the resulting stack
+ * runs ECDP, whatever the named config.
+ */
 SystemConfig makeCellConfig(const CellSpec &spec,
-                            ExperimentContext &ctx);
+                            const HintTable *hints);
 
 /** Simulate the cell (ref inputs memoized through @p ctx like any
  *  bench run; train inputs simulate directly). */

@@ -275,7 +275,7 @@ ResultStore::loadFromDisk(std::uint64_t key)
     // makes truncation detectable: a partial write can never pass
     // the length check.
     auto corrupt = [&](const std::string &why) -> Bytes {
-        std::cerr << "ecdpd: result store: corrupt entry " << path
+        std::cerr << "ecdp: result store: corrupt entry " << path
                   << " (" << why << "); removing and rebuilding\n";
         corruptRebuilds_.fetch_add(1);
         in.close();

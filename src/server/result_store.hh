@@ -1,13 +1,14 @@
 /**
  * @file
- * Content-addressed result store with single-flight dedup — the
- * shared successor of the per-process configHash result cache
- * (src/runner/result_cache).
+ * Content-addressed result store with single-flight dedup — the one
+ * persistent result store of the tree. The daemon files cells in it
+ * (stats JSON, exactly as the worker produced them, under cellKey()),
+ * and ExperimentContext spills runs to it when ECDP_RESULT_CACHE is
+ * set (encodeRunStats() bytes under runKey()). Both keys go through
+ * resultKey(), which folds kStatsSchema.
  *
- * Results are immutable byte strings (stats JSON, exactly as the
- * worker produced them) keyed by the 64-bit content hash of the
- * canonical cell spec that produced them. The store answers three
- * questions atomically:
+ * Results are immutable byte strings keyed by a 64-bit content key.
+ * The store answers three questions atomically:
  *
  *   - is the result already materialized (memory or disk)?
  *   - is somebody already computing it (attach, don't recompute)?

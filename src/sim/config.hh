@@ -156,7 +156,7 @@ using PgStatsMap = std::unordered_map<PgId, PgStats, PgIdHash>;
  * Collision-free identity of a SystemConfig: a 64-bit FNV-1a hash
  * over every field (hint tables are hashed by content, in sorted PC
  * order, so the hash is stable across processes). Used to key run
- * memoization and the persistent result cache.
+ * memoization and the persistent result store (see runKey()).
  */
 std::uint64_t configHash(const SystemConfig &cfg);
 

@@ -1,10 +1,11 @@
 #include "sim/experiment.hh"
 
-#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/trace_session.hh"
-#include "runner/result_cache.hh"
+#include "server/result_store.hh"
+#include "stats/json.hh"
 
 namespace ecdp
 {
@@ -196,10 +197,21 @@ knownNames()
 
 } // namespace configs
 
+std::uint64_t
+runKey(const std::string &workload, const SystemConfig &cfg)
+{
+    return resultKey(workload, configHash(cfg));
+}
+
 ExperimentContext::ExperimentContext()
-    : resultCache_(runner::ResultCache::fromEnv()),
-      traceSession_(obs::TraceSession::global())
-{}
+    : traceSession_(obs::TraceSession::global())
+{
+    // The memo is the memory tier; the store only spills, so it
+    // keeps at most one entry in memory.
+    const char *dir = std::getenv("ECDP_RESULT_CACHE");
+    if (dir && *dir)
+        store_ = std::make_unique<server::ResultStore>(dir, 1);
+}
 
 ExperimentContext::~ExperimentContext() = default;
 
@@ -253,17 +265,17 @@ ExperimentContext::run(const std::string &name, const SystemConfig &cfg,
         }
     }
 
-    char memo_key[16 + 1];
-    std::snprintf(memo_key, sizeof(memo_key), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return runs_.get(name + "#" + memo_key, [&]() -> RunStats {
-        // A persistent-cache hit would skip the simulation and leave
-        // a hole in the trace, so while tracing is on every unique
-        // run executes (and its result is still stored below).
-        if (resultCache_ && !traceSession_) {
-            if (std::optional<RunStats> cached =
-                    resultCache_->load(name, hash)) {
-                return std::move(*cached);
+    const std::uint64_t id = resultKey(name, hash); // runKey()
+    return runs_.get(id, [&]() -> RunStats {
+        // A store hit would skip the simulation and leave a hole in
+        // the trace, so while tracing is on every unique run executes
+        // (and its result is still stored below).
+        if (store_ && !traceSession_) {
+            if (server::ResultStore::Bytes bytes = store_->lookup(id)) {
+                if (std::optional<RunStats> cached =
+                        decodeRunStats(*bytes, name)) {
+                    return std::move(*cached);
+                }
             }
         }
         RunStats stats;
@@ -277,8 +289,8 @@ ExperimentContext::run(const std::string &name, const SystemConfig &cfg,
         } else {
             stats = simulate(cfg, ref(name));
         }
-        if (resultCache_)
-            resultCache_->store(name, hash, stats);
+        if (store_)
+            store_->complete(id, encodeRunStats(stats));
         return stats;
     });
 }

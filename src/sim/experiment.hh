@@ -25,10 +25,10 @@
 namespace ecdp
 {
 
-namespace runner
+namespace server
 {
-class ResultCache;
-} // namespace runner
+class ResultStore;
+} // namespace server
 
 namespace obs
 {
@@ -102,6 +102,14 @@ const std::vector<std::string> &knownNames();
 } // namespace configs
 
 /**
+ * The key ExperimentContext memoizes and persists the run of
+ * benchmark @p workload (ref input) under: resultKey() over the
+ * workload name and configHash(@p cfg), so it folds kStatsSchema.
+ */
+std::uint64_t runKey(const std::string &workload,
+                     const SystemConfig &cfg);
+
+/**
  * Caches workloads, hints and runs for the bench binaries.
  *
  * All accessors build lazily and memoize, so a bench touching five
@@ -115,11 +123,12 @@ const std::vector<std::string> &knownNames();
  * duplicating or racing it. Returned references are stable for the
  * context's lifetime.
  *
- * Simulation results are memoized under a collision-free hash of the
- * actual SystemConfig fields (see configHash()), never under the
- * human-readable label alone, and — when the ECDP_RESULT_CACHE
- * environment variable names a directory — persisted there across
- * processes.
+ * Simulation results are memoized under runKey() — the workload
+ * name and a hash of the actual SystemConfig fields (see
+ * configHash()), never the human-readable label alone. When the
+ * ECDP_RESULT_CACHE environment variable names a directory, runs also
+ * spill there through a ResultStore (as cell-<runKey>.bin) and later
+ * processes reload them; the memo stays the memory tier.
  */
 class ExperimentContext
 {
@@ -141,7 +150,7 @@ class ExperimentContext
 
     /**
      * Simulate benchmark @p name (ref input) under @p cfg, memoized
-     * by the content hash of @p cfg. @p key is a short human-readable
+     * by runKey(@p name, @p cfg). @p key is a short human-readable
      * config label ("baseline") used for diagnostics only; reusing a
      * (name, key) label with a *different* configuration throws
      * std::logic_error — the old behaviour silently returned the
@@ -155,7 +164,7 @@ class ExperimentContext
      * default is the process-wide ECDP_TRACE session). While a
      * session is attached, run() executes every unique simulation
      * with an event tracer and flushes it as "<name>:<key>", and the
-     * persistent result cache is bypassed on load — a cache hit would
+     * persistent result store is bypassed on load — a store hit would
      * otherwise silently produce an empty trace — but results are
      * still stored. The in-memory memo still deduplicates, so each
      * unique (workload, config) is traced exactly once per process,
@@ -174,12 +183,12 @@ class ExperimentContext
      * even under concurrent lookups. Cell storage is a shared_ptr so
      * returned references survive map rehashing.
      */
-    template <typename V>
+    template <typename K, typename V>
     class MemoTable
     {
       public:
         template <typename Build>
-        const V &get(const std::string &key, Build &&build)
+        const V &get(const K &key, Build &&build)
             ECDP_EXCLUDES(mutex_)
         {
             std::shared_ptr<Cell> cell;
@@ -205,26 +214,28 @@ class ExperimentContext
         };
 
         AnnotatedMutex mutex_;
-        std::map<std::string, std::shared_ptr<Cell>> cells_
+        std::map<K, std::shared_ptr<Cell>> cells_
             ECDP_GUARDED_BY(mutex_);
     };
 
-    MemoTable<Workload> refs_;
-    MemoTable<Workload> trains_;
-    MemoTable<HintTable> hints_;
-    MemoTable<HintTable> refHints_;
-    MemoTable<RunStats> runs_;
+    MemoTable<std::string, Workload> refs_;
+    MemoTable<std::string, Workload> trains_;
+    MemoTable<std::string, HintTable> hints_;
+    MemoTable<std::string, HintTable> refHints_;
+    /** Keyed by runKey(). */
+    MemoTable<std::uint64_t, RunStats> runs_;
 
     /** Diagnostic label registry: (name ":" key) -> config hash. */
     AnnotatedMutex labelMutex_;
     std::map<std::string, std::uint64_t> labels_
         ECDP_GUARDED_BY(labelMutex_);
 
-    /** Optional persistent result cache (ECDP_RESULT_CACHE). */
-    std::unique_ptr<runner::ResultCache> resultCache_;
-
     /** Trace sink (ECDP_TRACE), or nullptr when tracing is off. */
     obs::TraceSession *traceSession_ = nullptr;
+
+    /** Spill store (ECDP_RESULT_CACHE), or nullptr when unset.
+     *  Declared last: members destroy in reverse order. */
+    std::unique_ptr<server::ResultStore> store_;
 };
 
 } // namespace ecdp

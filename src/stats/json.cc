@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
+#include <sstream>
 
 namespace ecdp
 {
@@ -144,6 +146,154 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
            << stats.throttlePolicyState;
     }
     os << "}";
+}
+
+// --- RunStats codec -------------------------------------------------
+
+std::uint64_t
+resultKey(std::string_view identity, std::uint64_t hash)
+{
+    std::uint64_t key = 0xcbf29ce484222325ull; // FNV offset basis
+    auto fold = [&key](unsigned char byte) {
+        key ^= byte;
+        key *= 0x100000001b3ull; // FNV prime
+    };
+    for (char c : identity)
+        fold(static_cast<unsigned char>(c));
+    for (std::uint64_t v : {hash, kStatsSchema}) {
+        for (unsigned i = 0; i < 8; ++i)
+            fold(static_cast<unsigned char>(v >> (8 * i)));
+    }
+    return key;
+}
+
+std::string
+encodeRunStats(const RunStats &stats)
+{
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    const char *no = "false";
+    const char *yes = "true";
+    os << "{\"cycles\":" << stats.cycles.raw()
+       << ",\"instructions\":" << stats.instructions
+       << ",\"ipc\":" << stats.ipc << ",\"bpki\":" << stats.bpki
+       << ",\"timedOut\":" << (stats.timedOut ? yes : no)
+       << ",\"busTransactions\":" << stats.busTransactions
+       << ",\"demandLoads\":" << stats.demandLoads
+       << ",\"l2DemandAccesses\":" << stats.l2DemandAccesses
+       << ",\"l2DemandMisses\":" << stats.l2DemandMisses
+       << ",\"l2LdsMisses\":" << stats.l2LdsMisses << ",\"pgStats\":[";
+    bool first = true;
+    for (const auto &[id, pg] : stats.pgStats) {
+        os << (first ? "" : ",") << "{\"pc\":" << id.loadPc.raw()
+           << ",\"slot\":" << id.slot << ",\"issued\":" << pg.issued
+           << ",\"used\":" << pg.used << "}";
+        first = false;
+    }
+    os << "],\"intervals\":" << stats.intervals
+       << ",\"intervalSeries\":[";
+    for (std::size_t i = 0; i < stats.intervalSeries.size(); ++i) {
+        const IntervalSample &s = stats.intervalSeries[i];
+        os << (i ? "," : "") << "{\"cycle\":" << s.cycle.raw()
+           << ",\"slots\":[";
+        for (std::size_t k = 0; k < s.slots.size(); ++k) {
+            const IntervalSample::Slot &slot = s.slots[k];
+            os << (k ? "," : "") << "{\"accuracy\":" << slot.accuracy
+               << ",\"coverage\":" << slot.coverage
+               << ",\"level\":" << static_cast<int>(slot.level)
+               << ",\"enabled\":" << (slot.enabled ? yes : no) << "}";
+        }
+        os << "]";
+        // The raw policy blob round-trips as an escaped string
+        // (JsonValue has no re-serializer).
+        if (!s.policy.empty())
+            os << ",\"policy\":\"" << jsonEscape(s.policy) << "\"";
+        os << "}";
+    }
+    os << "],\"engines\":[";
+    for (std::size_t i = 0; i < stats.engineStats.size(); ++i) {
+        const RunStats::EngineRunStats &es = stats.engineStats[i];
+        os << (i ? "," : "") << "{\"instance\":\""
+           << jsonEscape(es.instance) << "\",\"engine\":\""
+           << jsonEscape(es.engine) << "\",\"issued\":" << es.issued
+           << ",\"used\":" << es.used << ",\"late\":" << es.late
+           << ",\"dropped\":" << es.dropped
+           << ",\"usefulLatencySum\":" << es.usefulLatencySum
+           << ",\"usefulLatencyCount\":" << es.usefulLatencyCount
+           << ",\"finalLevel\":" << static_cast<int>(es.finalLevel)
+           << ",\"finalEnabled\":" << (es.finalEnabled ? yes : no)
+           << "}";
+    }
+    os << "],\"throttlePolicy\":\"" << jsonEscape(stats.throttlePolicy)
+       << "\",\"throttlePolicyState\":\""
+       << jsonEscape(stats.throttlePolicyState) << "\"}";
+    return os.str();
+}
+
+std::optional<RunStats>
+decodeRunStats(const std::string &bytes, std::string workload)
+{
+    std::optional<JsonValue> parsed = tryParseJson(bytes);
+    if (!parsed)
+        return std::nullopt;
+    const JsonValue &doc = *parsed;
+    RunStats stats;
+    try {
+        stats.workload = std::move(workload);
+        stats.cycles = Cycle{doc.at("cycles").asU64()};
+        stats.instructions = doc.at("instructions").asU64();
+        stats.ipc = doc.at("ipc").asDouble();
+        stats.bpki = doc.at("bpki").asDouble();
+        stats.timedOut = doc.at("timedOut").asBool();
+        stats.busTransactions = doc.at("busTransactions").asU64();
+        stats.demandLoads = doc.at("demandLoads").asU64();
+        stats.l2DemandAccesses = doc.at("l2DemandAccesses").asU64();
+        stats.l2DemandMisses = doc.at("l2DemandMisses").asU64();
+        stats.l2LdsMisses = doc.at("l2LdsMisses").asU64();
+        for (const JsonValue &pg : doc.at("pgStats").asArray()) {
+            PgId id;
+            id.loadPc = pg.at("pc").asU64();
+            id.slot = static_cast<std::int16_t>(pg.at("slot").asI64());
+            PgStats &entry = stats.pgStats[id];
+            entry.issued = pg.at("issued").asU64();
+            entry.used = pg.at("used").asU64();
+        }
+        stats.intervals = doc.at("intervals").asU64();
+        for (const JsonValue &item : doc.at("intervalSeries").asArray()) {
+            IntervalSample &sample = stats.intervalSeries.emplace_back();
+            sample.cycle = Cycle{item.at("cycle").asU64()};
+            for (const JsonValue &x : item.at("slots").asArray()) {
+                IntervalSample::Slot &slot = sample.slots.emplace_back();
+                slot.accuracy = x.at("accuracy").asDouble();
+                slot.coverage = x.at("coverage").asDouble();
+                slot.level = static_cast<AggLevel>(x.at("level").asI64());
+                slot.enabled = x.at("enabled").asBool();
+            }
+            if (const JsonValue *p = item.find("policy"))
+                sample.policy = p->asString();
+        }
+        for (const JsonValue &item : doc.at("engines").asArray()) {
+            RunStats::EngineRunStats &es =
+                stats.engineStats.emplace_back();
+            es.instance = item.at("instance").asString();
+            es.engine = item.at("engine").asString();
+            es.issued = item.at("issued").asU64();
+            es.used = item.at("used").asU64();
+            es.late = item.at("late").asU64();
+            es.dropped = item.at("dropped").asU64();
+            es.usefulLatencySum = item.at("usefulLatencySum").asU64();
+            es.usefulLatencyCount = item.at("usefulLatencyCount").asU64();
+            es.finalLevel =
+                static_cast<AggLevel>(item.at("finalLevel").asI64());
+            es.finalEnabled = item.at("finalEnabled").asBool();
+        }
+        stats.throttlePolicy = doc.at("throttlePolicy").asString();
+        stats.throttlePolicyState =
+            doc.at("throttlePolicyState").asString();
+    } catch (const JsonError &) {
+        return std::nullopt;
+    }
+    return stats;
 }
 
 // --- JsonValue -------------------------------------------------------

@@ -2,9 +2,10 @@
  * @file
  * Machine-readable export of run statistics. The bench binaries print
  * human tables; tooling (plotters, CI trend checks) consumes this
- * JSON instead. Also hosts a minimal JSON value model and parser so
- * the persistent result cache (src/runner) can read back what the
- * writers emit — no external JSON dependency.
+ * JSON instead. Also hosts the exact RunStats codec and key the
+ * persistent result store files runs under, and a minimal JSON value
+ * model and parser so the codec, the daemon and the tests can read
+ * back what the writers emit — no external JSON dependency.
  */
 
 #ifndef ECDP_STATS_JSON_HH
@@ -17,6 +18,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hh"
@@ -31,6 +33,35 @@ namespace ecdp
  */
 void writeRunStatsJson(std::ostream &os, const RunStats &stats,
                        const std::string &label = "");
+
+/**
+ * Version of what a persisted result means. Bump it with any change
+ * to the stats a run reports — a RunStats field, the codec below, or
+ * a simulator change that moves a golden (tests/golden) — so results
+ * spilled before the change are never served after it.
+ */
+inline constexpr std::uint64_t kStatsSchema = 5;
+
+/**
+ * The key every persisted result is filed under: FNV-1a 64 over
+ * @p identity, @p hash and kStatsSchema. The bench path files a run
+ * as (workload name, configHash), the daemon a cell as (canonical
+ * cell JSON, 0).
+ */
+std::uint64_t resultKey(std::string_view identity,
+                        std::uint64_t hash = 0);
+
+/**
+ * Exact encoding of @p stats for the result store: counters verbatim,
+ * doubles at max_digits10, so a decoded run is bit-for-bit the
+ * original. The workload name is left out; the key carries it.
+ */
+std::string encodeRunStats(const RunStats &stats);
+
+/** Inverse of encodeRunStats, naming the run @p workload; nullopt
+ *  when @p bytes do not decode (the caller treats that as a miss). */
+std::optional<RunStats> decodeRunStats(const std::string &bytes,
+                                       std::string workload);
 
 /** JSON string escaping (exposed for tests). */
 std::string jsonEscape(const std::string &text);

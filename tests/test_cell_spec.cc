@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -150,6 +151,25 @@ TEST(CellSpec, StatsJsonCarriesTheCellLabel)
     // No trailing newline: the byte-identity contract is exact.
     ASSERT_FALSE(bytes.empty());
     EXPECT_NE(bytes.back(), '\n');
+}
+
+TEST(CellSpec, EcdpStackOnAHintlessConfigGetsTheHints)
+{
+    // "baseline" takes no hints, but a stack naming ecdp needs them:
+    // the cell must run exactly like the named "ecdp" config instead
+    // of failing in the engine factory.
+    ExperimentContext ctx;
+    const CellSpec stack = parse(
+        "{\"bench\":\"health\",\"config\":\"baseline\","
+        "\"engines\":[\"stream\",\"ecdp\"],\"input\":\"train\"}");
+    const CellSpec named = parse(
+        "{\"bench\":\"health\",\"config\":\"ecdp\","
+        "\"input\":\"train\"}");
+    EXPECT_TRUE(cellNeedsHints(stack));
+    std::ostringstream viaStack, viaName;
+    writeRunStatsJson(viaStack, runCell(stack, ctx));
+    writeRunStatsJson(viaName, runCell(named, ctx));
+    EXPECT_EQ(viaStack.str(), viaName.str());
 }
 
 } // namespace

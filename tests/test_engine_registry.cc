@@ -5,7 +5,7 @@
  * duplicate registration is rejected, configHash() distinguishes
  * every stack ordering (including duplicates), and instance naming
  * never collides — so two configs that run different engine stacks
- * can never alias in the result cache or the metric tree.
+ * can never alias in the result store or the metric tree.
  */
 
 #include <gtest/gtest.h>

@@ -10,12 +10,14 @@
  *
  * Number comparison uses the parser's source text, so even a change
  * below double precision in a 64-bit counter fails loudly.
- * Regenerate after an intentional change with tools/update_golden.sh.
+ * Regenerate after an intentional change with tools/update_golden.sh,
+ * and bump kStatsSchema with it (see the digest pin below).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "named_cells.hh"
+#include "server/cell.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -86,17 +89,6 @@ constexpr GoldenCase kCases[] = {
     {"bisort", "cdp+throttle", "stream,cdp,isb"},
 };
 
-std::vector<std::string>
-splitEngines(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(list);
-    std::string name;
-    while (std::getline(ss, name, ','))
-        out.push_back(name);
-    return out;
-}
-
 /** The golden file and test name: the cell with '+', '-' and ','
  *  spelled '_' (tools/update_golden.sh names files the same way). */
 std::string
@@ -111,34 +103,33 @@ caseStem(const GoldenCase &c)
     return stem;
 }
 
-/** The config label ecdpsim prints: "config[engines]" with --engines. */
-std::string
-caseLabel(const GoldenCase &c)
+/** The cell ecdpsim --config/--engines --input train resolves. */
+server::CellSpec
+caseCell(const GoldenCase &c)
 {
-    std::string label = c.config;
-    if (*c.engines)
-        label += std::string("[") + c.engines + "]";
-    return label;
+    server::CellSpec cell;
+    cell.bench = c.bench;
+    cell.config = c.config;
+    cell.input = "train";
+    std::stringstream ss(c.engines);
+    std::string name;
+    while (std::getline(ss, name, ','))
+        cell.engines.push_back(name);
+    return cell;
 }
 
 std::string
 generate(const GoldenCase &c)
 {
-    // Mirrors ecdpsim --config/--engines: hints come from the train
-    // input whenever the config or the stack runs ECDP.
-    const std::vector<std::string> engines = splitEngines(c.engines);
-    const bool needsHints =
-        configs::nameNeedsHints(c.config) ||
-        std::find(engines.begin(), engines.end(), "ecdp") !=
-            engines.end();
-    SystemConfig cfg = configs::byName(
-        c.config, needsHints ? &cells::trainHints(c.bench) : nullptr);
-    if (!engines.empty())
-        cfg.engines = engines;
+    const server::CellSpec cell = caseCell(c);
+    const HintTable *hints = server::cellNeedsHints(cell)
+                                 ? &cells::trainHints(c.bench)
+                                 : nullptr;
+    const SystemConfig cfg = server::makeCellConfig(cell, hints);
     RunStats stats =
         simulate(cfg, buildWorkload(c.bench, InputSet::Train));
     std::ostringstream os;
-    writeRunStatsJson(os, stats, caseLabel(c));
+    writeRunStatsJson(os, stats, server::cellLabel(cell));
     return os.str();
 }
 
@@ -214,7 +205,8 @@ TEST_P(GoldenStatsTest, MatchesPinnedJson)
     JsonValue golden = parseJson(ss.str());
     JsonValue fresh = parseJson(generate(c));
     compareValues(golden, fresh,
-                  std::string(c.bench) + ":" + caseLabel(c));
+                  std::string(c.bench) + ":" +
+                      server::cellLabel(caseCell(c)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -234,6 +226,41 @@ TEST(GoldenStatsCoverage, EveryKnownConfigHasAGolden)
             << "\" has no golden: add a cell to kCases and to "
                "tools/update_golden.sh";
     }
+}
+
+TEST(GoldenStatsCoverage, GoldenBytesArePinnedToTheStatsSchema)
+{
+    // The goldens are what runs report. Bytes spilled by ecdpd or
+    // ECDP_RESULT_CACHE before a golden changed are stale after it,
+    // and only a kStatsSchema bump keeps them from being served: a
+    // change to tests/golden must bump the schema and re-pin both
+    // values here together.
+    constexpr std::uint64_t kPinnedSchema = 5;
+    constexpr std::uint64_t kPinnedDigest = 0x0e52989199a2b06eull;
+
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ECDP_GOLDEN_DIR)) {
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    std::uint64_t digest = 0xcbf29ce484222325ull; // FNV-1a 64
+    for (const std::filesystem::path &file : files) {
+        std::ifstream in(file, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << file.filename().string() << '\0' << in.rdbuf();
+        for (unsigned char c : bytes.str()) {
+            digest ^= c;
+            digest *= 0x100000001b3ull;
+        }
+    }
+    EXPECT_EQ(files.size(), std::size(kCases));
+    EXPECT_EQ(kStatsSchema, kPinnedSchema);
+    EXPECT_EQ(digest, kPinnedDigest)
+        << "tests/golden changed: bump kStatsSchema (stats/json.hh) "
+           "and pin it here with digest 0x"
+        << std::hex << digest;
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "obs/observability.hh"
 #include "obs/trace_session.hh"
 #include "runner/thread_pool.hh"
+#include "server/result_store.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -432,6 +434,41 @@ TEST(TracedExperiments, TracedResultsMatchUntraced)
     EXPECT_EQ(statsFingerprint(plain), statsFingerprint(observed));
     session.close();
     parseJson(slurp(path)); // must stay well-formed
+}
+
+TEST(TracedExperiments, WarmSpillIsBypassedWhileTracing)
+{
+    // A store hit would skip the simulation and leave a hole in the
+    // trace: with a session attached, a warm ECDP_RESULT_CACHE spill
+    // must not be loaded — the run simulates and flushes, with the
+    // very stats the spill holds.
+    const std::string dir = testing::TempDir() + "/ecdp_trace_bypass";
+    std::filesystem::remove_all(dir);
+    ::setenv("ECDP_RESULT_CACHE", dir.c_str(), 1);
+    const SystemConfig cfg = configs::baseline();
+
+    std::string spilled;
+    {
+        ExperimentContext warm;
+        warm.setTraceSession(nullptr);
+        spilled = statsFingerprint(
+            warm.run("libquantum", cfg, "baseline"));
+    }
+    ASSERT_TRUE(std::filesystem::exists(
+        dir + "/" +
+        server::ResultStore::entryFileName(runKey("libquantum", cfg))));
+
+    const std::string path = tempTracePath("warm_spill_bypass.json");
+    obs::TraceSession session(path);
+    ExperimentContext traced;
+    traced.setTraceSession(&session);
+    const RunStats &observed = traced.run("libquantum", cfg, "baseline");
+    EXPECT_EQ(session.runsFlushed(), 1u);
+    EXPECT_EQ(statsFingerprint(observed), spilled);
+
+    ::unsetenv("ECDP_RESULT_CACHE");
+    session.close();
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel experiment runner: the thread pool, the
  * collision-free run memoization (configHash), timeout reporting,
- * the persistent result cache, and — most importantly — that a
- * parallel run produces exactly the statistics of a serial one.
+ * the RunStats codec and the ECDP_RESULT_CACHE spill, and — most
+ * importantly — that a parallel run produces exactly the statistics
+ * of a serial one.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "runner/result_cache.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
+#include "server/result_store.hh"
 #include "sim/experiment.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
+#include "stats/json.hh"
 
 namespace ecdp
 {
@@ -28,7 +30,6 @@ namespace
 {
 
 using runner::ExperimentRunner;
-using runner::ResultCache;
 using runner::ThreadPool;
 
 TEST(ThreadPoolTest, RunsEverySubmittedJob)
@@ -264,6 +265,8 @@ expectSameStats(const RunStats &a, const RunStats &b)
         }
         EXPECT_EQ(x.policy, y.policy);
     }
+    EXPECT_EQ(a.throttlePolicy, b.throttlePolicy);
+    EXPECT_EQ(a.throttlePolicyState, b.throttlePolicyState);
 }
 
 } // namespace
@@ -362,19 +365,13 @@ TEST(ExperimentRunnerTest, SubmitFutureCarriesStatsOrException)
     EXPECT_THROW(parallel.wait(), std::runtime_error);
 }
 
-TEST(ResultCacheTest, RoundTripsExactly)
+TEST(RunStatsCodec, RoundTripsExactly)
 {
-    const std::string dir =
-        testing::TempDir() + "/ecdp_cache_roundtrip";
-    std::filesystem::remove_all(dir);
-    ResultCache cache(dir);
-
     ExperimentContext ctx;
-    SystemConfig cfg = configs::noPrefetch();
-    RunStats stats = simulate(cfg, ctx.ref("parser"));
+    RunStats stats = simulate(configs::noPrefetch(), ctx.ref("parser"));
     stats.pgStats[PgId{0x400, -2}] = PgStats{17, 5};
-    // Exercise the v2 interval-series leg even though a noPrefetch
-    // run records none of its own.
+    // Exercise the interval-series and policy legs even though a
+    // noPrefetch run records none of its own.
     IntervalSample sample;
     sample.cycle = Cycle{12345};
     sample.slots.resize(3);
@@ -385,101 +382,25 @@ TEST(ResultCacheTest, RoundTripsExactly)
     sample.slots[0].level = AggLevel::Conservative;
     sample.slots[0].enabled = false;
     sample.slots[2].level = AggLevel::VeryConservative;
+    sample.policy = "{\"q\":[1,2]}";
     stats.intervalSeries.push_back(sample);
-    const std::uint64_t hash = configHash(cfg);
+    stats.throttlePolicy = "tabular-rl";
+    stats.throttlePolicyState = "{\"visits\":3}";
 
-    cache.store("parser", hash, stats);
-    std::optional<RunStats> loaded = cache.load("parser", hash);
-    ASSERT_TRUE(loaded.has_value());
-    expectSameStats(stats, *loaded);
+    std::optional<RunStats> decoded =
+        decodeRunStats(encodeRunStats(stats), "parser");
+    ASSERT_TRUE(decoded.has_value());
+    expectSameStats(stats, *decoded);
 
-    // A different config hash must miss even though the file for the
-    // stored hash exists.
-    EXPECT_FALSE(cache.load("parser", hash + 1).has_value());
-    EXPECT_FALSE(cache.load("bisort", hash).has_value());
-    std::filesystem::remove_all(dir);
+    // Truncated or foreign bytes are a miss, never a throw.
+    const std::string bytes = encodeRunStats(stats);
+    EXPECT_FALSE(decodeRunStats(bytes.substr(0, bytes.size() / 2),
+                                "parser")
+                     .has_value());
+    EXPECT_FALSE(decodeRunStats("{\"cycles\":1}", "parser").has_value());
 }
 
-TEST(ResultCacheTest, StaleVersionOrGarbageReadsAsMiss)
-{
-    const std::string dir = testing::TempDir() + "/ecdp_cache_stale";
-    std::filesystem::remove_all(dir);
-    ResultCache cache(dir);
-    SystemConfig cfg = configs::noPrefetch();
-    const std::uint64_t hash = configHash(cfg);
-
-    std::filesystem::create_directories(dir);
-    {
-        std::ofstream out(cache.entryPath("parser", hash));
-        out << "{\"version\":99999,\"workload\":\"parser\"}";
-    }
-    EXPECT_FALSE(cache.load("parser", hash).has_value());
-    {
-        std::ofstream out(cache.entryPath("parser", hash));
-        out << "this is not json";
-    }
-    EXPECT_FALSE(cache.load("parser", hash).has_value());
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ResultCacheTest, CorruptEntryIsWarnedRemovedAndRebuilt)
-{
-    const std::string dir =
-        testing::TempDir() + "/ecdp_cache_corrupt";
-    std::filesystem::remove_all(dir);
-    ResultCache cache(dir);
-    ExperimentContext ctx;
-    SystemConfig cfg = configs::noPrefetch();
-    const std::uint64_t hash = configHash(cfg);
-    const std::string path = cache.entryPath("parser", hash);
-
-    RunStats stats = simulate(cfg, ctx.ref("parser"));
-    cache.store("parser", hash, stats);
-    ASSERT_TRUE(cache.load("parser", hash).has_value());
-
-    // Truncate the entry mid-JSON — the classic killed-process /
-    // full-disk shape. The load must warn, remove the poisoned
-    // file and report a miss instead of trusting or keeping it.
-    std::string full;
-    {
-        std::ifstream in(path);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        full = buf.str();
-    }
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << full.substr(0, full.size() / 2);
-    }
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(cache.load("parser", hash).has_value());
-    const std::string warning =
-        testing::internal::GetCapturedStderr();
-    EXPECT_NE(warning.find("corrupt entry"), std::string::npos)
-        << warning;
-    EXPECT_FALSE(std::filesystem::exists(path));
-
-    // A valid file under the wrong name is a stamp mismatch: also
-    // corrupt, also removed.
-    {
-        std::ofstream out(cache.entryPath("parser", hash + 1));
-        out << full;
-    }
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(cache.load("parser", hash + 1).has_value());
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "stamp mismatch"),
-              std::string::npos);
-    EXPECT_FALSE(std::filesystem::exists(
-        cache.entryPath("parser", hash + 1)));
-
-    // The rebuild path: store again, load cleanly.
-    cache.store("parser", hash, stats);
-    EXPECT_TRUE(cache.load("parser", hash).has_value());
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ResultCacheTest, ContextUsesCacheAcrossInstances)
+TEST(ResultSpill, ContextUsesCacheAcrossInstances)
 {
     const std::string dir = testing::TempDir() + "/ecdp_cache_ctx";
     std::filesystem::remove_all(dir);
@@ -490,9 +411,9 @@ TEST(ResultCacheTest, ContextUsesCacheAcrossInstances)
         ExperimentContext ctx;
         first = ctx.run("parser", configs::noPrefetch(), "np");
     }
+    const std::uint64_t key = runKey("parser", configs::noPrefetch());
     EXPECT_TRUE(std::filesystem::exists(
-        ResultCache(dir).entryPath("parser",
-                                   configHash(configs::noPrefetch()))));
+        dir + "/" + server::ResultStore::entryFileName(key)));
     {
         ExperimentContext ctx;
         const RunStats &again =

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -378,6 +379,51 @@ TEST(ServerIntegration, DiskCapBoundsSpillFilesAndExportsMetric)
             entry.path().filename().string().rfind("cell-", 0) == 0;
     }
     EXPECT_EQ(spillFiles, 1u);
+}
+
+TEST(ServerIntegration, SpillFromBeforeTheStatsSchemaIsNotServed)
+{
+    // A spill written under the pre-schema key formula — FNV-1a 64
+    // over the canonical cell JSON alone — holds bytes of an older
+    // simulator. The schema-folded cellKey must miss it, so the cell
+    // simulates afresh instead of serving the stale bytes.
+    const CellSpec spec = parseCellSpec(
+        parseJson("{\"bench\":\"mst\",\"input\":\"train\"}"));
+    std::uint64_t preSchemaKey = 1469598103934665603ull;
+    for (unsigned char c : canonicalCellJson(spec)) {
+        preSchemaKey ^= c;
+        preSchemaKey *= 1099511628211ull;
+    }
+    ASSERT_NE(cellKey(spec), preSchemaKey);
+
+    DaemonOptions opts = workerOptions();
+    opts.storeDir = testing::TempDir() + "/ecdpd_pre_schema";
+    std::filesystem::remove_all(opts.storeDir);
+    std::filesystem::create_directories(opts.storeDir);
+    const std::string stale = "{\"stale\":true}";
+    {
+        std::ofstream out(opts.storeDir + "/" +
+                              ResultStore::entryFileName(preSchemaKey),
+                          std::ios::binary);
+        out << "{\"version\":1,\"key\":\"" << hex16(preSchemaKey)
+            << "\",\"bytes\":" << stale.size() << "}\n"
+            << stale;
+    }
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+
+    ASSERT_EQ(client.post("/v1/grids",
+                          "{\"wait\":true,\"cells\":[{\"bench\":"
+                          "\"mst\",\"input\":\"train\"}]}")
+                  .status,
+              200);
+    EXPECT_EQ(daemon.pool().spawned(), 1u);
+    HttpResponse served =
+        client.get("/v1/cells/" + hex16(cellKey(spec)));
+    ASSERT_EQ(served.status, 200);
+    EXPECT_NE(served.body, stale);
+    std::filesystem::remove_all(opts.storeDir);
 }
 
 TEST(ServerIntegration, PendingPollsAnswerOutsideTheDaemonLock)

@@ -19,23 +19,20 @@
  * length), keeping its policy and feedback knobs — the N-engine
  * hybrid recipe in EXPERIMENTS.md builds on it. --throttle-policy
  * replaces its policy (static, coordinated, fdp, pab, tabular-rl);
- * --rl-seed seeds the tabular-rl explorer.
+ * --rl-seed seeds the tabular-rl explorer. The flags resolve exactly
+ * like an ecdpd cell (server/cell.cc): a stack naming ecdp gets
+ * train-profiled hints whatever the config.
  */
 
-#include <cstring>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "compiler/profiling_compiler.hh"
 #include "obs/trace_session.hh"
 #include "prefetch/engine.hh"
-#include "sim/experiment.hh"
+#include "server/cell.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -51,17 +48,10 @@ struct Options
 {
     bool list = false;
     bool json = false;
-    std::string bench;
     std::vector<std::string> multicore;
-    std::string config = "baseline";
-    /** Explicit engine stack overriding the config's (empty: keep). */
-    std::vector<std::string> engines;
-    /** Throttle policy replacing the config's (empty: keep). */
-    std::string throttlePolicy;
-    long rlSeed = -1;
-    InputSet input = InputSet::Ref;
-    double tcov = -1.0;
-    long interval = -1;
+    /** --bench/--config/--input and every override, resolved by the
+     *  same code as an ecdpd cell (server/cell.cc). */
+    server::CellSpec cell;
 };
 
 void
@@ -72,52 +62,31 @@ usage(std::ostream &os)
           "               [--config CFG] [--engines A,B,...] "
           "[--input ref|train] [--json]\n"
           "               [--throttle-policy NAME] [--rl-seed N]\n"
-          "               [--tcov X] [--alow X] [--ahigh X] "
-          "[--interval N]\n";
+          "               [--tcov X] [--interval N]\n";
 }
 
-bool
-needsHints(const Options &opts)
+/** Hints profiled on the train input of every named benchmark, merged
+ *  (one table for a multicore mix); empty when the cell needs none. */
+HintTable
+trainHints(const server::CellSpec &cell,
+           const std::vector<std::string> &benches)
 {
-    return configs::nameNeedsHints(opts.config) ||
-           std::find(opts.engines.begin(), opts.engines.end(),
-                     "ecdp") != opts.engines.end();
-}
-
-/**
- * "cdp+throttle[stream,cdp,isb]" when --engines is given;
- * "cdp+throttle{tabular-rl}" when --throttle-policy is given.
- */
-std::string
-configLabel(const Options &opts)
-{
-    std::string label = opts.config;
-    if (!opts.engines.empty()) {
-        label += "[";
-        for (std::size_t i = 0; i < opts.engines.size(); ++i)
-            label += (i ? "," : "") + opts.engines[i];
-        label += "]";
+    HintTable merged;
+    if (!server::cellNeedsHints(cell))
+        return merged;
+    for (const std::string &name : benches) {
+        HintTable hints = ProfilingCompiler::profile(
+            buildWorkload(name, InputSet::Train));
+        for (const auto &[pc, hint] : hints)
+            merged.entry(pc) = hint;
     }
-    if (!opts.throttlePolicy.empty())
-        label += "{" + opts.throttlePolicy + "}";
-    return label;
+    return merged;
 }
 
-void
-applyThrottleOverrides(SystemConfig &cfg, const Options &opts)
+InputSet
+inputSet(const server::CellSpec &cell)
 {
-    if (!opts.throttlePolicy.empty())
-        cfg.throttlePolicy = opts.throttlePolicy;
-    if (opts.rlSeed >= 0)
-        cfg.throttleRlSeed = static_cast<std::uint64_t>(opts.rlSeed);
-}
-
-SystemConfig
-makeConfig(const std::string &config, const HintTable *hints)
-{
-    // Shared with the ecdpd wire format (server/cell.cc): one name
-    // table for the CLI, the daemon and the workers.
-    return configs::byName(config, hints);
+    return cell.input == "train" ? InputSet::Train : InputSet::Ref;
 }
 
 void
@@ -144,37 +113,26 @@ printHuman(const RunStats &stats, const std::string &config)
 int
 runSingle(const Options &opts)
 {
-    HintTable hints;
-    if (needsHints(opts)) {
-        hints = ProfilingCompiler::profile(
-            buildWorkload(opts.bench, InputSet::Train));
-    }
-    SystemConfig cfg = makeConfig(opts.config, &hints);
-    if (!opts.engines.empty())
-        cfg.engines = opts.engines;
-    applyThrottleOverrides(cfg, opts);
-    if (opts.tcov >= 0.0)
-        cfg.coordThresholds.tCoverage = opts.tcov;
-    if (opts.interval > 0)
-        cfg.intervalEvictions =
-            static_cast<std::uint64_t>(opts.interval);
-    Workload workload = buildWorkload(opts.bench, opts.input);
+    const server::CellSpec &cell = opts.cell;
+    const std::string label = server::cellLabel(cell);
+    const HintTable hints = trainHints(cell, {cell.bench});
+    const SystemConfig cfg = server::makeCellConfig(cell, &hints);
+    Workload workload = buildWorkload(cell.bench, inputSet(cell));
     RunStats stats;
     if (obs::TraceSession *session = obs::TraceSession::global()) {
         obs::EventTracer tracer(obs::EventTracer::capacityFromEnv());
         obs::MetricRegistry metrics;
         stats = simulate(cfg, workload,
                          Observability{&metrics, &tracer});
-        session->flush(opts.bench + ":" + configLabel(opts),
-                       tracer);
+        session->flush(cell.bench + ":" + label, tracer);
     } else {
         stats = simulate(cfg, workload);
     }
     if (opts.json) {
-        writeRunStatsJson(std::cout, stats, configLabel(opts));
+        writeRunStatsJson(std::cout, stats, label);
         std::cout << '\n';
     } else {
-        printHuman(stats, configLabel(opts));
+        printHuman(stats, label);
     }
     return 0;
 }
@@ -182,21 +140,12 @@ runSingle(const Options &opts)
 int
 runMulti(const Options &opts)
 {
-    HintTable merged;
+    const std::string label = server::cellLabel(opts.cell);
+    const HintTable hints = trainHints(opts.cell, opts.multicore);
+    const SystemConfig cfg = server::makeCellConfig(opts.cell, &hints);
     std::vector<Workload> workloads;
-    for (const std::string &name : opts.multicore) {
-        if (needsHints(opts)) {
-            HintTable hints = ProfilingCompiler::profile(
-                buildWorkload(name, InputSet::Train));
-            for (const auto &[pc, hint] : hints)
-                merged.entry(pc) = hint;
-        }
-        workloads.push_back(buildWorkload(name, opts.input));
-    }
-    SystemConfig cfg = makeConfig(opts.config, &merged);
-    if (!opts.engines.empty())
-        cfg.engines = opts.engines;
-    applyThrottleOverrides(cfg, opts);
+    for (const std::string &name : opts.multicore)
+        workloads.push_back(buildWorkload(name, inputSet(opts.cell)));
     std::vector<const Workload *> ptrs;
     std::vector<double> alone;
     for (const Workload &workload : workloads) {
@@ -210,15 +159,15 @@ runMulti(const Options &opts)
         obs::MetricRegistry metrics;
         result = simulateMultiCore(cfg, ptrs, alone,
                                    Observability{&metrics, &tracer});
-        std::string label;
+        std::string mix;
         for (const std::string &name : opts.multicore)
-            label += (label.empty() ? "" : "+") + name;
-        session->flush(label + ":" + configLabel(opts), tracer);
+            mix += (mix.empty() ? "" : "+") + name;
+        session->flush(mix + ":" + label, tracer);
     } else {
         result = simulateMultiCore(cfg, ptrs, alone);
     }
     if (opts.json) {
-        std::cout << "{\"config\":\"" << jsonEscape(configLabel(opts))
+        std::cout << "{\"config\":\"" << jsonEscape(label)
                   << "\",\"weightedSpeedup\":"
                   << result.weightedSpeedup
                   << ",\"hmeanSpeedup\":" << result.hmeanSpeedup
@@ -232,7 +181,7 @@ runMulti(const Options &opts)
         std::cout << "]}\n";
     } else {
         std::cout << opts.multicore.size() << "-core run ["
-                  << configLabel(opts) << "]\n";
+                  << label << "]\n";
         for (std::size_t i = 0; i < result.perCore.size(); ++i) {
             const RunStats &s = result.perCore[i];
             std::cout << "  core " << i << " (" << s.workload
@@ -267,16 +216,13 @@ main(int argc, char **argv)
             } else if (arg == "--json") {
                 opts.json = true;
             } else if (arg == "--bench") {
-                opts.bench = value("--bench");
+                opts.cell.bench = value("--bench");
             } else if (arg == "--config") {
-                opts.config = value("--config");
+                opts.cell.config = value("--config");
             } else if (arg == "--input") {
-                std::string input = value("--input");
-                if (input == "train")
-                    opts.input = InputSet::Train;
-                else if (input == "ref")
-                    opts.input = InputSet::Ref;
-                else
+                opts.cell.input = value("--input");
+                if (opts.cell.input != "train" &&
+                    opts.cell.input != "ref")
                     throw std::runtime_error("bad --input");
             } else if (arg == "--multicore") {
                 std::stringstream ss(value("--multicore"));
@@ -287,30 +233,30 @@ main(int argc, char **argv)
                 std::stringstream ss(value("--engines"));
                 std::string name;
                 while (std::getline(ss, name, ','))
-                    opts.engines.push_back(name);
+                    opts.cell.engines.push_back(name);
                 // Fail here with the registry's diagnostic (it lists
                 // every known name) instead of mid-simulation.
-                for (const std::string &engine : opts.engines) {
+                for (const std::string &engine : opts.cell.engines) {
                     if (!EngineRegistry::instance().contains(engine)) {
                         EngineRegistry::instance().create(
                             engine, EngineContext{});
                     }
                 }
             } else if (arg == "--throttle-policy") {
-                opts.throttlePolicy = value("--throttle-policy");
+                opts.cell.throttlePolicy = value("--throttle-policy");
                 // Fail here with the registry's diagnostic (it lists
                 // every known name) instead of mid-simulation.
                 if (!PolicyRegistry::instance().contains(
-                        opts.throttlePolicy)) {
+                        opts.cell.throttlePolicy)) {
                     PolicyRegistry::instance().create(
-                        opts.throttlePolicy, PolicyContext{});
+                        opts.cell.throttlePolicy, PolicyContext{});
                 }
             } else if (arg == "--rl-seed") {
-                opts.rlSeed = std::stol(value("--rl-seed"));
+                opts.cell.rlSeed = std::stol(value("--rl-seed"));
             } else if (arg == "--tcov") {
-                opts.tcov = std::stod(value("--tcov"));
+                opts.cell.tcov = std::stod(value("--tcov"));
             } else if (arg == "--interval") {
-                opts.interval = std::stol(value("--interval"));
+                opts.cell.interval = std::stol(value("--interval"));
             } else if (arg == "--help" || arg == "-h") {
                 usage(std::cout);
                 return 0;
@@ -335,7 +281,7 @@ main(int argc, char **argv)
     }
     for (const std::string &name :
          opts.multicore.empty()
-             ? std::vector<std::string>{opts.bench}
+             ? std::vector<std::string>{opts.cell.bench}
              : opts.multicore) {
         if (!name.empty() && !findBenchmark(name)) {
             std::cerr << "error: unknown benchmark '" << name
@@ -346,7 +292,7 @@ main(int argc, char **argv)
     try {
         if (!opts.multicore.empty())
             return runMulti(opts);
-        if (!opts.bench.empty())
+        if (!opts.cell.bench.empty())
             return runSingle(opts);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
