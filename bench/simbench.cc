@@ -1,8 +1,8 @@
 /**
  * @file
  * simbench: wall-clock benchmark of the event-driven cycle-skipping
- * scheduler against per-cycle polling, with a per-phase attribution
- * pass that names the subsystem a perf change came from.
+ * scheduler against per-cycle polling, with the scheduler's loop
+ * visits counted alongside.
  *
  * For each Olden pointer-chasing workload this runs the identical
  * simulation twice — `cycleSkipping = false` (per-cycle polling) and
@@ -11,14 +11,12 @@
  * reporting any speedup. Each (workload, mode) pair pays one untimed
  * warm-up rep (allocator pools, page faults, branch predictors), then
  * records min/median/max over the timed reps; derived rates use the
- * min. A separate, profiled event-driven rep attributes wall time to
- * phases (core advance, cache probe, CDP scan, DRAM, scheduler,
- * stats) via obs::PhaseProfiler; its clock-read overhead is why it is
- * never one of the timed reps. The same rep counts the scheduler's
- * loop visits (the sim.loop_visits registry counter): simulated
- * cycles the event-driven loop actually ticked, a deterministic
- * figure independent of the machine. The output is machine-readable
- * JSON (schema BENCH_simbench/v4, see EXPERIMENTS.md).
+ * min. The event-driven warm-up rep runs with a metric registry
+ * attached and reports its loop visits (the sim.loop_visits counter):
+ * simulated cycles the event-driven loop actually ticked, a
+ * deterministic figure independent of the machine. The output is
+ * machine-readable JSON (schema BENCH_simbench/v5, see
+ * EXPERIMENTS.md).
  *
  * Besides the paper's two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
@@ -36,9 +34,10 @@
  *     the generous tolerance): mst floods its prefetch queue, so its
  *     cycles/sec is the canary for per-event-cost regressions that
  *     the speedup ratio is blind to — a slowdown hitting both modes
- *     equally leaves the ratio unchanged — and
- *   - every workload's loop visits, exactly: more visits than the
- *     baseline means the wakeup bounds got looser.
+ *     equally leaves the ratio unchanged — and the hybrid's
+ *     cycles/sec likewise, and
+ *   - every workload's and the hybrid's loop visits, exactly: more
+ *     visits than the baseline means the wakeup bounds got looser.
  *
  * Usage:
  *   simbench [--quick] [--reps N] [--out FILE]
@@ -48,23 +47,27 @@
  *                harness and the identity oracle work at all.
  *   --check F    exit non-zero if any workload's stats diverge
  *                between modes, if the geometric-mean speedup drops
- *                below baseline * (1 - tolerance), if mst
- *                event-driven cycles/sec drops below baseline mst
- *                cycles/sec * (1 - tolerance), or if any workload
+ *                below baseline * (1 - tolerance), if mst or hybrid
+ *                event-driven cycles/sec drops below its baseline
+ *                * (1 - tolerance), or if any workload or the hybrid
  *                visits more cycles than its baseline entry.
- *   --tolerance  slack fraction for --check (default 0.25).
+ *   --tolerance  slack fraction in [0, 1) for --check (default
+ *                0.25).
+ *
+ * A malformed --reps or --tolerance value exits 2 with a message.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/phase_profiler.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -100,24 +103,17 @@ struct ModeTiming
     double cyclesPerSec = 0.0;
 };
 
-struct PhaseBreakdown
-{
-    double seconds[obs::PhaseProfiler::kPhaseCount] = {};
-    double total = 0.0;
-    /** Event-driven loop iterations (sim.loop_visits). */
-    std::uint64_t visits = 0;
-};
-
 struct WorkloadResult
 {
     std::string name;
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
+    /** Event-driven loop iterations (sim.loop_visits). */
+    std::uint64_t visits = 0;
     ModeTiming percycle;
     ModeTiming eventDriven;
     double speedup = 0.0;
     bool identical = false;
-    PhaseBreakdown phases;
 };
 
 std::string
@@ -129,16 +125,19 @@ statsJson(const RunStats &stats)
 }
 
 /**
- * Time one (workload, mode) pair: one untimed warm-up rep, then
- * @p reps timed reps summarized as min/median/max.
+ * Time one (workload, mode) pair: one untimed warm-up rep, observed
+ * through @p warmup_obs, then @p reps timed reps summarized as
+ * min/median/max.
  */
 ModeTiming
 timeMode(const SystemConfig &base, const Workload &workload,
-         bool skipping, int reps, RunStats &stats_out)
+         bool skipping, int reps, RunStats &stats_out,
+         const Observability &warmup_obs = {})
 {
     SystemConfig cfg = base;
     cfg.cycleSkipping = skipping;
-    stats_out = simulate(cfg, workload); // warm-up, never timed
+    // Warm-up, never timed.
+    stats_out = simulate(cfg, workload, warmup_obs);
     std::vector<double> secs(static_cast<std::size_t>(reps));
     for (double &s : secs) {
         auto t0 = std::chrono::steady_clock::now();
@@ -156,33 +155,6 @@ timeMode(const SystemConfig &base, const Workload &workload,
     return t;
 }
 
-/** One additional event-driven rep with phase attribution and the
- *  registry attached. Clock reads at every phase switch make this rep
- *  slower than the timed ones; only the *distribution* across phases
- *  is reported, beside the (deterministic) loop-visit count. */
-PhaseBreakdown
-profilePhases(const SystemConfig &base, const Workload &workload)
-{
-    SystemConfig cfg = base;
-    cfg.cycleSkipping = true;
-    obs::PhaseProfiler profiler;
-    obs::MetricRegistry registry;
-    Observability obs;
-    obs.metrics = &registry;
-    obs.phases = &profiler;
-    profiler.start();
-    simulate(cfg, workload, obs);
-    profiler.stop();
-    PhaseBreakdown b;
-    for (unsigned p = 0; p < obs::PhaseProfiler::kPhaseCount; ++p) {
-        b.seconds[p] = profiler.seconds(
-            static_cast<obs::PhaseProfiler::Phase>(p));
-    }
-    b.total = profiler.totalSeconds();
-    b.visits = registry.value("sim.loop_visits");
-    return b;
-}
-
 WorkloadResult
 benchWorkload(const SystemConfig &cfg, const std::string &name,
               int reps)
@@ -191,15 +163,17 @@ benchWorkload(const SystemConfig &cfg, const std::string &name,
     WorkloadResult r;
     r.name = name;
     RunStats polled, skipped;
+    obs::MetricRegistry registry;
     r.percycle = timeMode(cfg, workload, false, reps, polled);
-    r.eventDriven = timeMode(cfg, workload, true, reps, skipped);
+    r.eventDriven = timeMode(cfg, workload, true, reps, skipped,
+                             Observability{&registry});
+    r.visits = registry.value("sim.loop_visits");
     r.cycles = skipped.cycles.raw();
     r.instructions = skipped.instructions;
     // The oracle: a speedup only counts if the results are the same.
     r.identical = statsJson(polled) == statsJson(skipped);
     r.speedup = r.percycle.wallSeconds /
                 flooredWall(r.eventDriven.wallSeconds);
-    r.phases = profilePhases(cfg, workload);
     return r;
 }
 
@@ -213,28 +187,12 @@ writeModeJson(std::ostream &os, const char *key, const ModeTiming &t)
 }
 
 void
-writePhasesJson(std::ostream &os, const PhaseBreakdown &b)
-{
-    os << "\"phases\": {";
-    for (unsigned p = 0; p < obs::PhaseProfiler::kPhaseCount; ++p) {
-        const auto phase = static_cast<obs::PhaseProfiler::Phase>(p);
-        const double frac =
-            b.total > 0.0 ? b.seconds[p] / b.total : 0.0;
-        os << (p ? ", " : "") << "\""
-           << obs::PhaseProfiler::name(phase)
-           << "\": {\"seconds\": " << b.seconds[p]
-           << ", \"fraction\": " << frac << "}";
-    }
-    os << ", \"totalSeconds\": " << b.total << "}";
-}
-
-void
 writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
             const std::string &config_label, int reps,
             double gmean_speedup)
 {
     os.precision(6);
-    os << "{\n  \"schema\": \"BENCH_simbench/v4\",\n"
+    os << "{\n  \"schema\": \"BENCH_simbench/v5\",\n"
        << "  \"config\": \"" << jsonEscape(config_label) << "\",\n"
        << "  \"reps\": " << reps << ",\n  \"workloads\": [\n";
     for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -242,15 +200,13 @@ writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
         os << "    {\"name\": \"" << jsonEscape(r.name)
            << "\", \"cycles\": " << r.cycles
            << ", \"instructions\": " << r.instructions
-           << ", \"visits\": " << r.phases.visits << ",\n     ";
+           << ", \"visits\": " << r.visits << ",\n     ";
         writeModeJson(os, "percycle", r.percycle);
         os << ",\n     ";
         writeModeJson(os, "eventDriven", r.eventDriven);
         os << ",\n     \"speedup\": " << r.speedup
            << ", \"identical\": " << (r.identical ? "true" : "false")
-           << ",\n     ";
-        writePhasesJson(os, r.phases);
-        os << "}" << (i + 1 < rs.size() ? "," : "") << "\n";
+           << "}" << (i + 1 < rs.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"gmeanSpeedup\": " << gmean_speedup << ",\n";
 }
@@ -265,7 +221,7 @@ writeHybridJson(std::ostream &os, const WorkloadResult &r,
        << "\", \"name\": \"" << jsonEscape(r.name)
        << "\", \"cycles\": " << r.cycles
        << ", \"instructions\": " << r.instructions
-       << ", \"visits\": " << r.phases.visits << ",\n   ";
+       << ", \"visits\": " << r.visits << ",\n   ";
     writeModeJson(os, "percycle", r.percycle);
     os << ",\n   ";
     writeModeJson(os, "eventDriven", r.eventDriven);
@@ -283,9 +239,11 @@ struct Baseline
     double hybridEventCyclesPerSec = 0.0;
     /** Event-driven loop visits by workload name (v4). */
     std::map<std::string, std::uint64_t> visits;
+    /** The hybrid's event-driven loop visits. */
+    std::uint64_t hybridVisits = 0;
 };
 
-/** Baseline figures from a committed BENCH_simbench.json (v4). */
+/** Baseline figures from a committed BENCH_simbench.json (v5). */
 Baseline
 readBaseline(const std::string &path)
 {
@@ -297,10 +255,10 @@ readBaseline(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     JsonValue doc = parseJson(buf.str());
-    if (doc.at("schema").asString() != "BENCH_simbench/v4") {
+    if (doc.at("schema").asString() != "BENCH_simbench/v5") {
         throw std::runtime_error(
             "simbench: unexpected baseline schema (want "
-            "BENCH_simbench/v4)");
+            "BENCH_simbench/v5)");
     }
     Baseline base;
     base.gmeanSpeedup = doc.at("gmeanSpeedup").asDouble();
@@ -312,11 +270,40 @@ readBaseline(const std::string &path)
                 w.at("eventDriven").at("cyclesPerSec").asDouble();
         }
     }
-    base.hybridEventCyclesPerSec = doc.at("hybrid")
-                                       .at("eventDriven")
-                                       .at("cyclesPerSec")
-                                       .asDouble();
+    const JsonValue &hybrid = doc.at("hybrid");
+    base.hybridEventCyclesPerSec =
+        hybrid.at("eventDriven").at("cyclesPerSec").asDouble();
+    base.hybridVisits =
+        static_cast<std::uint64_t>(hybrid.at("visits").asDouble());
     return base;
+}
+
+/** @p text parsed in full as a T, or exit 2 naming @p flag. */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc{} || ptr != end) {
+        std::cerr << "simbench: " << flag << " needs a number (got '"
+                  << text << "')\n";
+        std::exit(2);
+    }
+    return value;
+}
+
+/** A loop-visit gate: deterministic, so any growth fails. */
+bool
+visitsRegressed(const std::string &label, std::uint64_t visits,
+                std::uint64_t baseline)
+{
+    if (visits <= baseline)
+        return false;
+    std::cerr << "simbench: FAIL — " << label << " visits " << visits
+              << " cycles, baseline " << baseline << "\n";
+    return true;
 }
 
 } // namespace
@@ -342,13 +329,13 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--reps") {
-            reps = std::stoi(next());
+            reps = parseNumber<int>(arg, next());
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--check") {
             check_path = next();
         } else if (arg == "--tolerance") {
-            tolerance = std::stod(next());
+            tolerance = parseNumber<double>(arg, next());
         } else {
             std::cerr << "simbench: unknown argument " << arg << "\n";
             return 2;
@@ -357,6 +344,12 @@ main(int argc, char **argv)
     if (reps < 1) {
         std::cerr << "simbench: --reps must be >= 1 (got " << reps
                   << ")\n";
+        return 2;
+    }
+    // A tolerance >= 1 puts every floor at or below zero: a dead gate.
+    if (!(tolerance >= 0.0 && tolerance < 1.0)) {
+        std::cerr << "simbench: --tolerance must be in [0, 1) (got "
+                  << tolerance << ")\n";
         return 2;
     }
 
@@ -385,7 +378,7 @@ main(int argc, char **argv)
                   << "x (" << r.percycle.wallSeconds << "s -> "
                   << r.eventDriven.wallSeconds << "s), "
                   << r.eventDriven.cyclesPerSec
-                  << " cyc/s event-driven, " << r.phases.visits
+                  << " cyc/s event-driven, " << r.visits
                   << " of " << r.cycles << " cycles visited, identical="
                   << (r.identical ? "yes" : "NO") << "\n";
         all_identical = all_identical && r.identical;
@@ -404,7 +397,8 @@ main(int argc, char **argv)
     std::cerr << "simbench: hybrid(" << hybrid_label << ") "
               << hybrid.name << " speedup " << hybrid.speedup << "x, "
               << hybrid.eventDriven.cyclesPerSec
-              << " cyc/s event-driven, identical="
+              << " cyc/s event-driven, " << hybrid.visits << " of "
+              << hybrid.cycles << " cycles visited, identical="
               << (hybrid.identical ? "yes" : "NO") << "\n";
     all_identical = all_identical && hybrid.identical;
 
@@ -424,7 +418,13 @@ main(int argc, char **argv)
         return 1;
     }
     if (!check_path.empty()) {
-        const Baseline base = readBaseline(check_path);
+        Baseline base;
+        try {
+            base = readBaseline(check_path);
+        } catch (const std::exception &e) {
+            std::cerr << e.what() << "\n";
+            return 2;
+        }
         bool failed = false;
 
         const double floor = base.gmeanSpeedup * (1.0 - tolerance);
@@ -481,15 +481,12 @@ main(int argc, char **argv)
         // bound that stopped skipping idle cycles, on any machine.
         for (const WorkloadResult &r : results) {
             auto it = base.visits.find(r.name);
-            if (it == base.visits.end())
-                continue;
-            if (r.phases.visits > it->second) {
-                std::cerr << "simbench: FAIL — " << r.name << " visits "
-                          << r.phases.visits << " cycles, baseline "
-                          << it->second << "\n";
+            if (it != base.visits.end() &&
+                visitsRegressed(r.name, r.visits, it->second))
                 failed = true;
-            }
         }
+        if (visitsRegressed("hybrid", hybrid.visits, base.hybridVisits))
+            failed = true;
         if (failed)
             return 1;
     }

@@ -57,7 +57,6 @@ void
 DramSystem::attachObservability(const Observability &obs)
 {
     tracer_ = obs.tracer;
-    phases_ = obs.phases;
     if (obs.metrics) {
         readsCtr_ = &obs.metrics->counter("dram.reads");
         writebacksCtr_ = &obs.metrics->counter("dram.writebacks");
@@ -110,8 +109,6 @@ std::optional<Cycle>
 DramSystem::read(unsigned core, Addr block_addr, Cycle now,
                  unsigned reserved)
 {
-    obs::PhaseProfiler::Scoped scope(phases_,
-                                     obs::PhaseProfiler::Phase::Dram);
     unsigned usable = bufferCapacity_ > reserved
         ? bufferCapacity_ - reserved
         : 0;
@@ -130,8 +127,6 @@ DramSystem::read(unsigned core, Addr block_addr, Cycle now,
 void
 DramSystem::writeback(unsigned core, Addr block_addr, Cycle now)
 {
-    obs::PhaseProfiler::Scoped scope(phases_,
-                                     obs::PhaseProfiler::Phase::Dram);
     if (writebacksCtr_)
         writebacksCtr_->inc();
     // A writeback occupies a request-buffer entry until its bus

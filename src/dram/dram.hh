@@ -147,7 +147,6 @@ class DramSystem
 
     /** @{ Observability (null when the run is unobserved). */
     obs::EventTracer *tracer_ = nullptr;
-    obs::PhaseProfiler *phases_ = nullptr;
     obs::Counter *readsCtr_ = nullptr;
     obs::Counter *writebacksCtr_ = nullptr;
     obs::Counter *bankConflictsCtr_ = nullptr;

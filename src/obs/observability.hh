@@ -6,6 +6,12 @@
  * null, and a default-constructed bundle means "unobserved run" — the
  * memory system then falls back to a private registry so its counters
  * always exist, and tracing is off.
+ *
+ * Everything recorded is keyed to simulated time, never to the host
+ * clock: a run's counters and events are deterministic, and the
+ * simulated machine reads no clock at all (simlint's sim-clock rule).
+ * Where wall time goes is measured from outside src/ (perfbench
+ * --trace 1 multiplies registry counts by per-operation costs).
  */
 
 #ifndef ECDP_OBS_OBSERVABILITY_HH
@@ -13,7 +19,6 @@
 
 #include "obs/event_tracer.hh"
 #include "obs/metrics.hh"
-#include "obs/phase_profiler.hh"
 
 namespace ecdp
 {
@@ -22,8 +27,6 @@ struct Observability
 {
     obs::MetricRegistry *metrics = nullptr;
     obs::EventTracer *tracer = nullptr;
-    /** Wall-clock phase attribution; null = unprofiled run. */
-    obs::PhaseProfiler *phases = nullptr;
 };
 
 } // namespace ecdp

@@ -23,7 +23,6 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
       metrics_(obs && obs->metrics ? obs->metrics
                                    : ownedMetrics_.get()),
       tracer_(obs ? obs->tracer : nullptr),
-      phases_(obs ? obs->phases : nullptr),
       l1_("L1D", cfg.l1Bytes, cfg.l1Assoc, cfg.l1BlockBytes),
       l2_("L2", cfg.l2Bytes, cfg.l2Assoc, cfg.l2BlockBytes),
       mshrs_(cfg.l2Mshrs),
@@ -363,8 +362,6 @@ MemorySystem::enqueuePrefetch(const PrefetchRequest &req, Cycle ready_at,
 std::optional<Cycle>
 MemorySystem::load(const TraceEntry &entry, Cycle now)
 {
-    obs::PhaseProfiler::Scoped scope(
-        phases_, obs::PhaseProfiler::Phase::CacheProbe);
     const Addr addr = entry.vaddr;
 
     if (l1_.lookup(addr)) {
@@ -483,8 +480,6 @@ MemorySystem::load(const TraceEntry &entry, Cycle now)
 void
 MemorySystem::store(const TraceEntry &entry, Cycle now)
 {
-    obs::PhaseProfiler::Scoped scope(
-        phases_, obs::PhaseProfiler::Phase::CacheProbe);
     image_.write(entry.vaddr, entry.size, entry.storeValue);
 
     if (CacheBlock *block = l1_.lookup(entry.vaddr)) {
@@ -536,8 +531,6 @@ MemorySystem::scanAndEnqueue(
     std::uint8_t engine, Addr block_addr,
     const ContentDirectedPrefetcher::ScanContext &ctx, Cycle now)
 {
-    obs::PhaseProfiler::Scoped scope(
-        phases_, obs::PhaseProfiler::Phase::CdpScan);
     image_.readBlock(block_addr, blockBuf_.data(), blockBuf_.size());
     scratch_.clear();
     engines_[engine]->onFill(block_addr, blockBuf_.data(), ctx,

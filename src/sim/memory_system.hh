@@ -337,7 +337,6 @@ class MemorySystem : public CoreMemoryInterface
     std::unique_ptr<obs::MetricRegistry> ownedMetrics_;
     obs::MetricRegistry *metrics_;
     obs::EventTracer *tracer_;
-    obs::PhaseProfiler *phases_;
     std::vector<obs::ThrottleMonitor> monitors_;
     /** @} */
 

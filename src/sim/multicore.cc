@@ -15,15 +15,6 @@ namespace ecdp
 MultiCoreResult
 simulateMultiCore(const SystemConfig &cfg,
                   const std::vector<const Workload *> &workloads,
-                  const std::vector<double> &alone_ipc)
-{
-    return simulateMultiCore(cfg, workloads, alone_ipc,
-                             Observability{});
-}
-
-MultiCoreResult
-simulateMultiCore(const SystemConfig &cfg,
-                  const std::vector<const Workload *> &workloads,
                   const std::vector<double> &alone_ipc,
                   const Observability &obs)
 {

@@ -10,12 +10,6 @@ namespace ecdp
 {
 
 RunStats
-simulate(const SystemConfig &cfg, const Workload &workload)
-{
-    return simulate(cfg, workload, Observability{});
-}
-
-RunStats
 simulate(const SystemConfig &cfg, const Workload &workload,
          const Observability &obs)
 {
@@ -27,9 +21,6 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     // (pure observation; rule policies ignore it).
     memory.attachCore(&core);
 
-    using Phase = obs::PhaseProfiler::Phase;
-    obs::PhaseProfiler *prof = obs.phases;
-
     // Event-driven main loop: every iteration ticks exactly as the
     // per-cycle loop would, but the clock then jumps straight to the
     // earliest cycle any component can act on. The skipped cycles are
@@ -40,17 +31,10 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     std::uint64_t visits = 0;
     while (!core.finishedOnce() && cycle < cfg.maxCycles) {
         ++visits;
-        {
-            obs::PhaseProfiler::Scoped scope(prof, Phase::MemTick);
-            memory.tick(cycle);
-        }
-        {
-            obs::PhaseProfiler::Scoped scope(prof, Phase::CoreTick);
-            core.tick(cycle);
-        }
+        memory.tick(cycle);
+        core.tick(cycle);
         Cycle next = cycle + 1;
         if (cfg.cycleSkipping && !core.finishedOnce()) {
-            obs::PhaseProfiler::Scoped scope(prof, Phase::Scheduler);
             // Cheapest bound first, and stop as soon as one pins the
             // clock to the very next cycle: on busy cycles (prefetch
             // queues draining, ROB retiring) the remaining bounds
@@ -73,7 +57,6 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     if (obs.metrics)
         obs.metrics->counter("sim.loop_visits").add(visits);
 
-    obs::PhaseProfiler::Scoped stats_scope(prof, Phase::Stats);
     RunStats stats;
     stats.workload = workload.name;
     // Unconditional watchdog check: an assert would compile out under

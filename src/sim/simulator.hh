@@ -16,18 +16,13 @@ namespace ecdp
 /**
  * Runs one Workload on one core under a SystemConfig and returns the
  * run statistics. The workload's image is cloned, so a Workload can be
- * reused across runs and configurations.
- */
-RunStats simulate(const SystemConfig &cfg, const Workload &workload);
-
-/**
- * As above, with an observability bundle wired through the memory
- * system and DRAM. Observability never changes simulated behaviour —
- * only what is recorded about it — so both overloads produce
- * identical stats for the same (cfg, workload).
+ * reused across runs and configurations. @p obs is wired through the
+ * memory system and DRAM; observability never changes simulated
+ * behaviour — only what is recorded about it — so an observed and an
+ * unobserved run produce identical stats for the same (cfg, workload).
  */
 RunStats simulate(const SystemConfig &cfg, const Workload &workload,
-                  const Observability &obs);
+                  const Observability &obs = {});
 
 } // namespace ecdp
 

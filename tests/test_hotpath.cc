@@ -1,27 +1,24 @@
 /**
  * @file
- * Hot-path flattening tests: the SoA cache/MSHR layout, the SIMD CDP
- * candidate kernel, and the phase-attribution profiler must all be
- * pure optimisations/observations — same results, different speed.
+ * Hot-path flattening tests: the SoA cache/MSHR layout and the SIMD
+ * CDP candidate kernel must be pure optimisations, and the metric
+ * registry and event tracer pure observations — same results,
+ * different speed or visibility.
  *
- * Three layers of proof:
+ * Two layers of proof:
  *  - kernel fuzz: candidateMaskScalar is the oracle; the AVX2 kernel
  *    (when built) must agree bit-for-bit on randomized block images,
  *    compare widths, block sizes and tail slot counts, and both must
  *    agree with the one-word isPointerCandidate predicate;
- *  - conservation: the PhaseProfiler's per-phase breakdown must sum
- *    exactly to its own start/stop window and account for (nearly)
- *    all of an outer wall-clock measurement around it;
- *  - identity matrix: attaching the profiler to a run must not change
- *    one byte of its stats JSON, across the same workload×config
- *    matrix (plus the 64B-block edge) the scheduler-exactness suite
- *    pins — every case crossing the SoA cache, the SoA MSHR file and
- *    whichever CDP kernel the build selected.
+ *  - identity matrix: attaching a registry and a tracer to a run must
+ *    not change one byte of its stats JSON, across a workload×config
+ *    matrix of named cells (plus the 64B-block edge) — every case
+ *    crossing the SoA cache, the SoA MSHR file and whichever CDP
+ *    kernel the build selected.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -31,7 +28,6 @@
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "named_cells.hh"
-#include "obs/phase_profiler.hh"
 #include "prefetch/cdp.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
@@ -177,74 +173,7 @@ TEST(CacheSoa, ContentVersionTracksInsertsAndInvalidates)
 }
 
 // ---------------------------------------------------------------
-// Phase-attribution conservation.
-// ---------------------------------------------------------------
-
-TEST(PhaseProfiler, PhasesArePairwiseExclusiveAndSumToWindow)
-{
-    using Phase = obs::PhaseProfiler::Phase;
-    obs::PhaseProfiler prof;
-    prof.start();
-    Phase prev = prof.switchTo(Phase::CoreTick);
-    EXPECT_EQ(prev, Phase::Other);
-    // Busy-wait a little so the bucket is visibly nonzero.
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(200);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    prev = prof.switchTo(Phase::Dram);
-    EXPECT_EQ(prev, Phase::CoreTick);
-    prof.stop();
-
-    EXPECT_GT(prof.seconds(Phase::CoreTick), 0.0);
-    double sum = 0.0;
-    for (unsigned p = 0; p < obs::PhaseProfiler::kPhaseCount; ++p)
-        sum += prof.seconds(static_cast<Phase>(p));
-    // Flat-switch accounting: the total IS the sum, to the nanosecond.
-    EXPECT_DOUBLE_EQ(sum, prof.totalSeconds());
-}
-
-TEST(PhaseConservation, BreakdownAccountsForSimulationWall)
-{
-    obs::PhaseProfiler prof;
-    Observability obs;
-    obs.phases = &prof;
-    const SystemConfig cfg = configs::streamCdpThrottled();
-    const Workload workload = buildWorkload("health", InputSet::Train);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    prof.start();
-    simulate(cfg, workload, obs);
-    prof.stop();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double outer =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    double sum = 0.0;
-    for (unsigned p = 0; p < obs::PhaseProfiler::kPhaseCount; ++p) {
-        sum += prof.seconds(
-            static_cast<obs::PhaseProfiler::Phase>(p));
-    }
-    EXPECT_DOUBLE_EQ(sum, prof.totalSeconds());
-    // The profiler window sits strictly inside the outer measurement;
-    // the slack covers only the clock reads around start()/stop().
-    EXPECT_LE(sum, outer);
-    EXPECT_GE(sum, 0.90 * outer - 0.002) << "unattributed wall time";
-
-    using Phase = obs::PhaseProfiler::Phase;
-    EXPECT_GT(prof.seconds(Phase::CoreTick), 0.0);
-    EXPECT_GT(prof.seconds(Phase::MemTick), 0.0);
-    EXPECT_GT(prof.seconds(Phase::CacheProbe), 0.0);
-    // streamCdpThrottled scans fills, reads DRAM, skips cycles and
-    // collects stats — every instrumented phase must show up.
-    EXPECT_GT(prof.seconds(Phase::CdpScan), 0.0);
-    EXPECT_GT(prof.seconds(Phase::Dram), 0.0);
-    EXPECT_GT(prof.seconds(Phase::Scheduler), 0.0);
-    EXPECT_GT(prof.seconds(Phase::Stats), 0.0);
-}
-
-// ---------------------------------------------------------------
-// Stats identity with the profiler attached.
+// Stats identity with a registry and a tracer attached.
 // ---------------------------------------------------------------
 
 std::string
@@ -255,48 +184,46 @@ statsJson(const RunStats &stats)
     return os.str();
 }
 
-/** Attaching the phase profiler must be pure observation: the stats
- *  JSON of an unprofiled and a profiled run must be byte-identical
- *  (in the event-driven mode the benchmark attributes). */
+/** Attaching a metric registry and an event tracer must be pure
+ *  observation: the stats JSON of an unobserved and an observed run
+ *  must be byte-identical. */
 void
-expectProfiledIdentical(const std::string &bench, SystemConfig cfg)
+expectObservedIdentical(const std::string &bench,
+                        const SystemConfig &cfg)
 {
     const Workload workload = buildWorkload(bench, InputSet::Train);
-    cfg.cycleSkipping = true;
     RunStats plain = simulate(cfg, workload);
 
-    obs::PhaseProfiler prof;
-    Observability obs;
-    obs.phases = &prof;
-    prof.start();
-    RunStats profiled = simulate(cfg, workload, obs);
-    prof.stop();
+    obs::MetricRegistry metrics;
+    obs::EventTracer tracer;
+    RunStats observed =
+        simulate(cfg, workload, Observability{&metrics, &tracer});
 
-    EXPECT_EQ(statsJson(plain), statsJson(profiled)) << bench;
-    EXPECT_GT(prof.totalSeconds(), 0.0);
+    EXPECT_EQ(statsJson(plain), statsJson(observed)) << bench;
+    EXPECT_GT(metrics.value("sim.loop_visits"), 0u);
 }
 
 using cells::NamedCell;
 
-class ProfilerIsPureObservation
-    : public ::testing::TestWithParam<NamedCell>
+class ObservationIsPure : public ::testing::TestWithParam<NamedCell>
 {
 };
 
-TEST_P(ProfilerIsPureObservation, StatsJsonIsByteIdentical)
+TEST_P(ObservationIsPure, StatsJsonIsByteIdentical)
 {
     const NamedCell &c = GetParam();
-    expectProfiledIdentical(c.bench, cells::cellConfig(c));
+    expectObservedIdentical(c.bench, cells::cellConfig(c));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ConfigMatrix, ProfilerIsPureObservation,
+    ConfigMatrix, ObservationIsPure,
     ::testing::Values(NamedCell{"health", "baseline"},
+                      NamedCell{"health", "cdp+throttle"},
                       NamedCell{"mst", "cdp+throttle"},
                       NamedCell{"bisort", "full"},
                       // bisort reaches interval boundaries on train
                       // inputs, so FDP decisions and PAB selection
-                      // run under the profiler.
+                      // run with the tracer's rare lane recording.
                       NamedCell{"bisort", "ecdp+fdp"},
                       NamedCell{"bisort", "cdp+pab"},
                       NamedCell{"mst", "dbp"},
@@ -305,11 +232,11 @@ INSTANTIATE_TEST_SUITE_P(
                       NamedCell{"mst", "noprefetch"}),
     cells::cellTestName);
 
-TEST(ProfilerIsPureObservationEdge, SmallBlockSizeConfig)
+TEST(ObservationIsPureEdge, SmallBlockSizeConfig)
 {
     // 64 B blocks: 16-slot scans exercise the short-block path of the
     // candidate kernel inside a whole run.
-    expectProfiledIdentical("health",
+    expectObservedIdentical("health",
                             cells::cellConfig("small-blocks", "health"));
 }
 

@@ -329,22 +329,6 @@ statsFingerprint(const RunStats &stats)
     return os.str();
 }
 
-TEST(ObservedSimulation, TracedRunMatchesUntracedByteForByte)
-{
-    Workload workload = buildWorkload("health", InputSet::Train);
-    SystemConfig cfg = configs::streamCdpThrottled();
-
-    RunStats plain = simulate(cfg, workload);
-
-    obs::MetricRegistry metrics;
-    obs::EventTracer tracer;
-    RunStats traced =
-        simulate(cfg, workload, Observability{&metrics, &tracer});
-
-    EXPECT_EQ(statsFingerprint(plain), statsFingerprint(traced));
-    EXPECT_GT(tracer.size(), 0u);
-}
-
 TEST(ObservedSimulation, TraceContainsDropAndIntervalEvents)
 {
     Workload workload = buildWorkload("health", InputSet::Train);

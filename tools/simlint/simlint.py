@@ -79,6 +79,15 @@ classes fail CI instead of corrupting experiments:
                         buffer to a caller-owned scratch member, or
                         suppress with a reason if the line provably
                         runs outside the event loop.
+  sim-clock             No host clock read (std::chrono steady_clock/
+                        system_clock/high_resolution_clock,
+                        clock_gettime, gettimeofday) anywhere in src/
+                        outside src/runner/ and src/server/. The
+                        simulated machine is measured by deterministic
+                        counters in the MetricRegistry; wall time is
+                        measured from outside it (simbench, perfbench),
+                        so a clock probe in the model cannot slow the
+                        run it claims to explain.
 
 Suppress a finding by putting, on the offending line (or the line
 above it):
@@ -111,6 +120,7 @@ RULES = (
     "raw-process-spawn",
     "raw-mutex",
     "hot-path-vector",
+    "sim-clock",
 )
 
 ALLOW_RE = re.compile(r"simlint-allow\(([a-z-]+)\)")
@@ -560,6 +570,46 @@ def check_hot_path_vector(root):
     return out
 
 
+# --- sim-clock --------------------------------------------------------
+
+CLOCK_RE = re.compile(
+    r"\b(steady_clock|system_clock|high_resolution_clock|"
+    r"clock_gettime|gettimeofday)\b")
+# The experiment runner and the daemon time real work (queue waits,
+# request latency); the simulated machine itself never reads a clock.
+CLOCK_EXEMPT_PREFIXES = (
+    os.path.join("src", "runner") + os.sep,
+    os.path.join("src", "server") + os.sep,
+)
+
+
+def check_sim_clock(root):
+    out = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        if rel.startswith(CLOCK_EXEMPT_PREFIXES):
+            continue
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines):
+            code = line.split("//", 1)[0]
+            # Block-comment bodies are prose.
+            if code.lstrip().startswith(("*", "/*")):
+                continue
+            m = CLOCK_RE.search(code)
+            if not m:
+                continue
+            if allowed(lines, i, "sim-clock"):
+                continue
+            out.append(Violation(
+                rel, i + 1, "sim-clock",
+                "host clock '%s' read in the simulated machine; "
+                "count the event in the MetricRegistry and time it "
+                "from outside src/ (simbench, perfbench), or add "
+                "'simlint-allow(sim-clock): <reason>'" % m.group(1)))
+    return out
+
+
 # --- driver -----------------------------------------------------------
 
 def main(argv):
@@ -622,6 +672,8 @@ def main(argv):
         violations += check_raw_mutex(root)
     if "hot-path-vector" in rules:
         violations += check_hot_path_vector(root)
+    if "sim-clock" in rules:
+        violations += check_sim_clock(root)
 
     for v in violations:
         print(v)
