@@ -18,23 +18,15 @@
 #include <cstring>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "runner/runner.hh"
+#include "server/cell.hh"
+#include "sim/experiment.hh"
+#include "stats/stats.hh"
+#include "stats/table.hh"
+#include "workloads/workload.hh"
 
 using namespace ecdp;
-using namespace ecdp::bench;
-
-namespace
-{
-
-NamedConfig
-policyConfig(const std::string &policy)
-{
-    SystemConfig cfg = configs::streamCdpThrottled();
-    cfg.throttlePolicy = policy;
-    return fixedConfig(policy, cfg);
-}
-
-} // namespace
+using server::CellSpec;
 
 int
 main(int argc, char **argv)
@@ -54,12 +46,36 @@ main(int argc, char **argv)
     if (quick)
         names.resize(2);
 
-    const std::vector<std::string> policy_names = {
-        "static", "coordinated", "fdp", "tabular-rl"};
-    std::vector<NamedConfig> grid;
-    for (const std::string &policy : policy_names)
-        grid.push_back(policyConfig(policy));
-    runGrid(ctx, names, grid);
+    // The cdp+throttle stack under each policy.
+    std::vector<CellSpec> grid;
+    for (const char *policy :
+         {"static", "coordinated", "fdp", "tabular-rl"}) {
+        CellSpec spec;
+        spec.config = "cdp+throttle";
+        spec.throttlePolicy = policy;
+        grid.push_back(spec);
+    }
+    auto config = [](CellSpec spec, const std::string &bench) {
+        spec.bench = bench;
+        return server::makeCellConfig(spec, nullptr);
+    };
+    {
+        runner::ExperimentRunner runner(ctx);
+        for (const CellSpec &spec : grid) {
+            for (const std::string &name : names) {
+                runner.submit(name, server::cellLabel(spec),
+                              [config, spec](ExperimentContext &,
+                                             const std::string &b) {
+                                  return config(spec, b);
+                              });
+            }
+        }
+        runner.wait();
+    }
+    auto run = [&](const std::string &name,
+                   const CellSpec &spec) -> const RunStats & {
+        return ctx.run(name, config(spec, name), server::cellLabel(spec));
+    };
 
     TablePrinter table(
         "Throttle-policy comparison (stream+CDP stack, IPC and "
@@ -69,14 +85,19 @@ main(int argc, char **argv)
                   "rl-bpki"});
     for (const std::string &name : names) {
         auto &row = table.row().cell(name);
-        for (const NamedConfig &config : grid)
-            row.cell(run(ctx, name, config).ipc, 3);
-        for (const NamedConfig &config : grid)
-            row.cell(run(ctx, name, config).bpki, 1);
+        for (const CellSpec &spec : grid)
+            row.cell(run(name, spec).ipc, 3);
+        for (const CellSpec &spec : grid)
+            row.cell(run(name, spec).bpki, 1);
     }
     auto &gmean_row = table.row().cell("gmean-vs-static");
-    for (const NamedConfig &config : grid)
-        gmean_row.cell(gmeanSpeedup(ctx, names, config, grid[0]), 3);
+    for (const CellSpec &spec : grid) {
+        std::vector<double> ratios;
+        for (const std::string &name : names)
+            ratios.push_back(run(name, spec).ipc /
+                             run(name, grid[0]).ipc);
+        gmean_row.cell(gmean(ratios), 3);
+    }
     for (std::size_t i = 0; i < grid.size(); ++i)
         gmean_row.cell("-");
     table.print(std::cout);

@@ -26,9 +26,6 @@
 namespace ecdp
 {
 
-/** Which prefetcher fetched a block (at most one at a time). */
-enum class PrefetchSource : std::uint8_t { None = 0, Primary, Lds };
-
 /**
  * "No engine": sentinel for the per-block prefetched-owner tag and the
  * MSHR engine field. Real owners are indices into the MemorySystem's

@@ -174,7 +174,6 @@ ContentDirectedPrefetcher::scan(Addr block_vaddr,
 
             PrefetchRequest req;
             req.blockAddr = target_block;
-            req.source = PrefetchSource::Lds;
             req.depth = static_cast<std::uint8_t>(ctx.fillDepth + 1);
             if (ctx.demandFill) {
                 req.pgValid = true;

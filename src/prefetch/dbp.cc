@@ -43,7 +43,6 @@ DependenceBasedPrefetcher::onLoadComplete(Addr pc, Addr value,
     if (slot.valid && slot.producerPc == pc && value != 0) {
         PrefetchRequest req;
         req.blockAddr = value + slot.offset;
-        req.source = PrefetchSource::Lds;
         out.push_back(req);
     }
 

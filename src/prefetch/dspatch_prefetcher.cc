@@ -95,7 +95,6 @@ DspatchPrefetcher::onDemandMiss(const TraceEntry &entry,
                 PrefetchRequest req;
                 req.blockAddr =
                     regionBase + b * geom_.blockBytes();
-                req.source = PrefetchSource::Primary;
                 out.push_back(req);
             }
         }

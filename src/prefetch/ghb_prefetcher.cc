@@ -53,7 +53,6 @@ GhbPrefetcher::onDemandMiss(Addr addr, std::vector<PrefetchRequest> &out)
                 }
                 PrefetchRequest req;
                 req.blockAddr = geom_.baseOfSigned(next);
-                req.source = PrefetchSource::Primary;
                 out.push_back(req);
             }
         }

@@ -95,7 +95,6 @@ IsbPrefetcher::onDemandMiss(const TraceEntry &entry,
             break;
         PrefetchRequest req;
         req.blockAddr = geom_.baseOf(e->next);
-        req.source = PrefetchSource::Lds;
         out.push_back(req);
         prev = cur;
         cur = e->next;

@@ -53,7 +53,6 @@ MarkovPrefetcher::onDemandMiss(BlockAddr block,
                 continue;
             PrefetchRequest req;
             req.blockAddr = geom_.baseOf(cur.succ[i]);
-            req.source = PrefetchSource::Lds;
             out.push_back(req);
         }
     }

@@ -52,8 +52,6 @@ struct PrefetchRequest
 {
     /** Block-aligned target address. */
     Addr blockAddr = 0;
-    /** Which prefetcher class generated it (legacy two-slot view). */
-    PrefetchSource source = PrefetchSource::None;
     /** Engine-stack index of the generating engine; stamped by the
      *  MemorySystem when it drains an engine hook's output. */
     std::uint8_t engine = 0;

@@ -40,7 +40,6 @@ StreamPrefetcher::emit(std::int64_t block,
         return;
     PrefetchRequest req;
     req.blockAddr = geom_.baseOfSigned(block);
-    req.source = PrefetchSource::Primary;
     out.push_back(req);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Parallel experiment runner.
  *
- * Bench binaries submit their whole (workload x configuration) grid
+ * `repro` submits its whole (workload x configuration) grid
  * up front; a fixed-size worker pool executes the independent
  * simulate() calls concurrently (each simulation owns its cloned
  * SimMemory image, so runs are embarrassingly parallel) and results

@@ -188,14 +188,7 @@ runCell(const CellSpec &spec, ExperimentContext &ctx)
         return simulate(cfg,
                         buildWorkload(spec.bench, InputSet::Train));
     }
-    // The diagnostic label carries the content key: two cells can
-    // share a config name but differ in knobs (tcov, rlSeed, ...),
-    // and the context rejects label reuse across different configs.
-    char keyHex[20];
-    std::snprintf(keyHex, sizeof(keyHex), "%016llx",
-                  static_cast<unsigned long long>(cellKey(spec)));
-    return ctx.run(spec.bench, cfg,
-                   cellLabel(spec) + "#" + keyHex);
+    return ctx.run(spec.bench, cfg, cellLabel(spec));
 }
 
 std::string

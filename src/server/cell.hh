@@ -11,7 +11,7 @@
  * Execution is shared between the worker processes (`ecdpd
  * --worker`) and the in-process path the byte-identity tests diff
  * against: both call runCell()/cellStatsJson(), which route through
- * the same ExperimentContext machinery the bench binaries use — so
+ * the same ExperimentContext machinery `repro` uses — so
  * daemon results are byte-identical to ExperimentRunner results by
  * construction, and the integration test enforces it.
  */

@@ -70,6 +70,13 @@ WorkerPool::submit(std::string input, Done done)
     done("", "worker pool shut down");
 }
 
+void
+WorkerPool::holdShards()
+{
+    MutexLock lock(mutex_);
+    held_ = true;
+}
+
 std::size_t
 WorkerPool::queued() const
 {
@@ -88,6 +95,8 @@ WorkerPool::takeJob(unsigned self, Job &job)
         mutex_.assertHeld(); // the wait predicate runs locked
         if (stopping_)
             return true;
+        if (held_)
+            return false;
         for (const std::deque<Job> &queue : queues_) {
             if (!queue.empty())
                 return true;

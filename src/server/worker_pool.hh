@@ -73,6 +73,13 @@ class WorkerPool
     /** Enqueue @p input for some shard; @p done fires exactly once. */
     void submit(std::string input, Done done) ECDP_EXCLUDES(mutex_);
 
+    /**
+     * Shards finish the job they are running but take no new one;
+     * queued jobs wait for stop(), which fails them. A test hook: it
+     * makes shutdown with a non-empty queue deterministic.
+     */
+    void holdShards() ECDP_EXCLUDES(mutex_);
+
     unsigned shards() const { return unsigned(shards_.size()); }
 
     /** Children spawned (== jobs executed, one process per job). */
@@ -106,6 +113,7 @@ class WorkerPool
     std::vector<std::deque<Job>> queues_ ECDP_GUARDED_BY(mutex_);
     unsigned nextShard_ ECDP_GUARDED_BY(mutex_) = 0;
     bool stopping_ ECDP_GUARDED_BY(mutex_) = false;
+    bool held_ ECDP_GUARDED_BY(mutex_) = false;
 
     std::atomic<std::uint64_t> spawned_{0};
     std::atomic<std::uint64_t> crashed_{0};

@@ -89,7 +89,7 @@ struct SystemConfig
      *  A_low = 0.4, and Section 4.2 advises raising them on
      *  bandwidth-limited systems; this system (128 B blocks over an
      *  8 B bus) is one, so T_coverage defaults to 0.3 here.
-     *  bench/ablation_thresholds sweeps the thresholds. */
+     *  `repro --figure ablation_thresholds` sweeps them. */
     CoordinatedThrottler::Thresholds coordThresholds{0.3, 0.4, 0.7};
     FdpThrottler::Thresholds fdpThresholds{};
     /** Outcomes per slot in the "pab" policy's accuracy window. */

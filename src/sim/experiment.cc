@@ -84,23 +84,20 @@ ghbAlone()
 }
 
 SystemConfig
-ghbEcdp(const HintTable *hints, bool throttled)
+ghbEcdp(const HintTable *hints)
 {
     SystemConfig cfg = ghbAlone();
     cfg.engines[1] = "ecdp";
     cfg.hints = hints;
-    if (throttled)
-        cfg.throttlePolicy = "coordinated";
+    cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
 SystemConfig
-streamCdpHwFilter(bool throttled)
+streamCdpHwFilter()
 {
-    SystemConfig cfg = streamCdp();
+    SystemConfig cfg = streamCdpThrottled();
     cfg.hwFilter = true;
-    if (throttled)
-        cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -158,9 +155,9 @@ byName(const std::string &name, const HintTable *hints)
     if (name == "ghb")
         return ghbAlone();
     if (name == "ghb+ecdp")
-        return ghbEcdp(hints, true);
+        return ghbEcdp(hints);
     if (name == "cdp+filter")
-        return streamCdpHwFilter(true);
+        return streamCdpHwFilter();
     if (name == "ecdp+fdp")
         return streamEcdpFdp(hints);
     if (name == "cdp+pab")
@@ -249,23 +246,7 @@ const RunStats &
 ExperimentContext::run(const std::string &name, const SystemConfig &cfg,
                        const std::string &key)
 {
-    const std::uint64_t hash = configHash(cfg);
-
-    // Labels are diagnostics, the hash is the identity: "a:b"+"c" and
-    // "a"+"b:c" may collide as labels but cannot share a memo entry,
-    // and a label reused with a different config is a harness bug
-    // that used to silently return the first config's stats.
-    {
-        MutexLock lock(labelMutex_);
-        auto [it, inserted] = labels_.emplace(name + ":" + key, hash);
-        if (!inserted && it->second != hash) {
-            throw std::logic_error(
-                "ExperimentContext::run: label \"" + name + ":" +
-                key + "\" reused with a different SystemConfig");
-        }
-    }
-
-    const std::uint64_t id = resultKey(name, hash); // runKey()
+    const std::uint64_t id = runKey(name, cfg);
     return runs_.get(id, [&]() -> RunStats {
         // A store hit would skip the simulation and leave a hole in
         // the trace, so while tracing is on every unique run executes

@@ -66,11 +66,13 @@ SystemConfig streamMarkov();
 /** GHB G/DC alone (Section 6.3). */
 SystemConfig ghbAlone();
 
-/** GHB + ECDP hybrid (Section 6.3 orthogonality experiment). */
-SystemConfig ghbEcdp(const HintTable *hints, bool throttled);
+/** GHB + ECDP + coordinated throttling (Section 6.3 orthogonality
+ *  experiment). */
+SystemConfig ghbEcdp(const HintTable *hints);
 
-/** Stream + CDP behind the Zhuang-Lee filter (Section 6.4). */
-SystemConfig streamCdpHwFilter(bool throttled);
+/** Stream + CDP behind the Zhuang-Lee filter + coordinated
+ *  throttling (Section 6.4). */
+SystemConfig streamCdpHwFilter();
 
 /** Stream + CDP/ECDP under FDP throttling (Section 6.5). */
 SystemConfig streamEcdpFdp(const HintTable *hints);
@@ -110,7 +112,8 @@ std::uint64_t runKey(const std::string &workload,
                      const SystemConfig &cfg);
 
 /**
- * Caches workloads, hints and runs for the bench binaries.
+ * Caches workloads, hints and runs for `repro` (bench/repro.cc), the
+ * CLI tools and the daemon's workers.
  *
  * All accessors build lazily and memoize, so a bench touching five
  * configurations of fifteen benchmarks pays each workload build and
@@ -151,10 +154,8 @@ class ExperimentContext
     /**
      * Simulate benchmark @p name (ref input) under @p cfg, memoized
      * by runKey(@p name, @p cfg). @p key is a short human-readable
-     * config label ("baseline") used for diagnostics only; reusing a
-     * (name, key) label with a *different* configuration throws
-     * std::logic_error — the old behaviour silently returned the
-     * first config's stale stats.
+     * config label ("baseline") that only names the run's trace
+     * flush; it never selects a result.
      */
     const RunStats &run(const std::string &name, const SystemConfig &cfg,
                         const std::string &key);
@@ -224,11 +225,6 @@ class ExperimentContext
     MemoTable<std::string, HintTable> refHints_;
     /** Keyed by runKey(). */
     MemoTable<std::uint64_t, RunStats> runs_;
-
-    /** Diagnostic label registry: (name ":" key) -> config hash. */
-    AnnotatedMutex labelMutex_;
-    std::map<std::string, std::uint64_t> labels_
-        ECDP_GUARDED_BY(labelMutex_);
 
     /** Trace sink (ECDP_TRACE), or nullptr when tracing is off. */
     obs::TraceSession *traceSession_ = nullptr;

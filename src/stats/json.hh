@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine-readable export of run statistics. The bench binaries print
+ * Machine-readable export of run statistics. `repro` prints
  * human tables; tooling (plotters, CI trend checks) consumes this
  * JSON instead. Also hosts the exact RunStats codec and key the
  * persistent result store files runs under, and a minimal JSON value

@@ -65,7 +65,6 @@ TEST(Cdp, ScanFindsAllPointersWithoutFilter)
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].blockAddr, 0x40002000u);
     EXPECT_EQ(out[1].blockAddr, 0x40003000u);
-    EXPECT_EQ(out[0].source, PrefetchSource::Lds);
     EXPECT_EQ(out[0].depth, 1u);
 }
 

@@ -54,7 +54,6 @@ TEST(Dbp, LearnsProducerConsumerAndPrefetches)
     dbp->onLoadComplete(0x10, 0x40002000, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].blockAddr, 0x40002008u);
-    EXPECT_EQ(out[0].source, PrefetchSource::Lds);
 }
 
 TEST(Dbp, OffsetMustBeSmallAndNonNegative)
@@ -159,7 +158,6 @@ TEST(Ghb, ReplaysDeltaPatterns)
     // The last two deltas are (1, 2): the history says +1 comes next.
     ASSERT_FALSE(out.empty());
     EXPECT_EQ(out[0].blockAddr, addr + 2 * 128);
-    EXPECT_EQ(out[0].source, PrefetchSource::Primary);
 }
 
 TEST(Ghb, CoversPlainStreams)

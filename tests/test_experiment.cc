@@ -62,7 +62,7 @@ TEST(Configs, GhbConfigsReplaceTheStreamPrefetcher)
     using Stack = std::vector<std::string>;
     EXPECT_EQ(configs::ghbAlone().engines, (Stack{"ghb", "none"}));
     HintTable hints;
-    SystemConfig hybrid = configs::ghbEcdp(&hints, true);
+    SystemConfig hybrid = configs::ghbEcdp(&hints);
     EXPECT_EQ(hybrid.engines, (Stack{"ghb", "ecdp"}));
     EXPECT_EQ(hybrid.throttlePolicy, "coordinated");
 }
@@ -71,8 +71,8 @@ TEST(Configs, ComparisonConfigsSelectTheirMechanisms)
 {
     EXPECT_EQ(configs::streamDbp().engines[1], "dbp");
     EXPECT_EQ(configs::streamMarkov().engines[1], "markov");
-    EXPECT_TRUE(configs::streamCdpHwFilter(false).hwFilter);
-    EXPECT_EQ(configs::streamCdpHwFilter(true).throttlePolicy,
+    EXPECT_TRUE(configs::streamCdpHwFilter().hwFilter);
+    EXPECT_EQ(configs::streamCdpHwFilter().throttlePolicy,
               "coordinated");
     EXPECT_EQ(configs::streamCdpPab().throttlePolicy, "pab");
     HintTable hints;

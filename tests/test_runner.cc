@@ -163,14 +163,16 @@ TEST(ConfigHashTest, HintsHashByContentNotAddress)
     EXPECT_NE(configHash(cfg_a), configHash(cfg_b));
 }
 
-TEST(ExperimentContextTest, LabelReuseWithDifferentConfigThrows)
+TEST(ExperimentContextTest, ReusedLabelNeverSelectsAResult)
 {
+    // The label only names trace flushes; the config's content picks
+    // the memo entry. (The old name+key memoization returned the
+    // noPrefetch() stats for the second call.)
     ExperimentContext ctx;
-    ctx.run("parser", configs::noPrefetch(), "np");
-    // Regression: the old name+key memoization would silently return
-    // the noPrefetch() stats here.
-    EXPECT_THROW(ctx.run("parser", configs::baseline(), "np"),
-                 std::logic_error);
+    const RunStats &np = ctx.run("parser", configs::noPrefetch(), "x");
+    const RunStats &base = ctx.run("parser", configs::baseline(), "x");
+    EXPECT_NE(&np, &base);
+    EXPECT_NE(np.ipc, base.ipc);
 }
 
 TEST(ExperimentContextTest, SameConfigUnderTwoLabelsRunsOnce)

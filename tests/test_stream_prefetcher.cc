@@ -35,7 +35,6 @@ TEST(StreamPrefetcher, SecondNearbyMissTrainsAndPrefetches)
     EXPECT_LE(reqs.size(), pf.degree());
     // Ascending stream: prefetches go forward.
     EXPECT_EQ(reqs[0].blockAddr, 0x40000100u);
-    EXPECT_EQ(reqs[0].source, PrefetchSource::Primary);
 }
 
 TEST(StreamPrefetcher, DetectsDescendingStreams)

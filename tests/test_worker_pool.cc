@@ -136,18 +136,24 @@ TEST(WorkerPool, DestructorFailsQueuedJobs)
     {
         // One shard, blocked on a slow job, with a queue behind it;
         // destruction must fail the queued jobs (not run or leak
-        // them) and still deliver every callback exactly once.
+        // them) and still deliver every callback exactly once. The
+        // first job's callback holds the shard, so it cannot pop a
+        // queued job before the destructor drains the queue.
         WorkerPool pool({"/bin/sh"}, 1);
-        pool.submit("sleep 0.2; echo first\n", collector.done());
+        WorkerPool::Done record = collector.done();
+        pool.submit("sleep 0.2; echo first\n",
+                    [&pool, record](std::string output,
+                                    std::string error) {
+                        pool.holdShards();
+                        record(std::move(output), std::move(error));
+                    });
         for (int i = 0; i < 3; ++i)
             pool.submit("echo queued\n", collector.done());
         collector.waitFor(1);
     }
     ASSERT_EQ(collector.outputs.size(), 4u);
     EXPECT_EQ(collector.outputs[0], "first\n");
-    // The shard may legitimately pop one more job before the
-    // destructor drains the deque, but at least two of the three
-    // queued jobs must be failed, and every callback must fire.
+    // Every queued job was failed, and every callback fired.
     std::size_t shutDown = 0;
     for (std::size_t i = 1; i < 4; ++i) {
         if (collector.errors[i].find("shut down") !=
@@ -157,7 +163,7 @@ TEST(WorkerPool, DestructorFailsQueuedJobs)
             EXPECT_EQ(collector.outputs[i], "queued\n");
         }
     }
-    EXPECT_GE(shutDown, 2u);
+    EXPECT_EQ(shutDown, 3u);
 }
 
 TEST(WorkerPool, ExplicitStopIsIdempotentAndFailsLateSubmits)

@@ -2,12 +2,15 @@
  * @file
  * traceinfo — inspect a benchmark's generated workload: access mix,
  * dependency-chain structure, per-PC load sites, block-level reuse,
- * and what the content-directed prefetcher would see in its blocks.
+ * what the content-directed prefetcher would see in its blocks, and
+ * what the profiling compiler learns from the train input (its
+ * busiest pointer groups and the hint table ECDP runs with).
  *
  *   traceinfo <benchmark> [ref|train]
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <iostream>
 #include <map>
 #include <string>
@@ -15,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "compiler/profiling_compiler.hh"
 #include "memsim/block_geometry.hh"
 #include "stats/table.hh"
 #include "workloads/workload.hh"
@@ -25,6 +29,14 @@ namespace
 using namespace ecdp;
 
 constexpr BlockGeometry kGeom{128};
+
+std::string
+hex(Addr pc)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "0x%x", pc.raw());
+    return buf;
+}
 
 void
 dependencyStats(const Workload &workload)
@@ -67,10 +79,8 @@ pcTable(const Workload &workload)
     TablePrinter table("static memory-access sites");
     table.header({"pc", "accesses", "lds", "kind"});
     for (const auto &[pc, site] : sites) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "0x%x", pc.raw());
         table.row()
-            .cell(buf)
+            .cell(hex(pc))
             .cell(site.count)
             .cell(site.lds)
             .cell(site.store ? "store" : "load");
@@ -117,6 +127,56 @@ pointerScan(const Workload &workload)
               << " (of 32 slots)\n";
 }
 
+void
+profileView(const Workload &train)
+{
+    const PgStatsMap stats = ProfilingCompiler::profileStats(train);
+    std::vector<std::pair<PgId, PgStats>> groups(stats.begin(),
+                                                 stats.end());
+    std::sort(groups.begin(), groups.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.second.issued != b.second.issued)
+                      return a.second.issued > b.second.issued;
+                  if (a.first.loadPc != b.first.loadPc)
+                      return a.first.loadPc < b.first.loadPc;
+                  return a.first.slot < b.first.slot;
+              });
+    const std::size_t shown = std::min<std::size_t>(12, groups.size());
+    TablePrinter pgs("busiest pointer groups (train profile, top " +
+                     std::to_string(shown) + " of " +
+                     std::to_string(groups.size()) + ")");
+    pgs.header({"pc", "slot", "issued", "used", "usefulness"});
+    for (std::size_t i = 0; i < shown; ++i) {
+        const auto &[pg, s] = groups[i];
+        pgs.row()
+            .cell(hex(pg.loadPc))
+            .cell(std::to_string(pg.slot))
+            .cell(s.issued)
+            .cell(s.used)
+            .cell(s.usefulness(), 2);
+    }
+    pgs.print(std::cout);
+    std::cout << '\n';
+
+    const HintTable hints = ProfilingCompiler::fromPgStats(stats);
+    std::vector<std::pair<Addr, PrefetchHint>> entries(hints.begin(),
+                                                       hints.end());
+    std::sort(entries.begin(), entries.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    TablePrinter table("hint table (" + std::to_string(entries.size()) +
+                       " load PCs)");
+    table.header({"pc", "pos", "neg"});
+    for (const auto &[pc, hint] : entries) {
+        char pos[16], neg[16];
+        std::snprintf(pos, sizeof(pos), "0x%x", hint.pos);
+        std::snprintf(neg, sizeof(neg), "0x%x", hint.neg);
+        table.row().cell(hex(pc)).cell(pos).cell(neg);
+    }
+    table.print(std::cout);
+}
+
 } // namespace
 
 int
@@ -158,5 +218,10 @@ main(int argc, char **argv)
     pointerScan(workload);
     std::cout << '\n';
     pcTable(workload);
+    std::cout << '\n';
+    if (input == InputSet::Train)
+        profileView(workload);
+    else
+        profileView(buildWorkload(name, InputSet::Train));
     return 0;
 }
