@@ -17,9 +17,11 @@
  * The union of the selected figures' cells is simulated up front
  * through one ExperimentRunner (ECDP_JOBS workers) into one
  * ExperimentContext, so each unique (benchmark, configuration) runs
- * and profiles once per process. The figures then print serially
- * from the memo, so stdout is byte-identical for any ECDP_JOBS, and
- * a figure prints the same bytes alone or next to others.
+ * and profiles once per process; the multi-core mixes of Figs. 14
+ * and 15 follow on one ThreadPool of the same size. The figures then
+ * print serially from the memo, so stdout is byte-identical for any
+ * ECDP_JOBS, and a figure prints the same bytes alone or next to
+ * others.
  */
 
 #include <algorithm>
@@ -27,8 +29,6 @@
 #include <exception>
 #include <functional>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -37,8 +37,6 @@
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "compiler/profiling_compiler.hh"
-#include "memsim/thread_annotations.hh"
-#include "obs/trace_session.hh"
 #include "prefetch/dbp.hh"
 #include "prefetch/ghb_prefetcher.hh"
 #include "prefetch/hardware_filter.hh"
@@ -47,7 +45,6 @@
 #include "runner/runner.hh"
 #include "server/cell.hh"
 #include "sim/experiment.hh"
-#include "sim/multicore.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 #include "workloads/workload.hh"
@@ -143,9 +140,12 @@ struct Figure
     /** What `--figure` selects it by. */
     const char *id;
     Names benches;
-    /** Simulated on every benchmark before any figure prints. */
+    /** Simulated on every benchmark, and on every mix, before any
+     *  figure prints (a mix runs the cell's spec; no tweak). */
     std::vector<Cell> cells;
     std::function<void(ExperimentContext &, const Names &)> print;
+    /** Multi-core mixes, one benchmark per core. */
+    std::vector<Names> mixes = {};
 };
 
 // ---------------------------------------------------------------
@@ -267,39 +267,16 @@ printPerSlot(ExperimentContext &ctx, const Names &names,
     }
 }
 
-/** Every benchmark of @p mixes once, in order of first appearance. */
-Names
-mixMembers(const std::vector<Names> &mixes)
-{
-    Names names;
-    for (const Names &mix : mixes)
-        for (const std::string &name : mix)
-            if (std::find(names.begin(), names.end(), name) ==
-                names.end())
-                names.push_back(name);
-    return names;
-}
-
 /**
  * Weighted speedup and bus traffic of multi-core @p mixes under each
- * of @p columns (the first is the baseline), Figs. 14 and 15. Each
- * mix shares one DRAM model, so the mixes simulate serially here;
- * only the alone-IPC runs (the figure's cells) and the hint
- * profiling of the mixes' @p members run in parallel.
+ * of @p columns (the first is the baseline), Figs. 14 and 15, read
+ * from the memo that main() filled.
  */
 void
-printMixes(ExperimentContext &ctx, const Names &members,
-           const std::vector<Names> &mixes, const std::string &figure,
-           const std::string &cores, const std::vector<Cell> &columns)
+printMixes(ExperimentContext &ctx, const std::vector<Names> &mixes,
+           const std::string &figure, const std::string &cores,
+           const std::vector<Cell> &columns)
 {
-    {
-        runner::ThreadPool pool;
-        for (const std::string &name : members)
-            pool.submit([&ctx, name] { ctx.hints(name); });
-        pool.wait();
-    }
-    const Cell &base = columns.front();
-
     Names header{"mix", "base"};
     for (std::size_t c = 1; c < columns.size(); ++c)
         header.push_back(columns[c].spec.config);
@@ -312,48 +289,11 @@ printMixes(ExperimentContext &ctx, const Names &members,
     std::vector<std::vector<double>> hm_cols(columns.size());
     std::vector<std::vector<double>> bus_cols(columns.size());
     for (const Names &mix : mixes) {
-        std::string label;
-        for (const std::string &name : mix)
-            label += (label.empty() ? "" : "+") + name;
-        auto &wrow = ws.row().cell(label);
-        auto &brow = bus.row().cell(label);
+        auto &wrow = ws.row().cell(mixName(mix));
+        auto &brow = bus.row().cell(mixName(mix));
         for (std::size_t c = 0; c < columns.size(); ++c) {
-            std::vector<const Workload *> workloads;
-            // Weighted speedup divides by the *baseline system's*
-            // alone-IPC for every mechanism, so mechanisms compare on
-            // one scale (a better single-core IPC must not inflate
-            // the denominator).
-            std::vector<double> alone;
-            // Hints differ per benchmark; the mix runs one combined
-            // table (the PCs are disjoint across benchmarks, so
-            // merging is exact).
-            HintTable merged;
-            SystemConfig shared = columns[c].resolve(ctx, mix.front());
-            for (const std::string &name : mix) {
-                const SystemConfig cfg = columns[c].resolve(ctx, name);
-                alone.push_back(run(ctx, name, base).ipc);
-                workloads.push_back(&ctx.ref(name));
-                if (cfg.hints) {
-                    for (const auto &[pc, hint] : *cfg.hints)
-                        merged.entry(pc) = hint;
-                }
-            }
-            if (shared.hints)
-                shared.hints = &merged;
-            MultiCoreResult result;
-            if (obs::TraceSession *session =
-                    obs::TraceSession::global()) {
-                obs::EventTracer tracer(
-                    obs::EventTracer::capacityFromEnv());
-                obs::MetricRegistry metrics;
-                result = simulateMultiCore(
-                    shared, workloads, alone,
-                    Observability{&metrics, &tracer});
-                session->flush(label + ":" + columns[c].label(),
-                               tracer);
-            } else {
-                result = simulateMultiCore(shared, workloads, alone);
-            }
+            const MultiCoreResult &result =
+                server::runMix(columns[c].spec, mix, ctx);
             ws_cols[c].push_back(result.weightedSpeedup);
             hm_cols[c].push_back(result.hmeanSpeedup);
             bus_cols[c].push_back(
@@ -387,34 +327,6 @@ printMixes(ExperimentContext &ctx, const Names &members,
                   << "%\n";
     }
 }
-
-/** Section 3's informing-load hints, profiled once per benchmark. */
-class InformingHints
-{
-  public:
-    const HintTable &get(ExperimentContext &ctx,
-                         const std::string &bench)
-        ECDP_EXCLUDES(mutex_)
-    {
-        {
-            MutexLock lock(mutex_);
-            auto it = tables_.find(bench);
-            if (it != tables_.end())
-                return *it->second;
-        }
-        auto table = std::make_unique<HintTable>(
-            ProfilingCompiler::profileWithInformingLoads(
-                ctx.train(bench)));
-        MutexLock lock(mutex_);
-        return *tables_.try_emplace(bench, std::move(table))
-                    .first->second;
-    }
-
-  private:
-    AnnotatedMutex mutex_;
-    std::map<std::string, std::unique_ptr<HintTable>> tables_
-        ECDP_GUARDED_BY(mutex_);
-};
 
 // ---------------------------------------------------------------
 // The figures, in table order.
@@ -823,18 +735,18 @@ fig14()
         {"health", "bzip2"},     {"astar", "lbm"},
         {"gemsfdtd", "h264ref"}, {"milc", "libquantum"},
     };
-    const Cell base = named("baseline");
-    auto print = [=](ExperimentContext &ctx, const Names &names) {
-        printMixes(ctx, names, mixes, "Figure 14", "dual-core",
-                   {base, named("dbp"), named("markov"), named("ghb"),
-                    named("full")});
+    const std::vector<Cell> columns = {named("baseline"), named("dbp"),
+                                       named("markov"), named("ghb"),
+                                       named("full")};
+    auto print = [=](ExperimentContext &ctx, const Names &) {
+        printMixes(ctx, mixes, "Figure 14", "dual-core", columns);
         std::cout
             << "\nPaper: the proposal improves dual-core weighted\n"
                "speedup by 10.4% (hmean 9.9%) and cuts bus traffic\n"
                "by 14.9%; Markov +4.1% with +19.5% traffic, GHB\n"
                "+6.2% with -5% traffic, DBP ineffective.\n";
     };
-    return {"fig14_dualcore", mixMembers(mixes), {base}, print};
+    return {"fig14_dualcore", {}, columns, print, mixes};
 }
 
 /**
@@ -851,15 +763,16 @@ fig15()
         {"ammp", "bisort", "gemsfdtd", "bzip2"},       // mixed
         {"perlbench", "h264ref", "lbm", "libquantum"}, // mostly stream
     };
-    const Cell base = named("baseline");
-    auto print = [=](ExperimentContext &ctx, const Names &names) {
-        printMixes(ctx, names, mixes, "Figure 15", "4-core",
-                   {base, named("markov"), named("ghb"), named("full")});
+    const std::vector<Cell> columns = {named("baseline"),
+                                       named("markov"), named("ghb"),
+                                       named("full")};
+    auto print = [=](ExperimentContext &ctx, const Names &) {
+        printMixes(ctx, mixes, "Figure 15", "4-core", columns);
         std::cout << "\nPaper: the proposal improves 4-core weighted\n"
                      "speedup by 9.5% (hmean 9.7%) while cutting bus\n"
                      "traffic by 15.3%.\n";
     };
-    return {"fig15_quadcore", mixMembers(mixes), {base}, print};
+    return {"fig15_quadcore", {}, columns, print, mixes};
 }
 
 /**
@@ -872,13 +785,12 @@ fig15()
 Figure
 sec3()
 {
-    auto informing = std::make_shared<InformingHints>();
     const Cell base = named("baseline");
     const Cell full = named("full");
     const Cell inform{full.spec, "informing-hints",
-                      [informing](SystemConfig &cfg, ExperimentContext &ctx,
-                                  const std::string &bench) {
-                          cfg.hints = &informing->get(ctx, bench);
+                      [](SystemConfig &cfg, ExperimentContext &ctx,
+                         const std::string &bench) {
+                          cfg.hints = &ctx.informingHints(bench);
                       }};
     auto print = [=](ExperimentContext &ctx, const Names &names) {
         TablePrinter table(
@@ -896,7 +808,7 @@ sec3()
                 .cell(name)
                 .cell(static_cast<std::uint64_t>(ctx.hints(name).size()))
                 .cell(static_cast<std::uint64_t>(
-                    informing->get(ctx, name).size()))
+                    ctx.informingHints(name).size()))
                 .cell(f.ipc / b.ipc, 3)
                 .cell(inf.ipc / b.ipc, 3);
         }
@@ -1432,6 +1344,26 @@ main(int argc, char **argv)
                 }
             }
             grid.wait();
+        }
+        {
+            // Then every (mix, column) as one job, widest mixes first
+            // so the slowest jobs do not form the tail, and column by
+            // column so concurrent jobs rarely wait on one member's
+            // alone run (alone runs and hints come from the memo).
+            std::vector<std::pair<const Names *, const Cell *>> mixes;
+            for (const Figure *figure : chosen)
+                for (const Cell &cell : figure->cells)
+                    for (const Names &mix : figure->mixes)
+                        mixes.emplace_back(&mix, &cell);
+            std::ranges::stable_sort(
+                mixes, std::greater{},
+                [](const auto &job) { return job.first->size(); });
+            runner::ThreadPool pool;
+            for (const auto &[mix, cell] : mixes)
+                pool.submit([&ctx, mix, cell] {
+                    server::runMix(cell->spec, *mix, ctx);
+                });
+            pool.wait();
         }
         for (const Figure *figure : chosen)
             figure->print(ctx, figure->benches);

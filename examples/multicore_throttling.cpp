@@ -2,8 +2,9 @@
  * @file
  * Multi-core contention demo (Section 6.6): a pointer-intensive and
  * a streaming benchmark share the DRAM system on two cores. Shows
- * per-core slowdown vs running alone, and how coordinated throttling
- * claws back bus bandwidth for the hybrid prefetching system.
+ * per-core slowdown vs running alone on the baseline system, and how
+ * coordinated throttling claws back bus bandwidth for the hybrid
+ * prefetching system.
  *
  *   ./example_multicore_throttling [benchA] [benchB]
  */
@@ -11,10 +12,7 @@
 #include <iostream>
 #include <string>
 
-#include "compiler/profiling_compiler.hh"
-#include "sim/experiment.hh"
-#include "sim/multicore.hh"
-#include "sim/simulator.hh"
+#include "server/cell.hh"
 #include "workloads/workload.hh"
 
 using namespace ecdp;
@@ -29,31 +27,19 @@ main(int argc, char **argv)
         return 1;
     }
 
-    Workload a = buildWorkload(name_a, InputSet::Ref);
-    Workload b = buildWorkload(name_b, InputSet::Ref);
-    HintTable hints_a =
-        ProfilingCompiler::profile(buildWorkload(name_a,
-                                                 InputSet::Train));
-    HintTable hints_b =
-        ProfilingCompiler::profile(buildWorkload(name_b,
-                                                 InputSet::Train));
-    // Static PCs are disjoint across benchmarks, so the hint tables
-    // merge exactly.
-    HintTable merged;
-    for (const auto &[pc, hint] : hints_a)
-        merged.entry(pc) = hint;
-    for (const auto &[pc, hint] : hints_b)
-        merged.entry(pc) = hint;
-
-    auto show = [&](const char *label, const SystemConfig &cfg) {
-        double alone_a = simulate(cfg, a).ipc;
-        double alone_b = simulate(cfg, b).ipc;
-        MultiCoreResult r =
-            simulateMultiCore(cfg, {&a, &b}, {alone_a, alone_b});
+    // Every mechanism's speedups divide by the baseline system's
+    // alone IPC, so they compare on one scale.
+    ExperimentContext ctx;
+    auto show = [&](const char *label,
+                    const char *config) -> const MultiCoreResult & {
+        server::CellSpec spec;
+        spec.config = config;
+        const MultiCoreResult &r =
+            server::runMix(spec, {name_a, name_b}, ctx);
         std::cout << label << '\n'
-                  << "  " << name_a << ": alone " << alone_a
+                  << "  " << name_a << ": alone " << r.aloneIpc[0]
                   << " -> shared " << r.perCore[0].ipc << '\n'
-                  << "  " << name_b << ": alone " << alone_b
+                  << "  " << name_b << ": alone " << r.aloneIpc[1]
                   << " -> shared " << r.perCore[1].ipc << '\n'
                   << "  weighted speedup " << r.weightedSpeedup
                   << ", hmean " << r.hmeanSpeedup << ", bus "
@@ -63,15 +49,12 @@ main(int argc, char **argv)
 
     std::cout << "two cores, private L1/L2, shared DRAM (buffer = 32"
                  " x cores)\n\n";
-    MultiCoreResult base =
-        show("baseline (stream prefetcher only):",
-             configs::baseline());
-    MultiCoreResult naive =
-        show("naive hybrid (stream + greedy CDP):",
-             configs::streamCdp());
-    MultiCoreResult full =
-        show("full proposal (ECDP + coordinated throttling):",
-             configs::fullProposal(&merged));
+    const MultiCoreResult &base =
+        show("baseline (stream prefetcher only):", "baseline");
+    const MultiCoreResult &naive =
+        show("naive hybrid (stream + greedy CDP):", "cdp");
+    const MultiCoreResult &full =
+        show("full proposal (ECDP + coordinated throttling):", "full");
 
     std::cout << "bus traffic vs naive hybrid: "
               << 100.0 * (static_cast<double>(full.busTransactions) /

@@ -31,6 +31,12 @@ asLong(const JsonValue &v, const char *what)
     return static_cast<long>(v.asI64());
 }
 
+InputSet
+inputSet(const CellSpec &spec)
+{
+    return spec.input == "train" ? InputSet::Train : InputSet::Ref;
+}
+
 } // namespace
 
 CellSpec
@@ -177,18 +183,21 @@ makeCellConfig(const CellSpec &spec, const HintTable *hints)
     return cfg;
 }
 
-RunStats
+const RunStats &
 runCell(const CellSpec &spec, ExperimentContext &ctx)
 {
     const SystemConfig cfg = makeCellConfig(
         spec, cellNeedsHints(spec) ? &ctx.hints(spec.bench) : nullptr);
-    if (spec.input == "train") {
-        // The memo context runs ref inputs; train cells simulate
-        // directly (still deterministic, still byte-stable).
-        return simulate(cfg,
-                        buildWorkload(spec.bench, InputSet::Train));
-    }
-    return ctx.run(spec.bench, cfg, cellLabel(spec));
+    return ctx.run(spec.bench, cfg, cellLabel(spec), inputSet(spec));
+}
+
+const MultiCoreResult &
+runMix(const CellSpec &spec, const std::vector<std::string> &mix,
+       ExperimentContext &ctx)
+{
+    const SystemConfig cfg = makeCellConfig(
+        spec, cellNeedsHints(spec) ? &ctx.mixHints(mix) : nullptr);
+    return ctx.runMix(mix, cfg, cellLabel(spec), inputSet(spec));
 }
 
 std::string

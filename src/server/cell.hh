@@ -80,9 +80,19 @@ bool cellNeedsHints(const CellSpec &spec);
 SystemConfig makeCellConfig(const CellSpec &spec,
                             const HintTable *hints);
 
-/** Simulate the cell (ref inputs memoized through @p ctx like any
- *  bench run; train inputs simulate directly). */
-RunStats runCell(const CellSpec &spec, ExperimentContext &ctx);
+/** The cell's run, memoized and traced by @p ctx like any bench
+ *  run (the cell's bench and input; its label names the trace). */
+const RunStats &runCell(const CellSpec &spec, ExperimentContext &ctx);
+
+/**
+ * Run @p mix, one benchmark per core, under the cell's configuration
+ * and input through ExperimentContext::runMix (@p spec's bench is
+ * ignored). A config that takes hints gets the members' merged
+ * train-profiled tables.
+ */
+const MultiCoreResult &runMix(const CellSpec &spec,
+                              const std::vector<std::string> &mix,
+                              ExperimentContext &ctx);
 
 /**
  * The canonical result bytes of a cell: writeRunStatsJson with the

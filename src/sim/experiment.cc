@@ -1,6 +1,8 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <ranges>
 #include <stdexcept>
 
 #include "obs/trace_session.hh"
@@ -133,39 +135,43 @@ idealLds()
     return cfg;
 }
 
+namespace
+{
+
+/** One byName() entry; configs that take no hints ignore them. */
+struct Named
+{
+    const char *name;
+    SystemConfig (*make)(const HintTable *hints);
+};
+
+/** Every named configuration, in knownNames() order. */
+constexpr Named kNamed[] = {
+    {"noprefetch", [](const HintTable *) { return noPrefetch(); }},
+    {"baseline", [](const HintTable *) { return baseline(); }},
+    {"cdp", [](const HintTable *) { return streamCdp(); }},
+    {"ecdp", streamEcdp},
+    {"cdp+throttle", [](const HintTable *) { return streamCdpThrottled(); }},
+    {"full", fullProposal},
+    {"dbp", [](const HintTable *) { return streamDbp(); }},
+    {"markov", [](const HintTable *) { return streamMarkov(); }},
+    {"ghb", [](const HintTable *) { return ghbAlone(); }},
+    {"ghb+ecdp", ghbEcdp},
+    {"cdp+filter", [](const HintTable *) { return streamCdpHwFilter(); }},
+    {"ecdp+fdp", streamEcdpFdp},
+    {"cdp+pab", [](const HintTable *) { return streamCdpPab(); }},
+    {"grp", streamGrpCoarse},
+    {"ideal-lds", [](const HintTable *) { return idealLds(); }},
+};
+
+} // namespace
+
 SystemConfig
 byName(const std::string &name, const HintTable *hints)
 {
-    if (name == "noprefetch")
-        return noPrefetch();
-    if (name == "baseline")
-        return baseline();
-    if (name == "cdp")
-        return streamCdp();
-    if (name == "ecdp")
-        return streamEcdp(hints);
-    if (name == "cdp+throttle")
-        return streamCdpThrottled();
-    if (name == "full")
-        return fullProposal(hints);
-    if (name == "dbp")
-        return streamDbp();
-    if (name == "markov")
-        return streamMarkov();
-    if (name == "ghb")
-        return ghbAlone();
-    if (name == "ghb+ecdp")
-        return ghbEcdp(hints);
-    if (name == "cdp+filter")
-        return streamCdpHwFilter();
-    if (name == "ecdp+fdp")
-        return streamEcdpFdp(hints);
-    if (name == "cdp+pab")
-        return streamCdpPab();
-    if (name == "grp")
-        return streamGrpCoarse(hints);
-    if (name == "ideal-lds")
-        return idealLds();
+    for (const Named &entry : kNamed)
+        if (name == entry.name)
+            return entry.make(hints);
     std::string known;
     for (const std::string &k : knownNames())
         known += (known.empty() ? "" : ", ") + k;
@@ -176,28 +182,44 @@ byName(const std::string &name, const HintTable *hints)
 bool
 nameNeedsHints(const std::string &name)
 {
-    return name == "ecdp" || name == "full" || name == "ghb+ecdp" ||
-           name == "ecdp+fdp" || name == "grp";
+    // Probed once: the lookup sits on every memo hit's path.
+    static const std::vector<std::string> hinted = [] {
+        static const HintTable probe;
+        std::vector<std::string> names;
+        for (const Named &entry : kNamed)
+            if (entry.make(&probe).hints == &probe)
+                names.push_back(entry.name);
+        return names;
+    }();
+    return std::find(hinted.begin(), hinted.end(), name) != hinted.end();
 }
 
 const std::vector<std::string> &
 knownNames()
 {
-    static const std::vector<std::string> names = {
-        "noprefetch", "baseline",   "cdp",      "ecdp",
-        "cdp+throttle", "full",     "dbp",      "markov",
-        "ghb",        "ghb+ecdp",   "cdp+filter", "ecdp+fdp",
-        "cdp+pab",    "grp",        "ideal-lds",
-    };
+    auto all = std::views::transform(kNamed, &Named::name);
+    static const std::vector<std::string> names(all.begin(), all.end());
     return names;
 }
 
 } // namespace configs
 
 std::uint64_t
-runKey(const std::string &workload, const SystemConfig &cfg)
+runKey(const std::string &workload, const SystemConfig &cfg,
+       InputSet input)
 {
-    return resultKey(workload, configHash(cfg));
+    const std::uint64_t hash = configHash(cfg);
+    return input == InputSet::Ref ? resultKey(workload, hash)
+                                  : resultKey(workload + ":train", hash);
+}
+
+std::string
+mixName(const std::vector<std::string> &mix)
+{
+    std::string name;
+    for (const std::string &member : mix)
+        name += (name.empty() ? "" : "+") + member;
+    return name;
 }
 
 ExperimentContext::ExperimentContext()
@@ -242,11 +264,46 @@ ExperimentContext::hintsFromRef(const std::string &name)
     });
 }
 
+const HintTable &
+ExperimentContext::informingHints(const std::string &name)
+{
+    return informingHints_.get(name, [&] {
+        return ProfilingCompiler::profileWithInformingLoads(train(name));
+    });
+}
+
+const HintTable &
+ExperimentContext::mixHints(const std::vector<std::string> &mix)
+{
+    return mixHints_.get(mixName(mix), [&] {
+        HintTable merged;
+        for (const std::string &member : mix)
+            for (const auto &[pc, hint] : hints(member))
+                merged.entry(pc) = hint;
+        return merged;
+    });
+}
+
+void
+ExperimentContext::traced(
+    const std::string &traceName,
+    const std::function<void(const Observability &)> &sim)
+{
+    if (!traceSession_) {
+        sim(Observability{});
+        return;
+    }
+    obs::EventTracer tracer(obs::EventTracer::capacityFromEnv());
+    obs::MetricRegistry metrics;
+    sim(Observability{&metrics, &tracer});
+    traceSession_->flush(traceName, tracer);
+}
+
 const RunStats &
 ExperimentContext::run(const std::string &name, const SystemConfig &cfg,
-                       const std::string &key)
+                       const std::string &key, InputSet input)
 {
-    const std::uint64_t id = runKey(name, cfg);
+    const std::uint64_t id = runKey(name, cfg, input);
     return runs_.get(id, [&]() -> RunStats {
         // A store hit would skip the simulation and leave a hole in
         // the trace, so while tracing is on every unique run executes
@@ -259,20 +316,36 @@ ExperimentContext::run(const std::string &name, const SystemConfig &cfg,
                 }
             }
         }
+        const Workload &wl = workload(name, input);
         RunStats stats;
-        if (traceSession_) {
-            obs::EventTracer tracer(
-                obs::EventTracer::capacityFromEnv());
-            obs::MetricRegistry metrics;
-            Observability bundle{&metrics, &tracer};
-            stats = simulate(cfg, ref(name), bundle);
-            traceSession_->flush(name + ":" + key, tracer);
-        } else {
-            stats = simulate(cfg, ref(name));
-        }
+        traced(name + ":" + key, [&](const Observability &obs) {
+            stats = simulate(cfg, wl, obs);
+        });
         if (store_)
             store_->complete(id, encodeRunStats(stats));
         return stats;
+    });
+}
+
+const MultiCoreResult &
+ExperimentContext::runMix(const std::vector<std::string> &mix,
+                          const SystemConfig &cfg,
+                          const std::string &label, InputSet input)
+{
+    const std::string name = mixName(mix);
+    return mixes_.get(runKey("mix:" + name, cfg, input), [&] {
+        std::vector<const Workload *> workloads;
+        std::vector<double> alone;
+        for (const std::string &member : mix) {
+            workloads.push_back(&workload(member, input));
+            alone.push_back(
+                run(member, configs::baseline(), "baseline", input).ipc);
+        }
+        MultiCoreResult result;
+        traced(name + ":" + label, [&](const Observability &obs) {
+            result = simulateMultiCore(cfg, workloads, alone, obs);
+        });
+        return result;
     });
 }
 

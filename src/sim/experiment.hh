@@ -9,6 +9,7 @@
 #define ECDP_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,6 +20,7 @@
 #include "compiler/profiling_compiler.hh"
 #include "memsim/thread_annotations.hh"
 #include "sim/config.hh"
+#include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -105,15 +107,21 @@ const std::vector<std::string> &knownNames();
 
 /**
  * The key ExperimentContext memoizes and persists the run of
- * benchmark @p workload (ref input) under: resultKey() over the
- * workload name and configHash(@p cfg), so it folds kStatsSchema.
+ * benchmark @p workload under: resultKey() over the workload name
+ * (suffixed ":train" for the train input) and configHash(@p cfg), so
+ * it folds kStatsSchema.
  */
 std::uint64_t runKey(const std::string &workload,
-                     const SystemConfig &cfg);
+                     const SystemConfig &cfg,
+                     InputSet input = InputSet::Ref);
+
+/** A multi-core mix's name: its members joined by '+'. */
+std::string mixName(const std::vector<std::string> &mix);
 
 /**
  * Caches workloads, hints and runs for `repro` (bench/repro.cc), the
- * CLI tools and the daemon's workers.
+ * CLI tools and the daemon's workers: the one place a single-core
+ * run or a multi-core mix is resolved, traced and memoized.
  *
  * All accessors build lazily and memoize, so a bench touching five
  * configurations of fifteen benchmarks pays each workload build and
@@ -127,11 +135,12 @@ std::uint64_t runKey(const std::string &workload,
  * context's lifetime.
  *
  * Simulation results are memoized under runKey() — the workload
- * name and a hash of the actual SystemConfig fields (see
+ * name, its input and a hash of the actual SystemConfig fields (see
  * configHash()), never the human-readable label alone. When the
- * ECDP_RESULT_CACHE environment variable names a directory, runs also
- * spill there through a ResultStore (as cell-<runKey>.bin) and later
- * processes reload them; the memo stays the memory tier.
+ * ECDP_RESULT_CACHE environment variable names a directory,
+ * single-core runs also spill there through a ResultStore (as
+ * cell-<runKey>.bin) and later processes reload them; the memo stays
+ * the memory tier. Mixes live in the memo only.
  */
 class ExperimentContext
 {
@@ -151,20 +160,43 @@ class ExperimentContext
     /** Hints profiled on the ref input (Section 6.1.6). */
     const HintTable &hintsFromRef(const std::string &name);
 
+    /** Hints profiled with informing loads on the train input
+     *  (Section 3's second implementation). */
+    const HintTable &informingHints(const std::string &name);
+
+    /** Hints of every member of @p mix, merged into one table (the
+     *  benchmarks' static PCs are disjoint, so merging is exact). */
+    const HintTable &mixHints(const std::vector<std::string> &mix);
+
     /**
-     * Simulate benchmark @p name (ref input) under @p cfg, memoized
-     * by runKey(@p name, @p cfg). @p key is a short human-readable
-     * config label ("baseline") that only names the run's trace
-     * flush; it never selects a result.
+     * Simulate benchmark @p name on @p input under @p cfg, memoized
+     * by runKey(@p name, @p cfg, @p input). @p key is a short
+     * human-readable config label ("baseline") that only names the
+     * run's trace flush; it never selects a result.
      */
     const RunStats &run(const std::string &name, const SystemConfig &cfg,
-                        const std::string &key);
+                        const std::string &key,
+                        InputSet input = InputSet::Ref);
+
+    /**
+     * Simulate @p mix, one benchmark per core, under @p cfg, memoized
+     * by the mix's name, @p input and configHash(@p cfg). Its speedups
+     * divide by each member's run() under configs::baseline(), so
+     * every mechanism is measured on one scale (a better single-core
+     * IPC must not inflate its own denominator). @p label names the
+     * trace flush, as run()'s @p key does.
+     */
+    const MultiCoreResult &runMix(const std::vector<std::string> &mix,
+                                  const SystemConfig &cfg,
+                                  const std::string &label,
+                                  InputSet input = InputSet::Ref);
 
     /**
      * Override the trace session (tests use a private session; the
      * default is the process-wide ECDP_TRACE session). While a
-     * session is attached, run() executes every unique simulation
-     * with an event tracer and flushes it as "<name>:<key>", and the
+     * session is attached, run() and runMix() execute every unique
+     * simulation with an event tracer and flush it as "<name>:<key>"
+     * ("<a+b>:<label>" for a mix), and the
      * persistent result store is bypassed on load — a store hit would
      * otherwise silently produce an empty trace — but results are
      * still stored. The in-memory memo still deduplicates, so each
@@ -177,6 +209,16 @@ class ExperimentContext
     }
 
   private:
+    const Workload &workload(const std::string &name, InputSet input)
+    {
+        return input == InputSet::Train ? train(name) : ref(name);
+    }
+
+    /** Calls @p sim, with an event tracer it then flushes as
+     *  @p traceName while a trace session is attached. */
+    void traced(const std::string &traceName,
+                const std::function<void(const Observability &)> &sim);
+
     /**
      * Thread-safe memo table. Each key owns one cell; the first
      * caller materializes the value under the cell's once-flag while
@@ -223,8 +265,12 @@ class ExperimentContext
     MemoTable<std::string, Workload> trains_;
     MemoTable<std::string, HintTable> hints_;
     MemoTable<std::string, HintTable> refHints_;
+    MemoTable<std::string, HintTable> informingHints_;
+    /** Keyed by mixName(). */
+    MemoTable<std::string, HintTable> mixHints_;
     /** Keyed by runKey(). */
     MemoTable<std::uint64_t, RunStats> runs_;
+    MemoTable<std::uint64_t, MultiCoreResult> mixes_;
 
     /** Trace sink (ECDP_TRACE), or nullptr when tracing is off. */
     obs::TraceSession *traceSession_ = nullptr;

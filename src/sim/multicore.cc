@@ -115,6 +115,7 @@ simulateMultiCore(const SystemConfig &cfg,
         result.weightedSpeedup += ratio;
     }
     result.hmeanSpeedup = hmean(ratios);
+    result.aloneIpc = alone_ipc;
     result.busTransactions = dram.busTransactions();
     return result;
 }

@@ -22,6 +22,8 @@ struct MultiCoreResult
 {
     /** Per-core stats; IPC measured over each core's first pass. */
     std::vector<RunStats> perCore;
+    /** IPC_alone of each core, as passed in. */
+    std::vector<double> aloneIpc;
     /** Sum over cores of IPC_shared / IPC_alone. */
     double weightedSpeedup = 0.0;
     /** Harmonic mean of per-core IPC_shared / IPC_alone. */
@@ -43,8 +45,9 @@ struct MultiCoreResult
  *
  * @param cfg System configuration (per-core resources).
  * @param workloads One workload per core.
- * @param alone_ipc IPC of each workload running alone under the same
- *        configuration (for the speedup metrics).
+ * @param alone_ipc IPC of each workload running alone, the speedup
+ *        metrics' denominators (ExperimentContext::runMix passes the
+ *        baseline system's).
  * @param obs Observability bundle shared by every core's memory
  *        system (counters are prefixed "core<N>.") and the DRAM
  *        controller. Observability never changes simulated behaviour.

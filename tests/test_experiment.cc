@@ -10,7 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace_session.hh"
+#include "runner/thread_pool.hh"
+#include "server/cell.hh"
 #include "sim/experiment.hh"
+#include "stats/stats.hh"
 
 namespace ecdp
 {
@@ -115,6 +119,74 @@ TEST(ExperimentContextTest, HintsAreStableReferences)
     const HintTable &a = ctx.hints("parser");
     const HintTable &b = ctx.hints("parser");
     EXPECT_EQ(&a, &b);
+}
+
+TEST(ExperimentContextTest, MixSpeedupsDivideByBaselineAloneIpc)
+{
+    ExperimentContext ctx;
+    const std::vector<std::string> mix = {"bisort", "libquantum"};
+    const MultiCoreResult &r =
+        ctx.runMix(mix, configs::streamCdp(), "cdp", InputSet::Train);
+    ASSERT_EQ(r.perCore.size(), mix.size());
+    double weighted = 0.0;
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        const double alone = ctx.run(mix[i], configs::baseline(),
+                                     "baseline", InputSet::Train)
+                                 .ipc;
+        EXPECT_EQ(r.aloneIpc[i], alone);
+        ratios.push_back(r.perCore[i].ipc / alone);
+        weighted += ratios.back();
+    }
+    EXPECT_DOUBLE_EQ(r.weightedSpeedup, weighted);
+    EXPECT_DOUBLE_EQ(r.hmeanSpeedup, hmean(ratios));
+}
+
+TEST(ExperimentContextTest, MixIsMemoizedAndSimulatesOnce)
+{
+    obs::TraceSession session(testing::TempDir() + "/mix_memo.json");
+    ASSERT_TRUE(session.ok());
+    ExperimentContext ctx;
+    ctx.setTraceSession(&session);
+    const std::vector<std::string> mix = {"bisort", "libquantum"};
+    std::vector<const MultiCoreResult *> seen(4);
+    runner::ThreadPool pool(4);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        pool.submit([&, i] {
+            seen[i] = &ctx.runMix(mix, configs::streamCdp(), "cdp",
+                                  InputSet::Train);
+        });
+    }
+    pool.wait();
+    for (const MultiCoreResult *result : seen)
+        EXPECT_EQ(result, seen.front());
+    // The mix plus each member's baseline alone run, once each.
+    EXPECT_EQ(session.runsFlushed(), 3u);
+    session.close();
+}
+
+TEST(ExperimentContextTest, TrainCellIsMemoizedAndTraced)
+{
+    obs::TraceSession session(testing::TempDir() + "/train_cell.json");
+    ASSERT_TRUE(session.ok());
+    ExperimentContext ctx;
+    ctx.setTraceSession(&session);
+    server::CellSpec cell;
+    cell.bench = "mst";
+    cell.config = "cdp";
+    cell.input = "train";
+    const RunStats &first = server::runCell(cell, ctx);
+    const RunStats &second = server::runCell(cell, ctx);
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(session.runsFlushed(), 1u);
+    // The train run is its own memo entry, not the ref run's.
+    EXPECT_NE(runKey("mst", configs::streamCdp(), InputSet::Train),
+              runKey("mst", configs::streamCdp()));
+    const RunStats direct = simulate(
+        configs::streamCdp(), buildWorkload("mst", InputSet::Train));
+    EXPECT_EQ(first.cycles, direct.cycles);
+    EXPECT_EQ(first.instructions, direct.instructions);
+    session.close();
 }
 
 } // namespace

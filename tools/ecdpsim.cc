@@ -10,18 +10,19 @@
  *   ecdpsim --bench health --config cdp+throttle \
  *       --engines stream,cdp,isb --json
  *
- * Configs: noprefetch, baseline, cdp, ecdp, cdp+throttle, full,
- *          dbp, markov, ghb, ghb+ecdp, cdp+filter, ecdp+fdp,
- *          cdp+pab, grp, ideal-lds.
+ * Configs: every configs::knownNames() entry (src/sim/experiment.cc).
  *
  * A config is an engine stack plus a throttle policy name. --engines
  * replaces the chosen config's stack with a registry-name list (any
  * length), keeping its policy and feedback knobs — the N-engine
  * hybrid recipe in EXPERIMENTS.md builds on it. --throttle-policy
  * replaces its policy (static, coordinated, fdp, pab, tabular-rl);
- * --rl-seed seeds the tabular-rl explorer. The flags resolve exactly
- * like an ecdpd cell (server/cell.cc): a stack naming ecdp gets
- * train-profiled hints whatever the config.
+ * --rl-seed seeds the tabular-rl explorer. The flags resolve and run
+ * exactly like an ecdpd cell (server/cell.cc): a stack naming ecdp
+ * gets train-profiled hints whatever the config, and a run is
+ * memoized, traced (ECDP_TRACE) and spilled (ECDP_RESULT_CACHE) by
+ * ExperimentContext. A --multicore mix's speedups divide by each
+ * member's IPC alone on the baseline system.
  */
 
 #include <iostream>
@@ -29,12 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "compiler/profiling_compiler.hh"
-#include "obs/trace_session.hh"
 #include "prefetch/engine.hh"
 #include "server/cell.hh"
-#include "sim/multicore.hh"
-#include "sim/simulator.hh"
 #include "stats/json.hh"
 #include "throttle/throttle_policy.hh"
 #include "workloads/workload.hh"
@@ -65,30 +62,6 @@ usage(std::ostream &os)
           "               [--tcov X] [--interval N]\n";
 }
 
-/** Hints profiled on the train input of every named benchmark, merged
- *  (one table for a multicore mix); empty when the cell needs none. */
-HintTable
-trainHints(const server::CellSpec &cell,
-           const std::vector<std::string> &benches)
-{
-    HintTable merged;
-    if (!server::cellNeedsHints(cell))
-        return merged;
-    for (const std::string &name : benches) {
-        HintTable hints = ProfilingCompiler::profile(
-            buildWorkload(name, InputSet::Train));
-        for (const auto &[pc, hint] : hints)
-            merged.entry(pc) = hint;
-    }
-    return merged;
-}
-
-InputSet
-inputSet(const server::CellSpec &cell)
-{
-    return cell.input == "train" ? InputSet::Train : InputSet::Ref;
-}
-
 void
 printHuman(const RunStats &stats, const std::string &config)
 {
@@ -111,61 +84,22 @@ printHuman(const RunStats &stats, const std::string &config)
 }
 
 int
-runSingle(const Options &opts)
+runSingle(const Options &opts, ExperimentContext &ctx)
 {
-    const server::CellSpec &cell = opts.cell;
-    const std::string label = server::cellLabel(cell);
-    const HintTable hints = trainHints(cell, {cell.bench});
-    const SystemConfig cfg = server::makeCellConfig(cell, &hints);
-    Workload workload = buildWorkload(cell.bench, inputSet(cell));
-    RunStats stats;
-    if (obs::TraceSession *session = obs::TraceSession::global()) {
-        obs::EventTracer tracer(obs::EventTracer::capacityFromEnv());
-        obs::MetricRegistry metrics;
-        stats = simulate(cfg, workload,
-                         Observability{&metrics, &tracer});
-        session->flush(cell.bench + ":" + label, tracer);
-    } else {
-        stats = simulate(cfg, workload);
-    }
-    if (opts.json) {
-        writeRunStatsJson(std::cout, stats, label);
-        std::cout << '\n';
-    } else {
-        printHuman(stats, label);
-    }
+    const RunStats &stats = server::runCell(opts.cell, ctx);
+    if (opts.json)
+        std::cout << server::cellStatsJson(opts.cell, stats) << '\n';
+    else
+        printHuman(stats, server::cellLabel(opts.cell));
     return 0;
 }
 
 int
-runMulti(const Options &opts)
+runMulti(const Options &opts, ExperimentContext &ctx)
 {
     const std::string label = server::cellLabel(opts.cell);
-    const HintTable hints = trainHints(opts.cell, opts.multicore);
-    const SystemConfig cfg = server::makeCellConfig(opts.cell, &hints);
-    std::vector<Workload> workloads;
-    for (const std::string &name : opts.multicore)
-        workloads.push_back(buildWorkload(name, inputSet(opts.cell)));
-    std::vector<const Workload *> ptrs;
-    std::vector<double> alone;
-    for (const Workload &workload : workloads) {
-        ptrs.push_back(&workload);
-        alone.push_back(simulate(cfg, workload).ipc);
-    }
-    MultiCoreResult result;
-    if (obs::TraceSession *session = obs::TraceSession::global()) {
-        // One tracer for the whole mix; events carry the core index.
-        obs::EventTracer tracer(obs::EventTracer::capacityFromEnv());
-        obs::MetricRegistry metrics;
-        result = simulateMultiCore(cfg, ptrs, alone,
-                                   Observability{&metrics, &tracer});
-        std::string mix;
-        for (const std::string &name : opts.multicore)
-            mix += (mix.empty() ? "" : "+") + name;
-        session->flush(mix + ":" + label, tracer);
-    } else {
-        result = simulateMultiCore(cfg, ptrs, alone);
-    }
+    const MultiCoreResult &result =
+        server::runMix(opts.cell, opts.multicore, ctx);
     if (opts.json) {
         std::cout << "{\"config\":\"" << jsonEscape(label)
                   << "\",\"weightedSpeedup\":"
@@ -185,8 +119,8 @@ runMulti(const Options &opts)
         for (std::size_t i = 0; i < result.perCore.size(); ++i) {
             const RunStats &s = result.perCore[i];
             std::cout << "  core " << i << " (" << s.workload
-                      << "): IPC " << s.ipc << " (alone " << alone[i]
-                      << ")\n";
+                      << "): IPC " << s.ipc << " (alone "
+                      << result.aloneIpc[i] << ")\n";
         }
         std::cout << "  weighted speedup " << result.weightedSpeedup
                   << ", hmean " << result.hmeanSpeedup << ", bus "
@@ -279,21 +213,22 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    for (const std::string &name :
-         opts.multicore.empty()
-             ? std::vector<std::string>{opts.cell.bench}
-             : opts.multicore) {
-        if (!name.empty() && !findBenchmark(name)) {
+    std::vector<std::string> names = opts.multicore;
+    if (names.empty() && !opts.cell.bench.empty())
+        names.push_back(opts.cell.bench);
+    for (const std::string &name : names) {
+        if (!findBenchmark(name)) {
             std::cerr << "error: unknown benchmark '" << name
                       << "' (try --list)\n";
             return 2;
         }
     }
     try {
+        ExperimentContext ctx;
         if (!opts.multicore.empty())
-            return runMulti(opts);
+            return runMulti(opts, ctx);
         if (!opts.cell.bench.empty())
-            return runSingle(opts);
+            return runSingle(opts, ctx);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;
