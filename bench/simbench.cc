@@ -366,7 +366,7 @@ main(int argc, char **argv)
 
     // A representative hybrid config: stream + CDP under coordinated
     // throttling exercises the feedback-interval machinery too.
-    const SystemConfig cfg = configs::streamCdpThrottled();
+    const SystemConfig cfg = configs::byName("cdp+throttle");
     const std::string config_label = "stream+cdp+throttle";
 
     std::vector<WorkloadResult> results;
@@ -390,7 +390,7 @@ main(int argc, char **argv)
     // v3 hybrid canary: a three-engine stack (third slot via the
     // registry) on health, so --check also guards the N-engine
     // dispatch path the two-slot matrix above never touches.
-    SystemConfig hybridCfg = configs::streamCdpThrottled();
+    SystemConfig hybridCfg = configs::byName("cdp+throttle");
     hybridCfg.engines = {"stream", "cdp", "isb"};
     const std::string hybrid_label = "stream+cdp+isb+coordinated";
     WorkloadResult hybrid = benchWorkload(hybridCfg, "health", reps);

@@ -39,25 +39,25 @@ main(int argc, char **argv)
         SystemConfig cfg;
     };
     std::vector<Point> points;
-    points.push_back({"no-prefetch", configs::noPrefetch()});
+    points.push_back({"no-prefetch", configs::byName("noprefetch")});
 
     for (AggLevel level :
          {AggLevel::VeryConservative, AggLevel::Conservative,
           AggLevel::Moderate, AggLevel::Aggressive}) {
-        SystemConfig cfg = configs::baseline();
+        SystemConfig cfg = configs::byName("baseline");
         cfg.primaryStartLevel = level;
         points.push_back({std::string("stream/") + aggLevelName(level),
                           cfg});
     }
-    points.push_back({"ghb-alone", configs::ghbAlone()});
-    points.push_back({"stream+dbp", configs::streamDbp()});
-    points.push_back({"stream+markov", configs::streamMarkov()});
-    points.push_back({"stream+cdp(greedy)", configs::streamCdp()});
-    points.push_back({"stream+ecdp", configs::streamEcdp(&hints)});
+    points.push_back({"ghb-alone", configs::byName("ghb")});
+    points.push_back({"stream+dbp", configs::byName("dbp")});
+    points.push_back({"stream+markov", configs::byName("markov")});
+    points.push_back({"stream+cdp(greedy)", configs::byName("cdp")});
+    points.push_back({"stream+ecdp", configs::byName("ecdp", &hints)});
     points.push_back(
-        {"stream+cdp+throttle", configs::streamCdpThrottled()});
+        {"stream+cdp+throttle", configs::byName("cdp+throttle")});
     points.push_back(
-        {"full-proposal", configs::fullProposal(&hints)});
+        {"full-proposal", configs::byName("full", &hints)});
 
     TablePrinter table("design space on '" + name + "' (ref input)");
     table.header({"configuration", "IPC", "BPKI", "L2-misses",

@@ -123,9 +123,9 @@ main()
     }
 
     // Show the end effect: greedy CDP vs ECDP on this table.
-    RunStats base = simulate(configs::baseline(), workload);
-    RunStats cdp = simulate(configs::streamCdp(), workload);
-    RunStats ecdp = simulate(configs::streamEcdp(&hints), workload);
+    RunStats base = simulate(configs::byName("baseline"), workload);
+    RunStats cdp = simulate(configs::byName("cdp"), workload);
+    RunStats ecdp = simulate(configs::byName("ecdp", &hints), workload);
     std::cout << "\n               IPC     BPKI   LDS-prefetches\n";
     auto row = [](const char *label, const RunStats &s) {
         std::cout << label << s.ipc << "   " << s.bpki << "   "

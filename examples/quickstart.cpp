@@ -48,8 +48,8 @@ main(int argc, char **argv)
 
     // 3. Simulate the baseline (aggressive stream prefetcher only)
     //    and the full proposal.
-    RunStats base = simulate(configs::baseline(), ref);
-    RunStats full = simulate(configs::fullProposal(&hints), ref);
+    RunStats base = simulate(configs::byName("baseline"), ref);
+    RunStats full = simulate(configs::byName("full", &hints), ref);
 
     auto report = [](const char *label, const RunStats &stats) {
         std::cout << label << ": IPC " << stats.ipc << ", BPKI "

@@ -1,6 +1,5 @@
 #include "server/cell.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -57,16 +56,10 @@ parseCellSpec(const JsonValue &v)
             spec.throttlePolicy = value.asString();
         } else if (key == "rlSeed") {
             spec.rlSeed = asLong(value, "rlSeed");
-            if (spec.rlSeed < 0)
-                throw std::runtime_error("rlSeed must be >= 0");
         } else if (key == "tcov") {
             spec.tcov = value.asDouble();
-            if (spec.tcov < 0.0 || spec.tcov > 1.0)
-                throw std::runtime_error("tcov must be in [0,1]");
         } else if (key == "interval") {
             spec.interval = asLong(value, "interval");
-            if (spec.interval <= 0)
-                throw std::runtime_error("interval must be > 0");
         } else {
             throw std::runtime_error("unknown cell member \"" + key +
                                      "\"");
@@ -75,15 +68,21 @@ parseCellSpec(const JsonValue &v)
 
     if (spec.bench.empty())
         throw std::runtime_error("cell needs a \"bench\" member");
-    if (!findBenchmark(spec.bench))
+    validateCellSpec(spec);
+    return spec;
+}
+
+void
+validateCellSpec(const CellSpec &spec)
+{
+    if (!spec.bench.empty() && !findBenchmark(spec.bench))
         throw std::runtime_error("unknown benchmark '" + spec.bench +
                                  "'");
     if (spec.input != "ref" && spec.input != "train")
         throw std::runtime_error("input must be \"ref\" or \"train\"");
-    // Validate names up front with the registries' diagnostics (they
-    // list every known name) instead of failing mid-simulation in a
-    // worker.
-    configs::byName(spec.config, nullptr);
+    // Check names up front instead of failing mid-simulation in a
+    // worker: each lookup throws a diagnostic listing the known names.
+    configs::nameNeedsHints(spec.config);
     for (const std::string &engine : spec.engines) {
         if (!EngineRegistry::instance().contains(engine))
             EngineRegistry::instance().create(engine,
@@ -94,7 +93,13 @@ parseCellSpec(const JsonValue &v)
         PolicyRegistry::instance().create(spec.throttlePolicy,
                                           PolicyContext{});
     }
-    return spec;
+    // -1 is the "keep the config's" sentinel of each knob.
+    if (spec.rlSeed < -1)
+        throw std::runtime_error("rlSeed must be >= 0");
+    if (spec.tcov != -1.0 && !(spec.tcov >= 0.0 && spec.tcov <= 1.0))
+        throw std::runtime_error("tcov must be in [0,1]");
+    if (spec.interval != -1 && spec.interval <= 0)
+        throw std::runtime_error("interval must be > 0");
 }
 
 std::string
@@ -154,22 +159,17 @@ cellLabel(const CellSpec &spec)
 bool
 cellNeedsHints(const CellSpec &spec)
 {
-    return configs::nameNeedsHints(spec.config) ||
-           std::find(spec.engines.begin(), spec.engines.end(),
-                     "ecdp") != spec.engines.end();
+    return spec.engines.empty() ? configs::nameNeedsHints(spec.config)
+                                : configs::stackRunsEcdp(spec.engines);
 }
 
 SystemConfig
 makeCellConfig(const CellSpec &spec, const HintTable *hints)
 {
-    SystemConfig cfg = configs::byName(spec.config, hints);
+    SystemConfig cfg = configs::byName(spec.config);
     if (!spec.engines.empty())
         cfg.engines = spec.engines;
-    // A stack naming ecdp needs the hints even when the named config
-    // (e.g. "baseline") takes none.
-    if (std::find(cfg.engines.begin(), cfg.engines.end(), "ecdp") !=
-        cfg.engines.end())
-        cfg.hints = hints;
+    cfg.hints = configs::stackRunsEcdp(cfg.engines) ? hints : nullptr;
     if (!spec.throttlePolicy.empty())
         cfg.throttlePolicy = spec.throttlePolicy;
     if (spec.rlSeed >= 0)

@@ -49,12 +49,22 @@ struct CellSpec
 };
 
 /**
- * Parse one cell object. Unknown members, wrong types and unknown
- * benchmark/config/input names all throw std::runtime_error with a
+ * Parse one cell object. Unknown members, wrong types, a missing
+ * bench and anything validateCellSpec() rejects all throw with a
  * description — the daemon turns that into a 400, so a typoed field
  * can never silently select a default.
  */
 CellSpec parseCellSpec(const JsonValue &v);
+
+/**
+ * The cell check ecdpd and ecdpsim share: throws (std::runtime_error,
+ * or the engine/policy registry's std::invalid_argument listing every
+ * known name) on an unknown benchmark, config, engine or policy, an
+ * input other than ref/train, or a knob out of range (rlSeed < 0,
+ * tcov outside [0,1], interval <= 0; -1 is "unset"). The bench is
+ * checked only when set: a multi-core cell has none.
+ */
+void validateCellSpec(const CellSpec &spec);
 
 /** Canonical JSON: fixed key order, defaulted members omitted. */
 std::string canonicalCellJson(const CellSpec &spec);
@@ -67,15 +77,16 @@ std::uint64_t cellKey(const CellSpec &spec);
  *  ("cdp+throttle[stream,cdp,isb]{tabular-rl}"). */
 std::string cellLabel(const CellSpec &spec);
 
-/** True when the cell's named config or its engine stack runs ECDP,
- *  i.e. the config needs train-profiled compiler hints. */
+/** True when the cell's final stack (its engines, else its named
+ *  config's) runs ECDP, i.e. it needs train-profiled compiler hints
+ *  (configs::stackRunsEcdp()). */
 bool cellNeedsHints(const CellSpec &spec);
 
 /**
  * The SystemConfig the cell names: the named config with the cell's
  * overrides applied. @p hints (the train-profiled table, required
- * when cellNeedsHints()) is wired in whenever the resulting stack
- * runs ECDP, whatever the named config.
+ * when cellNeedsHints()) is wired in exactly when the resulting
+ * stack runs ECDP, whatever the named config.
  */
 SystemConfig makeCellConfig(const CellSpec &spec,
                             const HintTable *hints);

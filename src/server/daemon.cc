@@ -562,7 +562,6 @@ Daemon::exportMetrics(obs::MetricRegistry &registry) const
     registry.counter("ecdpd.pool.shards").set(pool_.shards());
     registry.counter("ecdpd.pool.spawned").set(pool_.spawned());
     registry.counter("ecdpd.pool.crashed").set(pool_.crashed());
-    registry.counter("ecdpd.pool.stolen").set(pool_.stolen());
 }
 
 void

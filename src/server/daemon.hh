@@ -3,8 +3,7 @@
  * ecdpd — the simulation-as-a-service daemon. Glues the subsystem
  * together: the epoll HTTP front door (http_server), the
  * content-addressed single-flight result store (result_store) and
- * the work-stealing pool of crash-isolated worker processes
- * (worker_pool).
+ * the FIFO pool of crash-isolated worker processes (worker_pool).
  *
  * Request lifecycle of one grid cell:
  *

@@ -18,10 +18,9 @@ WorkerPool::WorkerPool(std::vector<std::string> workerArgv,
         throw std::invalid_argument("WorkerPool: empty argv");
     if (shards == 0)
         shards = 1;
-    queues_.resize(shards);
     shards_.reserve(shards);
     for (unsigned i = 0; i < shards; ++i)
-        shards_.emplace_back([this, i] { shardLoop(i); });
+        shards_.emplace_back([this] { shardLoop(); });
 }
 
 WorkerPool::~WorkerPool()
@@ -32,15 +31,11 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::stop()
 {
-    std::vector<Job> orphans;
+    std::deque<Job> orphans;
     {
         MutexLock lock(mutex_);
         stopping_ = true;
-        for (std::deque<Job> &queue : queues_) {
-            for (Job &job : queue)
-                orphans.push_back(std::move(job));
-            queue.clear();
-        }
+        orphans.swap(queue_);
     }
     cv_.notify_all();
     for (std::thread &shard : shards_) {
@@ -59,10 +54,7 @@ WorkerPool::submit(std::string input, Done done)
         if (stopping_) {
             // Fire outside the lock below, like any other failure.
         } else {
-            unsigned shard = nextShard_;
-            nextShard_ = (nextShard_ + 1) % unsigned(queues_.size());
-            queues_[shard].push_back(
-                Job{std::move(input), std::move(done)});
+            queue_.push_back(Job{std::move(input), std::move(done)});
             cv_.notify_one();
             return;
         }
@@ -81,46 +73,22 @@ std::size_t
 WorkerPool::queued() const
 {
     MutexLock lock(mutex_);
-    std::size_t depth = 0;
-    for (const std::deque<Job> &queue : queues_)
-        depth += queue.size();
-    return depth;
+    return queue_.size();
 }
 
 bool
-WorkerPool::takeJob(unsigned self, Job &job)
+WorkerPool::takeJob(Job &job)
 {
     MutexLock lock(mutex_);
     cv_.wait(lock.native(), [&] {
         mutex_.assertHeld(); // the wait predicate runs locked
-        if (stopping_)
-            return true;
-        if (held_)
-            return false;
-        for (const std::deque<Job> &queue : queues_) {
-            if (!queue.empty())
-                return true;
-        }
-        return false;
+        return stopping_ || (!held_ && !queue_.empty());
     });
-    if (!queues_[self].empty()) {
-        job = std::move(queues_[self].front());
-        queues_[self].pop_front();
-        return true;
-    }
-    // Own deque is dry: steal from the back of the next non-empty
-    // sibling, scanning from self+1 so thieves spread out.
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-        std::deque<Job> &victim =
-            queues_[(self + i) % queues_.size()];
-        if (!victim.empty()) {
-            job = std::move(victim.back());
-            victim.pop_back();
-            stolen_.fetch_add(1);
-            return true;
-        }
-    }
-    return false; // stopping_ with nothing left
+    if (queue_.empty())
+        return false; // stopping_ with nothing left
+    job = std::move(queue_.front());
+    queue_.pop_front();
+    return true;
 }
 
 void
@@ -145,11 +113,11 @@ WorkerPool::runJob(const Job &job)
 }
 
 void
-WorkerPool::shardLoop(unsigned self)
+WorkerPool::shardLoop()
 {
     for (;;) {
         Job job;
-        if (!takeJob(self, job))
+        if (!takeJob(job))
             return;
         runJob(job);
     }

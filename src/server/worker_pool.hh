@@ -1,17 +1,16 @@
 /**
  * @file
- * Work-stealing pool of worker *processes*. Each job is one
- * simulation: a cell-spec JSON document piped to the stdin of a
- * freshly spawned `ecdpd --worker` child, whose stdout is the stats
- * JSON. Crash isolation is the point — a simulation that segfaults
- * or aborts kills its child and surfaces as a failed job, never as a
- * dead daemon.
+ * Pool of worker *processes*. Each job is one simulation: a
+ * cell-spec JSON document piped to the stdin of a freshly spawned
+ * `ecdpd --worker` child, whose stdout is the stats JSON. Crash
+ * isolation is the point — a simulation that segfaults or aborts
+ * kills its child and surfaces as a failed job, never as a dead
+ * daemon.
  *
- * Scheduling: jobs are submitted round-robin across per-shard
- * deques. A shard thread pops its own deque from the front (FIFO for
- * fairness) and, when empty, steals from the *back* of a sibling's
- * deque — the classic split that keeps owners and thieves off the
- * same end.
+ * Scheduling: one FIFO queue under one mutex. Each shard thread runs
+ * one child at a time and, when free, takes the oldest queued job,
+ * so a shard busy with a slow cell never holds back the jobs behind
+ * it.
  */
 
 #ifndef ECDP_SERVER_WORKER_POOL_HH
@@ -88,9 +87,6 @@ class WorkerPool
     /** Jobs whose child died on a signal. */
     std::uint64_t crashed() const { return crashed_.load(); }
 
-    /** Jobs a shard stole from a sibling's deque. */
-    std::uint64_t stolen() const { return stolen_.load(); }
-
     /** Jobs queued but not yet picked up (the queue depth). */
     std::size_t queued() const;
 
@@ -101,8 +97,8 @@ class WorkerPool
         Done done;
     };
 
-    void shardLoop(unsigned self);
-    bool takeJob(unsigned self, Job &job) ECDP_EXCLUDES(mutex_);
+    void shardLoop();
+    bool takeJob(Job &job) ECDP_EXCLUDES(mutex_);
     void runJob(const Job &job);
 
     // ecdplint-allow(unbounded-container): written once at construction
@@ -110,14 +106,12 @@ class WorkerPool
 
     mutable AnnotatedMutex mutex_;
     std::condition_variable cv_;
-    std::vector<std::deque<Job>> queues_ ECDP_GUARDED_BY(mutex_);
-    unsigned nextShard_ ECDP_GUARDED_BY(mutex_) = 0;
+    std::deque<Job> queue_ ECDP_GUARDED_BY(mutex_);
     bool stopping_ ECDP_GUARDED_BY(mutex_) = false;
     bool held_ ECDP_GUARDED_BY(mutex_) = false;
 
     std::atomic<std::uint64_t> spawned_{0};
     std::atomic<std::uint64_t> crashed_{0};
-    std::atomic<std::uint64_t> stolen_{0};
 
     // Last member: shard threads touch everything above, so they
     // must be joined (and destroyed) first.

@@ -26,7 +26,7 @@ namespace ecdp
  * Full system configuration. Defaults reproduce the paper's baseline:
  * an aggressive stream prefetcher, no LDS prefetcher, no throttling.
  * A configuration's prefetching is its engine stack plus its throttle
- * policy name; the configs:: builders set both.
+ * policy name; each row of configs::byName()'s table sets both.
  */
 struct SystemConfig
 {

@@ -1,9 +1,9 @@
 #include "sim/experiment.hh"
 
-#include <algorithm>
+#include <array>
 #include <cstdlib>
-#include <ranges>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/trace_session.hh"
 #include "server/result_store.hh"
@@ -14,164 +14,65 @@ namespace ecdp
 namespace configs
 {
 
-SystemConfig
-noPrefetch()
-{
-    SystemConfig cfg;
-    cfg.engines[0] = "none";
-    return cfg;
-}
-
-SystemConfig
-baseline()
-{
-    return SystemConfig{};
-}
-
-SystemConfig
-streamCdp()
-{
-    SystemConfig cfg = baseline();
-    cfg.engines[1] = "cdp";
-    return cfg;
-}
-
-SystemConfig
-streamEcdp(const HintTable *hints)
-{
-    SystemConfig cfg = baseline();
-    cfg.engines[1] = "ecdp";
-    cfg.hints = hints;
-    return cfg;
-}
-
-SystemConfig
-streamCdpThrottled()
-{
-    SystemConfig cfg = streamCdp();
-    cfg.throttlePolicy = "coordinated";
-    return cfg;
-}
-
-SystemConfig
-fullProposal(const HintTable *hints)
-{
-    SystemConfig cfg = streamEcdp(hints);
-    cfg.throttlePolicy = "coordinated";
-    return cfg;
-}
-
-SystemConfig
-streamDbp()
-{
-    SystemConfig cfg = baseline();
-    cfg.engines[1] = "dbp";
-    return cfg;
-}
-
-SystemConfig
-streamMarkov()
-{
-    SystemConfig cfg = baseline();
-    cfg.engines[1] = "markov";
-    return cfg;
-}
-
-SystemConfig
-ghbAlone()
-{
-    SystemConfig cfg;
-    cfg.engines[0] = "ghb";
-    return cfg;
-}
-
-SystemConfig
-ghbEcdp(const HintTable *hints)
-{
-    SystemConfig cfg = ghbAlone();
-    cfg.engines[1] = "ecdp";
-    cfg.hints = hints;
-    cfg.throttlePolicy = "coordinated";
-    return cfg;
-}
-
-SystemConfig
-streamCdpHwFilter()
-{
-    SystemConfig cfg = streamCdpThrottled();
-    cfg.hwFilter = true;
-    return cfg;
-}
-
-SystemConfig
-streamEcdpFdp(const HintTable *hints)
-{
-    SystemConfig cfg = streamEcdp(hints);
-    cfg.throttlePolicy = "fdp";
-    return cfg;
-}
-
-SystemConfig
-streamCdpPab()
-{
-    SystemConfig cfg = streamCdp();
-    cfg.throttlePolicy = "pab";
-    return cfg;
-}
-
-SystemConfig
-streamGrpCoarse(const HintTable *hints)
-{
-    SystemConfig cfg = streamEcdp(hints);
-    cfg.grpCoarse = true;
-    return cfg;
-}
-
-SystemConfig
-idealLds()
-{
-    SystemConfig cfg = baseline();
-    cfg.idealLds = true;
-    return cfg;
-}
-
 namespace
 {
 
-/** One byName() entry; configs that take no hints ignore them. */
+/**
+ * One named configuration: the Table 5 baseline machine with this
+ * engine stack, throttle policy and flags. Whether it takes compiler
+ * hints is not a column: stackRunsEcdp() decides that from the stack.
+ */
 struct Named
 {
-    const char *name;
-    SystemConfig (*make)(const HintTable *hints);
+    std::string_view name;
+    std::array<std::string_view, 2> engines;
+    std::string_view policy;
+    bool hwFilter = false;
+    bool grpCoarse = false;
+    bool idealLds = false;
 };
 
 /** Every named configuration, in knownNames() order. */
 constexpr Named kNamed[] = {
-    {"noprefetch", [](const HintTable *) { return noPrefetch(); }},
-    {"baseline", [](const HintTable *) { return baseline(); }},
-    {"cdp", [](const HintTable *) { return streamCdp(); }},
-    {"ecdp", streamEcdp},
-    {"cdp+throttle", [](const HintTable *) { return streamCdpThrottled(); }},
-    {"full", fullProposal},
-    {"dbp", [](const HintTable *) { return streamDbp(); }},
-    {"markov", [](const HintTable *) { return streamMarkov(); }},
-    {"ghb", [](const HintTable *) { return ghbAlone(); }},
-    {"ghb+ecdp", ghbEcdp},
-    {"cdp+filter", [](const HintTable *) { return streamCdpHwFilter(); }},
-    {"ecdp+fdp", streamEcdpFdp},
-    {"cdp+pab", [](const HintTable *) { return streamCdpPab(); }},
-    {"grp", streamGrpCoarse},
-    {"ideal-lds", [](const HintTable *) { return idealLds(); }},
+    // No prefetching at all.
+    {"noprefetch", {"none", "none"}, "static"},
+    // The Table 5 baseline: aggressive stream prefetcher only.
+    {"baseline", {"stream", "none"}, "static"},
+    // Stream + original (greedy) CDP: the Figure 2 configuration.
+    {"cdp", {"stream", "cdp"}, "static"},
+    // Stream + ECDP (compiler hints), no throttling.
+    {"ecdp", {"stream", "ecdp"}, "static"},
+    // Stream + original CDP + coordinated throttling.
+    {"cdp+throttle", {"stream", "cdp"}, "coordinated"},
+    // The full proposal: stream + ECDP + coordinated throttling.
+    {"full", {"stream", "ecdp"}, "coordinated"},
+    // Stream + DBP, stream + Markov, GHB G/DC alone (Section 6.3).
+    {"dbp", {"stream", "dbp"}, "static"},
+    {"markov", {"stream", "markov"}, "static"},
+    {"ghb", {"ghb", "none"}, "static"},
+    // GHB + ECDP + coordinated throttling (Section 6.3
+    // orthogonality experiment).
+    {"ghb+ecdp", {"ghb", "ecdp"}, "coordinated"},
+    // Stream + CDP behind the Zhuang-Lee filter + coordinated
+    // throttling (Section 6.4).
+    {"cdp+filter", {"stream", "cdp"}, "coordinated", /*hwFilter=*/true},
+    // Stream + ECDP under FDP throttling (Section 6.5).
+    {"ecdp+fdp", {"stream", "ecdp"}, "fdp"},
+    // Stream + CDP under the PAB selector (Section 7.4).
+    {"cdp+pab", {"stream", "cdp"}, "pab"},
+    // Stream + ECDP with GRP-style coarse gating (Section 7.1).
+    {"grp", {"stream", "ecdp"}, "static", false, /*grpCoarse=*/true},
+    // Baseline + the Figure 1 ideal-LDS oracle.
+    {"ideal-lds", {"stream", "none"}, "static", false, false,
+     /*idealLds=*/true},
 };
 
-} // namespace
-
-SystemConfig
-byName(const std::string &name, const HintTable *hints)
+const Named &
+row(const std::string &name)
 {
     for (const Named &entry : kNamed)
         if (name == entry.name)
-            return entry.make(hints);
+            return entry;
     std::string known;
     for (const std::string &k : knownNames())
         known += (known.empty() ? "" : ", ") + k;
@@ -179,26 +80,38 @@ byName(const std::string &name, const HintTable *hints)
                              "' (known: " + known + ")");
 }
 
+} // namespace
+
+SystemConfig
+byName(const std::string &name, const HintTable *hints)
+{
+    const Named &named = row(name);
+    SystemConfig cfg;
+    cfg.engines[0] = named.engines[0];
+    cfg.engines[1] = named.engines[1];
+    cfg.throttlePolicy = named.policy;
+    cfg.hwFilter = named.hwFilter;
+    cfg.grpCoarse = named.grpCoarse;
+    cfg.idealLds = named.idealLds;
+    cfg.hints = stackRunsEcdp(cfg.engines) ? hints : nullptr;
+    return cfg;
+}
+
 bool
 nameNeedsHints(const std::string &name)
 {
-    // Probed once: the lookup sits on every memo hit's path.
-    static const std::vector<std::string> hinted = [] {
-        static const HintTable probe;
-        std::vector<std::string> names;
-        for (const Named &entry : kNamed)
-            if (entry.make(&probe).hints == &probe)
-                names.push_back(entry.name);
-        return names;
-    }();
-    return std::find(hinted.begin(), hinted.end(), name) != hinted.end();
+    return stackRunsEcdp(row(name).engines);
 }
 
 const std::vector<std::string> &
 knownNames()
 {
-    auto all = std::views::transform(kNamed, &Named::name);
-    static const std::vector<std::string> names(all.begin(), all.end());
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> all;
+        for (const Named &entry : kNamed)
+            all.emplace_back(entry.name);
+        return all;
+    }();
     return names;
 }
 
@@ -336,10 +249,10 @@ ExperimentContext::runMix(const std::vector<std::string> &mix,
     return mixes_.get(runKey("mix:" + name, cfg, input), [&] {
         std::vector<const Workload *> workloads;
         std::vector<double> alone;
+        const SystemConfig baseline = configs::byName("baseline");
         for (const std::string &member : mix) {
             workloads.push_back(&workload(member, input));
-            alone.push_back(
-                run(member, configs::baseline(), "baseline", input).ipc);
+            alone.push_back(run(member, baseline, "baseline", input).ipc);
         }
         MultiCoreResult result;
         traced(name + ":" + label, [&](const Observability &obs) {

@@ -1,13 +1,16 @@
 /**
  * @file
- * Experiment plumbing shared by the benchmark harnesses: the standard
- * configurations the paper evaluates, and a context that caches built
- * workloads, profiling runs, and simulation results across benches.
+ * Experiment plumbing shared by `repro`, the CLI tools and the ecdpd
+ * workers: the named configurations the paper evaluates (one table,
+ * reached through configs::byName()), and a context that caches
+ * built workloads, profiling runs and simulation results across
+ * benches.
  */
 
 #ifndef ECDP_SIM_EXPERIMENT_HH
 #define ECDP_SIM_EXPERIMENT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,63 +44,35 @@ class TraceSession;
 namespace configs
 {
 
-/** No prefetching at all. */
-SystemConfig noPrefetch();
-
-/** The Table 5 baseline: aggressive stream prefetcher only. */
-SystemConfig baseline();
-
-/** Stream + original (greedy) CDP — the Figure 2 configuration. */
-SystemConfig streamCdp();
-
-/** Stream + ECDP (compiler hints), no throttling. */
-SystemConfig streamEcdp(const HintTable *hints);
-
-/** Stream + original CDP + coordinated throttling. */
-SystemConfig streamCdpThrottled();
-
-/** The full proposal: stream + ECDP + coordinated throttling. */
-SystemConfig fullProposal(const HintTable *hints);
-
-/** Stream + DBP (Section 6.3). */
-SystemConfig streamDbp();
-
-/** Stream + Markov (Section 6.3). */
-SystemConfig streamMarkov();
-
-/** GHB G/DC alone (Section 6.3). */
-SystemConfig ghbAlone();
-
-/** GHB + ECDP + coordinated throttling (Section 6.3 orthogonality
- *  experiment). */
-SystemConfig ghbEcdp(const HintTable *hints);
-
-/** Stream + CDP behind the Zhuang-Lee filter + coordinated
- *  throttling (Section 6.4). */
-SystemConfig streamCdpHwFilter();
-
-/** Stream + CDP/ECDP under FDP throttling (Section 6.5). */
-SystemConfig streamEcdpFdp(const HintTable *hints);
-
-/** Stream + CDP under the PAB selector (Section 7.4). */
-SystemConfig streamCdpPab();
-
-/** Stream + GRP-style coarse-grained gating (Section 7.1). */
-SystemConfig streamGrpCoarse(const HintTable *hints);
-
-/** Baseline + the Figure 1 ideal-LDS oracle. */
-SystemConfig idealLds();
+/**
+ * The one hint rule: a configuration takes the train-profiled
+ * compiler hints exactly when its final engine stack runs "ecdp".
+ * byName(), nameNeedsHints() and the ecdpd cell resolver
+ * (server::makeCellConfig, server::cellNeedsHints) all apply it.
+ */
+template <typename Stack>
+bool
+stackRunsEcdp(const Stack &engines)
+{
+    return std::ranges::any_of(
+        engines, [](const auto &engine) { return engine == "ecdp"; });
+}
 
 /**
- * The named configuration the CLI tools and the ecdpd wire format
- * share ("baseline", "cdp+throttle", "full", ...). Throws
- * std::runtime_error listing the known names on an unknown one.
- * Configurations that consume compiler hints take them from
- * @p hints; the caller profiles (see nameNeedsHints()).
+ * The named configuration ("baseline", "cdp+throttle", "full", ...)
+ * that `repro`, the CLI tools and the ecdpd wire format share: a row
+ * of the table in experiment.cc, i.e. an engine stack, a throttle
+ * policy and at most one of hwFilter/grpCoarse/idealLds over the
+ * Table 5 machine. Throws std::runtime_error listing the known names
+ * on an unknown one. @p hints is wired in when the stack runs ECDP
+ * (stackRunsEcdp()) and dropped otherwise; the caller profiles (see
+ * nameNeedsHints()).
  */
-SystemConfig byName(const std::string &name, const HintTable *hints);
+SystemConfig byName(const std::string &name,
+                    const HintTable *hints = nullptr);
 
-/** True when byName(@p name) wires a hint table into the config. */
+/** True when byName(@p name)'s stack runs ECDP and so takes hints.
+ *  Reads the table; builds no SystemConfig. */
 bool nameNeedsHints(const std::string &name);
 
 /** Every name byName() accepts, in canonical order. */
@@ -181,7 +156,7 @@ class ExperimentContext
     /**
      * Simulate @p mix, one benchmark per core, under @p cfg, memoized
      * by the mix's name, @p input and configHash(@p cfg). Its speedups
-     * divide by each member's run() under configs::baseline(), so
+     * divide by each member's run() under the "baseline" config, so
      * every mechanism is measured on one scale (a better single-core
      * IPC must not inflate its own denominator). @p label names the
      * trace flush, as run()'s @p key does.

@@ -84,12 +84,12 @@ inline SystemConfig
 cellConfig(const std::string &config, const std::string &bench)
 {
     if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
+        SystemConfig cfg = configs::byName("cdp");
         cfg.idealNoPollution = true;
         return cfg;
     }
     if (config == "small-blocks") {
-        SystemConfig cfg = configs::baseline();
+        SystemConfig cfg = configs::byName("baseline");
         cfg.l1BlockBytes = 64;
         cfg.l2BlockBytes = 64;
         return cfg;

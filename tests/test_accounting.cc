@@ -189,7 +189,7 @@ TEST(ConservationMultiCore, EveryCoreBalances)
 {
     Workload a = buildWorkload("health", InputSet::Train);
     Workload b = buildWorkload("libquantum", InputSet::Train);
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
 
     obs::MetricRegistry metrics;
     MultiCoreResult result =
@@ -206,7 +206,7 @@ TEST(ConservationMultiCore, EveryCoreBalances)
 TEST(ConservationMultiCore, SharedRegistryKeepsCoresApart)
 {
     Workload a = buildWorkload("mst", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
 
     obs::MetricRegistry metrics;
     simulateMultiCore(cfg, {&a, &a}, {1.0, 1.0},

@@ -87,6 +87,22 @@ TEST(CellSpec, RejectsBadInput)
                  std::runtime_error);
 }
 
+TEST(CellSpec, ValidateKeepsUnsetSentinelsAndSkipsAnEmptyBench)
+{
+    // ecdpsim checks its flags with validateCellSpec(): a multi-core
+    // run names no bench, and -1 leaves a knob at the config's value.
+    CellSpec spec;
+    EXPECT_NO_THROW(validateCellSpec(spec));
+    spec.tcov = 7.0;
+    EXPECT_THROW(validateCellSpec(spec), std::runtime_error);
+    spec.tcov = -1.0;
+    spec.interval = 0;
+    EXPECT_THROW(validateCellSpec(spec), std::runtime_error);
+    spec.interval = -1;
+    spec.config = "nosuch";
+    EXPECT_THROW(validateCellSpec(spec), std::runtime_error);
+}
+
 TEST(CellSpec, CanonicalJsonHasFixedOrderAndOmitsDefaults)
 {
     EXPECT_EQ(canonicalCellJson(parse("{\"bench\":\"mst\"}")),
@@ -170,6 +186,22 @@ TEST(CellSpec, EcdpStackOnAHintlessConfigGetsTheHints)
     writeRunStatsJson(viaStack, runCell(stack, ctx));
     writeRunStatsJson(viaName, runCell(named, ctx));
     EXPECT_EQ(viaStack.str(), viaName.str());
+}
+
+TEST(CellSpec, EcdpFreeStackOnAHintedConfigDropsTheHints)
+{
+    // "full" takes hints, but a stack without ecdp reads none: the
+    // cell is the "cdp+throttle" machine, so both share one memo
+    // entry instead of hashing a hint table the run never consults.
+    ExperimentContext ctx;
+    const CellSpec stack = parse(
+        "{\"bench\":\"health\",\"config\":\"full\","
+        "\"engines\":[\"stream\",\"cdp\"],\"input\":\"train\"}");
+    const CellSpec named = parse(
+        "{\"bench\":\"health\",\"config\":\"cdp+throttle\","
+        "\"input\":\"train\"}");
+    EXPECT_FALSE(cellNeedsHints(stack));
+    EXPECT_EQ(&runCell(stack, ctx), &runCell(named, ctx));
 }
 
 } // namespace

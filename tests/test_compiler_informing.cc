@@ -106,10 +106,10 @@ TEST(InformingLoads, TrainingRunPutsCdpInTheLdsSlotOfAnyStack)
     const Workload train = buildWorkload("health", InputSet::Train);
     const auto expected = hintRows(
         ProfilingCompiler::profileWithInformingLoads(
-            train, configs::baseline()));
+            train, configs::byName("baseline")));
     ASSERT_FALSE(expected.empty());
     for (const char *lds : {"ecdp", "isb"}) {
-        SystemConfig target = configs::baseline();
+        SystemConfig target = configs::byName("baseline");
         target.engines = {"stream", lds};
         EXPECT_EQ(hintRows(ProfilingCompiler::profileWithInformingLoads(
                       train, target)),

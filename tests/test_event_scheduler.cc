@@ -164,7 +164,7 @@ TEST(SkippingIsExactEdge, MaxCyclesWatchdog)
     // A run cut off by the watchdog must time out at the identical
     // cycle with the identical partial stats: the skipping loop
     // clamps its jumps to maxCycles.
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     cfg.maxCycles = Cycle{20'000};
     RunStats stats = expectExact("health", cfg);
     EXPECT_TRUE(stats.timedOut);
@@ -174,14 +174,14 @@ TEST(SkippingIsExactEdge, MaxCyclesWatchdog)
 TEST(SkippingIsExactEdge, MultiCoreSharedDram)
 {
     expectMultiCoreExact({"health", "mst"},
-                         configs::streamCdpThrottled());
+                         configs::byName("cdp+throttle"));
 }
 
 TEST(SkippingIsExactEdge, MultiCoreCdpFlood)
 {
     // Two unthrottled CDP floods on one DRAM: one core's queue can
     // wait on its MSHRs while the other's DRAM traffic moves on.
-    expectMultiCoreExact({"mst", "xalancbmk"}, configs::streamCdp());
+    expectMultiCoreExact({"mst", "xalancbmk"}, configs::byName("cdp"));
 }
 
 // ---------------------------------------------------------------
@@ -193,7 +193,7 @@ TEST(TrailingInterval, ShortRunEmitsOnePartialSample)
     // With an interval longer than the whole run, no boundary is ever
     // crossed in tick(); the run's entire feedback activity lives in
     // the trailing partial interval and must still produce a sample.
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
     cfg.intervalEvictions = 1u << 30;
     RunStats stats =
         simulate(cfg, buildWorkload("health", InputSet::Train));
@@ -207,7 +207,7 @@ TEST(TrailingInterval, SeriesCarriesTheTail)
     // A normal run: completed intervals plus exactly one trailing
     // partial sample stamped with the run's end cycle. intervals
     // keeps counting completed boundaries only.
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
     RunStats stats =
         simulate(cfg, buildWorkload("mst", InputSet::Train));
     ASSERT_GT(stats.intervals, 0u);

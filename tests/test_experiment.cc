@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the experiment plumbing: the named configuration
- * factories must select the mechanisms the paper's sections describe,
- * and the ExperimentContext must memoize correctly.
+ * Tests for the experiment plumbing: each row of the named
+ * configuration table must select the mechanisms the paper's sections
+ * describe, and the ExperimentContext must memoize correctly.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,7 @@ namespace
 
 TEST(Configs, BaselineIsStreamOnlyAggressive)
 {
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     using Stack = std::vector<std::string>;
     EXPECT_EQ(cfg.engines, (Stack{"stream", "none"}));
     EXPECT_EQ(cfg.throttlePolicy, "static");
@@ -53,7 +55,7 @@ TEST(Configs, Table5Defaults)
 TEST(Configs, FullProposalWiresEcdpAndCoordination)
 {
     HintTable hints;
-    SystemConfig cfg = configs::fullProposal(&hints);
+    SystemConfig cfg = configs::byName("full", &hints);
     EXPECT_EQ(cfg.engines, (std::vector<std::string>{"stream", "ecdp"}));
     EXPECT_EQ(cfg.throttlePolicy, "coordinated");
     EXPECT_EQ(cfg.hints, &hints);
@@ -64,30 +66,51 @@ TEST(Configs, FullProposalWiresEcdpAndCoordination)
 TEST(Configs, GhbConfigsReplaceTheStreamPrefetcher)
 {
     using Stack = std::vector<std::string>;
-    EXPECT_EQ(configs::ghbAlone().engines, (Stack{"ghb", "none"}));
+    EXPECT_EQ(configs::byName("ghb").engines, (Stack{"ghb", "none"}));
     HintTable hints;
-    SystemConfig hybrid = configs::ghbEcdp(&hints);
+    SystemConfig hybrid = configs::byName("ghb+ecdp", &hints);
     EXPECT_EQ(hybrid.engines, (Stack{"ghb", "ecdp"}));
     EXPECT_EQ(hybrid.throttlePolicy, "coordinated");
 }
 
 TEST(Configs, ComparisonConfigsSelectTheirMechanisms)
 {
-    EXPECT_EQ(configs::streamDbp().engines[1], "dbp");
-    EXPECT_EQ(configs::streamMarkov().engines[1], "markov");
-    EXPECT_TRUE(configs::streamCdpHwFilter().hwFilter);
-    EXPECT_EQ(configs::streamCdpHwFilter().throttlePolicy,
+    EXPECT_EQ(configs::byName("dbp").engines[1], "dbp");
+    EXPECT_EQ(configs::byName("markov").engines[1], "markov");
+    EXPECT_TRUE(configs::byName("cdp+filter").hwFilter);
+    EXPECT_EQ(configs::byName("cdp+filter").throttlePolicy,
               "coordinated");
-    EXPECT_EQ(configs::streamCdpPab().throttlePolicy, "pab");
+    EXPECT_EQ(configs::byName("cdp+pab").throttlePolicy, "pab");
     HintTable hints;
-    EXPECT_TRUE(configs::streamGrpCoarse(&hints).grpCoarse);
-    EXPECT_EQ(configs::streamEcdpFdp(&hints).throttlePolicy, "fdp");
+    EXPECT_TRUE(configs::byName("grp", &hints).grpCoarse);
+    EXPECT_EQ(configs::byName("ecdp+fdp", &hints).throttlePolicy, "fdp");
 }
 
 TEST(Configs, OracleModes)
 {
-    EXPECT_TRUE(configs::idealLds().idealLds);
-    EXPECT_FALSE(configs::idealLds().idealNoPollution);
+    EXPECT_TRUE(configs::byName("ideal-lds").idealLds);
+    EXPECT_FALSE(configs::byName("ideal-lds").idealNoPollution);
+}
+
+TEST(Configs, HintsFollowTheStack)
+{
+    // One rule wires the hints: a config takes them exactly when its
+    // stack runs ecdp, and nameNeedsHints() answers by the same rule.
+    const HintTable hints;
+    std::vector<std::string> hinted;
+    for (const std::string &name : configs::knownNames()) {
+        const SystemConfig cfg = configs::byName(name, &hints);
+        const bool runsEcdp =
+            std::find(cfg.engines.begin(), cfg.engines.end(), "ecdp") !=
+            cfg.engines.end();
+        EXPECT_EQ(cfg.hints == &hints, runsEcdp) << name;
+        EXPECT_EQ(configs::nameNeedsHints(name), runsEcdp) << name;
+        if (runsEcdp)
+            hinted.push_back(name);
+    }
+    EXPECT_EQ(hinted, (std::vector<std::string>{"ecdp", "full", "ghb+ecdp",
+                                                "ecdp+fdp", "grp"}));
+    EXPECT_THROW(configs::nameNeedsHints("nosuch"), std::runtime_error);
 }
 
 TEST(ExperimentContextTest, MemoizesWorkloadsAndRuns)
@@ -97,9 +120,9 @@ TEST(ExperimentContextTest, MemoizesWorkloadsAndRuns)
     const Workload &b = ctx.ref("parser");
     EXPECT_EQ(&a, &b);
     const RunStats &r1 =
-        ctx.run("parser", configs::noPrefetch(), "np");
+        ctx.run("parser", configs::byName("noprefetch"), "np");
     const RunStats &r2 =
-        ctx.run("parser", configs::noPrefetch(), "np");
+        ctx.run("parser", configs::byName("noprefetch"), "np");
     EXPECT_EQ(&r1, &r2);
 }
 
@@ -107,9 +130,9 @@ TEST(ExperimentContextTest, DistinctKeysAreDistinctRuns)
 {
     ExperimentContext ctx;
     const RunStats &np =
-        ctx.run("parser", configs::noPrefetch(), "np");
+        ctx.run("parser", configs::byName("noprefetch"), "np");
     const RunStats &base =
-        ctx.run("parser", configs::baseline(), "base");
+        ctx.run("parser", configs::byName("baseline"), "base");
     EXPECT_NE(&np, &base);
 }
 
@@ -126,12 +149,12 @@ TEST(ExperimentContextTest, MixSpeedupsDivideByBaselineAloneIpc)
     ExperimentContext ctx;
     const std::vector<std::string> mix = {"bisort", "libquantum"};
     const MultiCoreResult &r =
-        ctx.runMix(mix, configs::streamCdp(), "cdp", InputSet::Train);
+        ctx.runMix(mix, configs::byName("cdp"), "cdp", InputSet::Train);
     ASSERT_EQ(r.perCore.size(), mix.size());
     double weighted = 0.0;
     std::vector<double> ratios;
     for (std::size_t i = 0; i < mix.size(); ++i) {
-        const double alone = ctx.run(mix[i], configs::baseline(),
+        const double alone = ctx.run(mix[i], configs::byName("baseline"),
                                      "baseline", InputSet::Train)
                                  .ipc;
         EXPECT_EQ(r.aloneIpc[i], alone);
@@ -153,7 +176,7 @@ TEST(ExperimentContextTest, MixIsMemoizedAndSimulatesOnce)
     runner::ThreadPool pool(4);
     for (std::size_t i = 0; i < seen.size(); ++i) {
         pool.submit([&, i] {
-            seen[i] = &ctx.runMix(mix, configs::streamCdp(), "cdp",
+            seen[i] = &ctx.runMix(mix, configs::byName("cdp"), "cdp",
                                   InputSet::Train);
         });
     }
@@ -180,10 +203,10 @@ TEST(ExperimentContextTest, TrainCellIsMemoizedAndTraced)
     EXPECT_EQ(&first, &second);
     EXPECT_EQ(session.runsFlushed(), 1u);
     // The train run is its own memo entry, not the ref run's.
-    EXPECT_NE(runKey("mst", configs::streamCdp(), InputSet::Train),
-              runKey("mst", configs::streamCdp()));
+    EXPECT_NE(runKey("mst", configs::byName("cdp"), InputSet::Train),
+              runKey("mst", configs::byName("cdp")));
     const RunStats direct = simulate(
-        configs::streamCdp(), buildWorkload("mst", InputSet::Train));
+        configs::byName("cdp"), buildWorkload("mst", InputSet::Train));
     EXPECT_EQ(first.cycles, direct.cycles);
     EXPECT_EQ(first.instructions, direct.instructions);
     session.close();

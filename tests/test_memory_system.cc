@@ -67,7 +67,7 @@ struct Rig
 SystemConfig
 noPrefetchConfig()
 {
-    return configs::noPrefetch();
+    return configs::byName("noprefetch");
 }
 
 TEST(MemorySystem, MissThenL1Hit)
@@ -381,7 +381,7 @@ TEST(MemorySystem, CoordinatedThrottlingReactsToUselessPrefetches)
 
 TEST(MemorySystem, PabKeepsOnlyOnePrefetcherEnabled)
 {
-    SystemConfig cfg = configs::streamCdpPab();
+    SystemConfig cfg = configs::byName("cdp+pab");
     cfg.intervalEvictions = 32;
     cfg.l2Bytes = 64 * 1024;
     Rig rig(cfg);
@@ -492,7 +492,7 @@ TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
     // the CDP (slot 1) off. A one-set L2 makes the trigger's fill the
     // first eviction, and intervalEvictions = 1 ends the interval on
     // that same tick, after the head was found MSHR-blocked.
-    SystemConfig cfg = configs::streamCdpPab();
+    SystemConfig cfg = configs::byName("cdp+pab");
     cfg.intervalEvictions = 1;
     cfg.l2Bytes = cfg.l2Assoc * cfg.l2BlockBytes;
     Rig rig(cfg);

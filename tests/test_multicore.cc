@@ -18,7 +18,7 @@ TEST(MultiCoreDetail, PerCoreBusAttributionSumsToTotal)
 {
     Workload a = buildWorkload("mst", InputSet::Train);
     Workload b = buildWorkload("bzip2", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     MultiCoreResult r = simulateMultiCore(cfg, {&a, &b}, {1.0, 1.0});
     // Per-core counts cover the measured window plus any wrap-around
     // work, so their sum can only exceed... both are lifetime counts:
@@ -32,7 +32,7 @@ TEST(MultiCoreDetail, IdenticalWorkloadsGetSimilarService)
 {
     Workload a = buildWorkload("mst", InputSet::Train);
     Workload b = buildWorkload("mst", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     MultiCoreResult r = simulateMultiCore(cfg, {&a, &b}, {1.0, 1.0});
     // Symmetric cores running identical traces should finish within a
     // few percent of each other (bank hashing differs per core).
@@ -44,7 +44,7 @@ TEST(MultiCoreDetail, IdenticalWorkloadsGetSimilarService)
 TEST(MultiCoreDetail, WeightedSpeedupUsesAloneIpc)
 {
     Workload a = buildWorkload("parser", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     double alone = simulate(cfg, a).ipc;
     MultiCoreResult r = simulateMultiCore(cfg, {&a}, {alone});
     // A single "multi-core" run is the alone run: speedup ~1.
@@ -54,7 +54,7 @@ TEST(MultiCoreDetail, WeightedSpeedupUsesAloneIpc)
 
 TEST(MultiCoreDetail, MoreCoresMoreContention)
 {
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     Workload w1 = buildWorkload("milc", InputSet::Train);
     Workload w2 = buildWorkload("milc", InputSet::Train);
     Workload w3 = buildWorkload("milc", InputSet::Train);
@@ -74,7 +74,7 @@ TEST(MultiCoreDetail, MulticoreRunsAreDeterministic)
 {
     Workload a = buildWorkload("mst", InputSet::Train);
     Workload b = buildWorkload("milc", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     MultiCoreResult r1 = simulateMultiCore(cfg, {&a, &b}, {1.0, 1.0});
     MultiCoreResult r2 = simulateMultiCore(cfg, {&a, &b}, {1.0, 1.0});
     EXPECT_EQ(r1.busTransactions, r2.busTransactions);
@@ -89,7 +89,7 @@ TEST(MultiCoreDetail, StreamingPartnerSuffersFromPointerChaser)
     // absolute IPC but neither should collapse.
     Workload chaser = buildWorkload("health", InputSet::Train);
     Workload stream = buildWorkload("libquantum", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     double alone_c = simulate(cfg, chaser).ipc;
     double alone_s = simulate(cfg, stream).ipc;
     MultiCoreResult r = simulateMultiCore(cfg, {&chaser, &stream},

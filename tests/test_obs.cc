@@ -332,7 +332,7 @@ statsFingerprint(const RunStats &stats)
 TEST(ObservedSimulation, TraceContainsDropAndIntervalEvents)
 {
     Workload workload = buildWorkload("health", InputSet::Train);
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
     // The train run is short; shrink the feedback interval so several
     // interval boundaries (and their samples) actually occur.
     cfg.intervalEvictions = 128;
@@ -377,7 +377,7 @@ TEST(TracedExperiments, MemoDeduplicatesFlushes)
     ExperimentContext context;
     context.setTraceSession(&session);
 
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     runner::ThreadPool pool(4);
     for (int i = 0; i < 8; ++i) {
         pool.submit([&] {
@@ -404,7 +404,7 @@ TEST(TracedExperiments, MemoDeduplicatesFlushes)
 
 TEST(TracedExperiments, TracedResultsMatchUntraced)
 {
-    SystemConfig cfg = configs::streamCdp();
+    SystemConfig cfg = configs::byName("cdp");
 
     ExperimentContext untraced;
     const RunStats &plain = untraced.run("bisort", cfg, "cdp");
@@ -429,7 +429,7 @@ TEST(TracedExperiments, WarmSpillIsBypassedWhileTracing)
     const std::string dir = testing::TempDir() + "/ecdp_trace_bypass";
     std::filesystem::remove_all(dir);
     ::setenv("ECDP_RESULT_CACHE", dir.c_str(), 1);
-    const SystemConfig cfg = configs::baseline();
+    const SystemConfig cfg = configs::byName("baseline");
 
     std::string spilled;
     {

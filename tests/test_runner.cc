@@ -101,8 +101,8 @@ TEST(ThreadPoolTest, JobCountRespectsEnvironment)
 
 TEST(ConfigHashTest, IdenticalConfigsHashEqual)
 {
-    EXPECT_EQ(configHash(configs::baseline()),
-              configHash(configs::baseline()));
+    EXPECT_EQ(configHash(configs::byName("baseline")),
+              configHash(configs::byName("baseline")));
     EXPECT_EQ(configHash(SystemConfig{}), configHash(SystemConfig{}));
 }
 
@@ -167,10 +167,10 @@ TEST(ExperimentContextTest, ReusedLabelNeverSelectsAResult)
 {
     // The label only names trace flushes; the config's content picks
     // the memo entry. (The old name+key memoization returned the
-    // noPrefetch() stats for the second call.)
+    // "noprefetch" stats for the second call.)
     ExperimentContext ctx;
-    const RunStats &np = ctx.run("parser", configs::noPrefetch(), "x");
-    const RunStats &base = ctx.run("parser", configs::baseline(), "x");
+    const RunStats &np = ctx.run("parser", configs::byName("noprefetch"), "x");
+    const RunStats &base = ctx.run("parser", configs::byName("baseline"), "x");
     EXPECT_NE(&np, &base);
     EXPECT_NE(np.ipc, base.ipc);
 }
@@ -178,14 +178,14 @@ TEST(ExperimentContextTest, ReusedLabelNeverSelectsAResult)
 TEST(ExperimentContextTest, SameConfigUnderTwoLabelsRunsOnce)
 {
     ExperimentContext ctx;
-    const RunStats &a = ctx.run("parser", configs::noPrefetch(), "x");
-    const RunStats &b = ctx.run("parser", configs::noPrefetch(), "y");
+    const RunStats &a = ctx.run("parser", configs::byName("noprefetch"), "x");
+    const RunStats &b = ctx.run("parser", configs::byName("noprefetch"), "y");
     EXPECT_EQ(&a, &b);
 }
 
 TEST(SimulatorTimeout, SingleCoreWatchdogSetsTimedOut)
 {
-    SystemConfig cfg = configs::noPrefetch();
+    SystemConfig cfg = configs::byName("noprefetch");
     cfg.maxCycles = Cycle{5000};
     RunStats stats = simulate(cfg, buildWorkload("parser",
                                                  InputSet::Train));
@@ -201,7 +201,7 @@ TEST(SimulatorTimeout, SingleCoreWatchdogSetsTimedOut)
 
 TEST(SimulatorTimeout, MultiCoreWatchdogSetsTimedOut)
 {
-    SystemConfig cfg = configs::noPrefetch();
+    SystemConfig cfg = configs::byName("noprefetch");
     cfg.maxCycles = Cycle{5000};
     const Workload a = buildWorkload("parser", InputSet::Train);
     const Workload b = buildWorkload("bisort", InputSet::Train);
@@ -277,9 +277,9 @@ TEST(ExperimentRunnerTest, ParallelRunsMatchSerialExactly)
 {
     const std::vector<std::string> names{"parser", "bisort", "mst"};
     const std::vector<std::pair<std::string, SystemConfig>> grid{
-        {"np", configs::noPrefetch()},
-        {"base", configs::baseline()},
-        {"ideal", configs::idealLds()},
+        {"np", configs::byName("noprefetch")},
+        {"base", configs::byName("baseline")},
+        {"ideal", configs::byName("ideal-lds")},
     };
 
     ExperimentContext serial_ctx;
@@ -321,7 +321,7 @@ TEST(ExperimentRunnerTest, FailedJobsSurfaceInWait)
     parallel.setProgressStream(nullptr);
     parallel.submit("parser", "ok",
                     [](ExperimentContext &, const std::string &) {
-                        return configs::noPrefetch();
+                        return configs::byName("noprefetch");
                     });
     parallel.submit("parser", "boom",
                     [](ExperimentContext &,
@@ -339,7 +339,7 @@ TEST(ExperimentRunnerTest, SubmitFutureCarriesStatsOrException)
     std::shared_future<const RunStats *> good = parallel.submit(
         "parser", "np",
         [](ExperimentContext &, const std::string &) {
-            return configs::noPrefetch();
+            return configs::byName("noprefetch");
         });
     std::shared_future<const RunStats *> bad = parallel.submit(
         "parser", "boom",
@@ -351,7 +351,7 @@ TEST(ExperimentRunnerTest, SubmitFutureCarriesStatsOrException)
     // The success future resolves to the memoized stats object.
     const RunStats *stats = good.get();
     ASSERT_NE(stats, nullptr);
-    EXPECT_EQ(stats, &ctx.run("parser", configs::noPrefetch(), "np"));
+    EXPECT_EQ(stats, &ctx.run("parser", configs::byName("noprefetch"), "np"));
 
     // The failure future rethrows the worker's ORIGINAL exception
     // (std::logic_error, not a flattened runtime_error).
@@ -370,7 +370,8 @@ TEST(ExperimentRunnerTest, SubmitFutureCarriesStatsOrException)
 TEST(RunStatsCodec, RoundTripsExactly)
 {
     ExperimentContext ctx;
-    RunStats stats = simulate(configs::noPrefetch(), ctx.ref("parser"));
+    RunStats stats =
+        simulate(configs::byName("noprefetch"), ctx.ref("parser"));
     stats.pgStats[PgId{0x400, -2}] = PgStats{17, 5};
     // Exercise the interval-series and policy legs even though a
     // noPrefetch run records none of its own.
@@ -411,15 +412,15 @@ TEST(ResultSpill, ContextUsesCacheAcrossInstances)
     RunStats first;
     {
         ExperimentContext ctx;
-        first = ctx.run("parser", configs::noPrefetch(), "np");
+        first = ctx.run("parser", configs::byName("noprefetch"), "np");
     }
-    const std::uint64_t key = runKey("parser", configs::noPrefetch());
+    const std::uint64_t key = runKey("parser", configs::byName("noprefetch"));
     EXPECT_TRUE(std::filesystem::exists(
         dir + "/" + server::ResultStore::entryFileName(key)));
     {
         ExperimentContext ctx;
         const RunStats &again =
-            ctx.run("parser", configs::noPrefetch(), "np");
+            ctx.run("parser", configs::byName("noprefetch"), "np");
         expectSameStats(first, again);
     }
     ::unsetenv("ECDP_RESULT_CACHE");

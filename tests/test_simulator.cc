@@ -23,29 +23,29 @@ runTrain(const std::string &name, const SystemConfig &cfg)
 
 TEST(Simulator, BaselineStreamHelpsStreamingWorkloads)
 {
-    RunStats np = runTrain("libquantum", configs::noPrefetch());
-    RunStats base = runTrain("libquantum", configs::baseline());
+    RunStats np = runTrain("libquantum", configs::byName("noprefetch"));
+    RunStats base = runTrain("libquantum", configs::byName("baseline"));
     EXPECT_GT(base.ipc, 1.5 * np.ipc);
     EXPECT_GT(base.coverage(0), 0.5);
 }
 
 TEST(Simulator, StreamBarelyCoversPointerChasing)
 {
-    RunStats base = runTrain("health", configs::baseline());
+    RunStats base = runTrain("health", configs::byName("baseline"));
     EXPECT_LT(base.coverage(0), 0.2);
 }
 
 TEST(Simulator, IdealLdsShowsHeadroomOnPointerWorkloads)
 {
-    RunStats base = runTrain("mst", configs::baseline());
-    RunStats ideal = runTrain("mst", configs::idealLds());
+    RunStats base = runTrain("mst", configs::byName("baseline"));
+    RunStats ideal = runTrain("mst", configs::byName("ideal-lds"));
     EXPECT_GT(ideal.ipc, 1.5 * base.ipc);
 }
 
 TEST(Simulator, IdealLdsIsNeutralOnStreamingWorkloads)
 {
-    RunStats base = runTrain("gemsfdtd", configs::baseline());
-    RunStats ideal = runTrain("gemsfdtd", configs::idealLds());
+    RunStats base = runTrain("gemsfdtd", configs::byName("baseline"));
+    RunStats ideal = runTrain("gemsfdtd", configs::byName("ideal-lds"));
     EXPECT_NEAR(ideal.ipc, base.ipc, 0.02 * base.ipc);
 }
 
@@ -55,16 +55,16 @@ TEST(Simulator, GreedyCdpWrecksMst)
     // degrades mst badly and blows up its bandwidth. This shows on
     // the ref input (the train structures are partially cacheable).
     Workload ref = buildWorkload("mst", InputSet::Ref);
-    RunStats base = simulate(configs::baseline(), ref);
-    RunStats cdp = simulate(configs::streamCdp(), ref);
+    RunStats base = simulate(configs::byName("baseline"), ref);
+    RunStats cdp = simulate(configs::byName("cdp"), ref);
     EXPECT_LT(cdp.ipc, 0.8 * base.ipc);
     EXPECT_GT(cdp.bpki, 1.5 * base.bpki);
 }
 
 TEST(Simulator, CdpHelpsHealth)
 {
-    RunStats base = runTrain("health", configs::baseline());
-    RunStats cdp = runTrain("health", configs::streamCdp());
+    RunStats base = runTrain("health", configs::byName("baseline"));
+    RunStats cdp = runTrain("health", configs::byName("cdp"));
     EXPECT_GT(cdp.ipc, 1.3 * base.ipc);
     EXPECT_GT(cdp.accuracy(1), 0.7);
 }
@@ -73,8 +73,8 @@ TEST(Simulator, EcdpEliminatesCdpLossOnMst)
 {
     ExperimentContext context;
     const HintTable &hints = context.hints("mst");
-    RunStats base = runTrain("mst", configs::baseline());
-    RunStats ecdp = runTrain("mst", configs::streamEcdp(&hints));
+    RunStats base = runTrain("mst", configs::byName("baseline"));
+    RunStats ecdp = runTrain("mst", configs::byName("ecdp", &hints));
     EXPECT_GT(ecdp.ipc, 0.9 * base.ipc);
 }
 
@@ -82,8 +82,8 @@ TEST(Simulator, FullProposalKeepsHealthGains)
 {
     ExperimentContext context;
     const HintTable &hints = context.hints("health");
-    RunStats base = runTrain("health", configs::baseline());
-    RunStats full = runTrain("health", configs::fullProposal(&hints));
+    RunStats base = runTrain("health", configs::byName("baseline"));
+    RunStats full = runTrain("health", configs::byName("full", &hints));
     EXPECT_GT(full.ipc, 1.3 * base.ipc);
 }
 
@@ -93,16 +93,16 @@ TEST(Simulator, StreamingWorkloadsUnaffectedByLdsMachinery)
     for (const char *name : {"libquantum", "lbm"}) {
         ExperimentContext context;
         const HintTable &hints = context.hints(name);
-        RunStats base = runTrain(name, configs::baseline());
+        RunStats base = runTrain(name, configs::byName("baseline"));
         RunStats full =
-            runTrain(name, configs::fullProposal(&hints));
+            runTrain(name, configs::byName("full", &hints));
         EXPECT_NEAR(full.ipc, base.ipc, 0.05 * base.ipc) << name;
     }
 }
 
 TEST(Simulator, BpkiAndBusTransactionsConsistent)
 {
-    RunStats base = runTrain("mst", configs::baseline());
+    RunStats base = runTrain("mst", configs::byName("baseline"));
     double expected = 1000.0 *
                       static_cast<double>(base.busTransactions) /
                       static_cast<double>(base.instructions);
@@ -111,7 +111,7 @@ TEST(Simulator, BpkiAndBusTransactionsConsistent)
 
 TEST(Simulator, StatsAreInternallyConsistent)
 {
-    RunStats s = runTrain("health", configs::streamCdp());
+    RunStats s = runTrain("health", configs::byName("cdp"));
     EXPECT_LE(s.slot(1).used, s.slot(1).issued);
     EXPECT_LE(s.l2LdsMisses, s.l2DemandMisses);
     EXPECT_LE(s.l2DemandMisses, s.l2DemandAccesses);
@@ -121,8 +121,8 @@ TEST(Simulator, StatsAreInternallyConsistent)
 
 TEST(Simulator, RunsAreDeterministic)
 {
-    RunStats a = runTrain("voronoi", configs::streamCdp());
-    RunStats b = runTrain("voronoi", configs::streamCdp());
+    RunStats a = runTrain("voronoi", configs::byName("cdp"));
+    RunStats b = runTrain("voronoi", configs::byName("cdp"));
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.busTransactions, b.busTransactions);
     EXPECT_EQ(a.slot(1).issued, b.slot(1).issued);
@@ -130,20 +130,20 @@ TEST(Simulator, RunsAreDeterministic)
 
 TEST(Simulator, GhbCoversStreamsWhenAlone)
 {
-    RunStats np = runTrain("libquantum", configs::noPrefetch());
-    RunStats ghb = runTrain("libquantum", configs::ghbAlone());
+    RunStats np = runTrain("libquantum", configs::byName("noprefetch"));
+    RunStats ghb = runTrain("libquantum", configs::byName("ghb"));
     EXPECT_GT(ghb.ipc, 1.3 * np.ipc);
 }
 
 TEST(Simulator, DbpIssuesPrefetchesOnPointerChains)
 {
-    RunStats dbp = runTrain("health", configs::streamDbp());
+    RunStats dbp = runTrain("health", configs::byName("dbp"));
     EXPECT_GT(dbp.slot(1).issued, 0u);
 }
 
 TEST(Simulator, MarkovLearnsRepeatedMissSequences)
 {
-    RunStats markov = runTrain("health", configs::streamMarkov());
+    RunStats markov = runTrain("health", configs::byName("markov"));
     EXPECT_GT(markov.slot(1).issued, 0u);
     EXPECT_GT(markov.slot(1).used + markov.slot(1).late, 0u);
 }
@@ -154,9 +154,9 @@ TEST(Simulator, ProfilingInputSensitivityIsSmall)
     ExperimentContext context;
     const Workload &ref = context.ref("health");
     RunStats with_train = simulate(
-        configs::fullProposal(&context.hints("health")), ref);
+        configs::byName("full", &context.hints("health")), ref);
     RunStats with_ref = simulate(
-        configs::fullProposal(&context.hintsFromRef("health")), ref);
+        configs::byName("full", &context.hintsFromRef("health")), ref);
     EXPECT_NEAR(with_ref.ipc, with_train.ipc, 0.10 * with_train.ipc);
 }
 
@@ -164,7 +164,7 @@ TEST(MultiCore, TwoCoresContendForMemory)
 {
     Workload a = buildWorkload("mst", InputSet::Train);
     Workload b = buildWorkload("milc", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     double alone_a = simulate(cfg, a).ipc;
     double alone_b = simulate(cfg, b).ipc;
     MultiCoreResult result =
@@ -184,7 +184,7 @@ TEST(MultiCore, FourCoresRun)
     Workload b = buildWorkload("gemsfdtd", InputSet::Train);
     Workload c = buildWorkload("mst", InputSet::Train);
     Workload d = buildWorkload("libquantum", InputSet::Train);
-    SystemConfig cfg = configs::baseline();
+    SystemConfig cfg = configs::byName("baseline");
     std::vector<double> alone;
     for (const Workload *wl : {&a, &b, &c, &d})
         alone.push_back(simulate(cfg, *wl).ipc);
@@ -201,8 +201,8 @@ TEST(MultiCore, ThrottlingImprovesOrHoldsBusTraffic)
     ExperimentContext context;
     Workload a = buildWorkload("health", InputSet::Train);
     Workload b = buildWorkload("mst", InputSet::Train);
-    SystemConfig base_cfg = configs::streamCdp();
-    SystemConfig full_cfg = configs::streamCdpThrottled();
+    SystemConfig base_cfg = configs::byName("cdp");
+    SystemConfig full_cfg = configs::byName("cdp+throttle");
     std::vector<double> alone{simulate(base_cfg, a).ipc,
                               simulate(base_cfg, b).ipc};
     MultiCoreResult unmanaged =

@@ -29,7 +29,7 @@ class CacheSizeSweep : public ::testing::TestWithParam<unsigned>
 
 TEST_P(CacheSizeSweep, BiggerL2MeansFewerMisses)
 {
-    SystemConfig small = configs::noPrefetch();
+    SystemConfig small = configs::byName("noprefetch");
     small.l2Bytes = GetParam() * 1024;
     SystemConfig big = small;
     big.l2Bytes *= 4;
@@ -49,7 +49,7 @@ class BankSweep : public ::testing::TestWithParam<unsigned>
 
 TEST_P(BankSweep, MoreBanksNeverHurtMuch)
 {
-    SystemConfig few = configs::baseline();
+    SystemConfig few = configs::byName("baseline");
     few.dram.banks = GetParam();
     SystemConfig many = few;
     many.dram.banks = GetParam() * 4;
@@ -67,7 +67,7 @@ class WidthSweep : public ::testing::TestWithParam<unsigned>
 
 TEST_P(WidthSweep, WiderRetireNeverHurts)
 {
-    SystemConfig narrow = configs::baseline();
+    SystemConfig narrow = configs::byName("baseline");
     narrow.core.width = GetParam();
     SystemConfig wide = narrow;
     wide.core.width = GetParam() * 2;
@@ -87,9 +87,9 @@ class AggressivenessSweep
 
 TEST_P(AggressivenessSweep, MoreAggressiveStreamsIssueMore)
 {
-    SystemConfig conservative = configs::baseline();
+    SystemConfig conservative = configs::byName("baseline");
     conservative.primaryStartLevel = AggLevel::VeryConservative;
-    SystemConfig level = configs::baseline();
+    SystemConfig level = configs::byName("baseline");
     level.primaryStartLevel = GetParam();
     Workload wl = buildWorkload("libquantum", InputSet::Train);
     RunStats c = simulate(conservative, wl);
@@ -112,8 +112,8 @@ class DeterminismSweep
 TEST_P(DeterminismSweep, BitExactRepeats)
 {
     Workload wl = buildWorkload(GetParam(), InputSet::Train);
-    RunStats a = simulate(configs::streamCdp(), wl);
-    RunStats b = simulate(configs::streamCdp(), wl);
+    RunStats a = simulate(configs::byName("cdp"), wl);
+    RunStats b = simulate(configs::byName("cdp"), wl);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.busTransactions, b.busTransactions);
     EXPECT_EQ(a.slot(0).issued, b.slot(0).issued);
@@ -131,9 +131,9 @@ TEST(SystemProperties, ThrottlingNeverExplodesBandwidth)
     // increase bandwidth by more than a few percent.
     for (const char *name : {"mst", "bisort", "health"}) {
         Workload wl = buildWorkload(name, InputSet::Train);
-        RunStats plain = simulate(configs::streamCdp(), wl);
+        RunStats plain = simulate(configs::byName("cdp"), wl);
         RunStats throttled =
-            simulate(configs::streamCdpThrottled(), wl);
+            simulate(configs::byName("cdp+throttle"), wl);
         EXPECT_LE(throttled.busTransactions,
                   plain.busTransactions * 110 / 100)
             << name;
@@ -146,7 +146,7 @@ TEST(SystemProperties, IdealNoPollutionNeverHurtsCdp)
     // 2.3's bisort/mst analysis).
     for (const char *name : {"bisort", "mst"}) {
         Workload wl = buildWorkload(name, InputSet::Train);
-        SystemConfig cdp = configs::streamCdp();
+        SystemConfig cdp = configs::byName("cdp");
         SystemConfig oracle = cdp;
         oracle.idealNoPollution = true;
         RunStats plain = simulate(cdp, wl);

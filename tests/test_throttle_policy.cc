@@ -298,7 +298,7 @@ TEST(PabPolicyTest, RunCountsUnderThePabScope)
 {
     obs::MetricRegistry metrics;
     RunStats stats =
-        simulate(configs::streamCdpPab(),
+        simulate(configs::byName("cdp+pab"),
                  buildWorkload("bisort", InputSet::Train),
                  Observability{&metrics, nullptr});
     ASSERT_GT(stats.intervals, 0u);
@@ -369,7 +369,7 @@ TEST(TabularRlPolicyTest, ExplorationRateTracksEpsilon)
 std::string
 tabularRlRunJson(std::uint64_t seed)
 {
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
     cfg.throttlePolicy = "tabular-rl";
     cfg.throttleRlSeed = seed;
     RunStats stats =
@@ -391,7 +391,7 @@ TEST(TabularRlPolicyTest, DifferentSeedsDiverge)
 
 TEST(TabularRlPolicyTest, RunStatsCarryPolicyState)
 {
-    SystemConfig cfg = configs::streamCdpThrottled();
+    SystemConfig cfg = configs::byName("cdp+throttle");
     cfg.throttlePolicy = "tabular-rl";
     RunStats stats =
         simulate(cfg, buildWorkload("mst", InputSet::Train));
@@ -430,7 +430,7 @@ TEST(TabularRlPolicyTest, DefaultRunsCarryNoPolicyState)
     // The rule policies serialize nothing, so a default coordinated
     // run keeps the exact legacy JSON shape the goldens pin.
     RunStats stats =
-        simulate(configs::streamCdpThrottled(),
+        simulate(configs::byName("cdp+throttle"),
                  buildWorkload("mst", InputSet::Train));
     EXPECT_TRUE(stats.throttlePolicyState.empty());
     std::ostringstream os;
@@ -440,7 +440,7 @@ TEST(TabularRlPolicyTest, DefaultRunsCarryNoPolicyState)
 
 TEST(TabularRlPolicyTest, SeedFoldsIntoConfigHash)
 {
-    SystemConfig a = configs::streamCdpThrottled();
+    SystemConfig a = configs::byName("cdp+throttle");
     a.throttlePolicy = "tabular-rl";
     a.throttleRlSeed = 1;
     SystemConfig b = a;

@@ -173,10 +173,10 @@ TEST(BlockSizeSensitivity, RunsCompleteAt64And128ByteBlocks)
     // the config said).
     Workload wl = buildWorkload("mst", InputSet::Train);
 
-    SystemConfig c128 = configs::baseline();
+    SystemConfig c128 = configs::byName("baseline");
     RunStats s128 = simulate(c128, wl);
 
-    SystemConfig c64 = configs::baseline();
+    SystemConfig c64 = configs::byName("baseline");
     c64.l2BlockBytes = 64;
     RunStats s64 = simulate(c64, wl);
 

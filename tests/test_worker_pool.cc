@@ -1,6 +1,6 @@
-// The work-stealing worker-process pool: completion plumbing, crash
-// isolation (a dying child surfaces as a failed job, never as a dead
-// pool), stealing between skewed shards, and shutdown semantics.
+// The worker-process pool: completion plumbing, crash isolation (a
+// dying child surfaces as a failed job, never as a dead pool), FIFO
+// order across shards, and shutdown semantics.
 
 #include <gtest/gtest.h>
 
@@ -112,22 +112,22 @@ TEST(WorkerPool, FailedJobCarriesExitCodeAndStderr)
               std::string::npos);
 }
 
-TEST(WorkerPool, IdleShardStealsFromLoadedShard)
+TEST(WorkerPool, FreeShardRunsTheJobsQueuedBehindASlowOne)
 {
-    // Round-robin submission alternates shards 0/1; shard 0's jobs
-    // sleep while shard 1's return instantly, so shard 1 drains its
-    // own deque and must steal shard 0's backlog to finish the batch
-    // quickly.
+    // One shared FIFO: while one shard sits in a slow job, the other
+    // takes every job queued behind it, so each fast job completes
+    // before the slow one.
     WorkerPool pool({"/bin/sh"}, 2);
     Collector collector;
-    constexpr int kPairs = 6;
-    for (int i = 0; i < kPairs; ++i) {
-        pool.submit("sleep 0.3; echo slow\n", collector.done());
+    pool.submit("sleep 1; echo slow\n", collector.done());
+    constexpr int kFast = 5;
+    for (int i = 0; i < kFast; ++i)
         pool.submit("echo fast\n", collector.done());
-    }
-    collector.waitFor(2 * kPairs);
-    EXPECT_GE(pool.stolen(), 1u);
-    EXPECT_EQ(pool.spawned(), 2u * kPairs);
+    collector.waitFor(kFast + 1);
+    for (int i = 0; i < kFast; ++i)
+        EXPECT_EQ(collector.outputs[std::size_t(i)], "fast\n") << i;
+    EXPECT_EQ(collector.outputs[kFast], "slow\n");
+    EXPECT_EQ(pool.spawned(), std::uint64_t{kFast + 1});
 }
 
 TEST(WorkerPool, DestructorFailsQueuedJobs)

@@ -17,8 +17,9 @@
  * length), keeping its policy and feedback knobs — the N-engine
  * hybrid recipe in EXPERIMENTS.md builds on it. --throttle-policy
  * replaces its policy (static, coordinated, fdp, pab, tabular-rl);
- * --rl-seed seeds the tabular-rl explorer. The flags resolve and run
- * exactly like an ecdpd cell (server/cell.cc): a stack naming ecdp
+ * --rl-seed seeds the tabular-rl explorer. The flags are checked,
+ * resolved and run exactly like an ecdpd cell (server/cell.cc): a
+ * bad name or knob exits 2 with usage, a stack naming ecdp
  * gets train-profiled hints whatever the config, and a run is
  * memoized, traced (ECDP_TRACE) and spilled (ECDP_RESULT_CACHE) by
  * ExperimentContext. A --multicore mix's speedups divide by each
@@ -30,10 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "prefetch/engine.hh"
 #include "server/cell.hh"
 #include "stats/json.hh"
-#include "throttle/throttle_policy.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -135,16 +134,16 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw std::runtime_error(std::string(flag) +
-                                         " needs a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto value = [&](const char *flag) -> std::string {
+                if (i + 1 >= argc) {
+                    throw std::runtime_error(std::string(flag) +
+                                             " needs a value");
+                }
+                return argv[++i];
+            };
             if (arg == "--list") {
                 opts.list = true;
             } else if (arg == "--json") {
@@ -155,9 +154,6 @@ main(int argc, char **argv)
                 opts.cell.config = value("--config");
             } else if (arg == "--input") {
                 opts.cell.input = value("--input");
-                if (opts.cell.input != "train" &&
-                    opts.cell.input != "ref")
-                    throw std::runtime_error("bad --input");
             } else if (arg == "--multicore") {
                 std::stringstream ss(value("--multicore"));
                 std::string name;
@@ -168,23 +164,8 @@ main(int argc, char **argv)
                 std::string name;
                 while (std::getline(ss, name, ','))
                     opts.cell.engines.push_back(name);
-                // Fail here with the registry's diagnostic (it lists
-                // every known name) instead of mid-simulation.
-                for (const std::string &engine : opts.cell.engines) {
-                    if (!EngineRegistry::instance().contains(engine)) {
-                        EngineRegistry::instance().create(
-                            engine, EngineContext{});
-                    }
-                }
             } else if (arg == "--throttle-policy") {
                 opts.cell.throttlePolicy = value("--throttle-policy");
-                // Fail here with the registry's diagnostic (it lists
-                // every known name) instead of mid-simulation.
-                if (!PolicyRegistry::instance().contains(
-                        opts.cell.throttlePolicy)) {
-                    PolicyRegistry::instance().create(
-                        opts.cell.throttlePolicy, PolicyContext{});
-                }
             } else if (arg == "--rl-seed") {
                 opts.cell.rlSeed = std::stol(value("--rl-seed"));
             } else if (arg == "--tcov") {
@@ -197,11 +178,14 @@ main(int argc, char **argv)
             } else {
                 throw std::runtime_error("unknown flag " + arg);
             }
-        } catch (const std::exception &e) {
-            std::cerr << "error: " << e.what() << '\n';
-            usage(std::cerr);
-            return 2;
         }
+        // The ecdpd cell check: a bad name or knob is a usage error
+        // here exactly when the daemon would refuse the cell.
+        server::validateCellSpec(opts.cell);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << '\n';
+        usage(std::cerr);
+        return 2;
     }
 
     if (opts.list) {
@@ -213,10 +197,7 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    std::vector<std::string> names = opts.multicore;
-    if (names.empty() && !opts.cell.bench.empty())
-        names.push_back(opts.cell.bench);
-    for (const std::string &name : names) {
+    for (const std::string &name : opts.multicore) {
         if (!findBenchmark(name)) {
             std::cerr << "error: unknown benchmark '" << name
                       << "' (try --list)\n";
