@@ -34,6 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "memsim/parse_number.hh"
+#include "runner/thread_pool.hh"
 #include "server/daemon.hh"
 #include "server/http_client.hh"
 #include "stats/json.hh"
@@ -222,7 +224,7 @@ run(const BenchConfig &bench)
             thread.join();
     }
     const double stormSeconds = secondsSince(stormStart);
-    const std::uint64_t uniqueSims = daemon.pool().spawned();
+    const std::uint64_t uniqueSims = daemon.spawned();
     const std::uint64_t inflightPeak = daemon.inflightPeak();
 
     // --- Phase B: store replay ----------------------------------
@@ -249,7 +251,7 @@ run(const BenchConfig &bench)
     }
     const double replaySeconds = secondsSince(replayStart);
     const std::uint64_t replaySims =
-        daemon.pool().spawned() - uniqueSims;
+        daemon.spawned() - uniqueSims;
 
     const double dedupHitRate =
         1.0 - double(uniqueSims) / double(totalCells);
@@ -308,6 +310,13 @@ run(const BenchConfig &bench)
     return failures == 0 ? 0 : 1;
 }
 
+void
+usage(std::ostream &os)
+{
+    os << "usage: serverbench [--quick] [--out FILE] [--workers N]\n"
+          "--workers is 1..1024.\n";
+}
+
 } // namespace
 
 int
@@ -326,11 +335,16 @@ main(int argc, char **argv)
         } else if (arg == "--out" && i + 1 < argc) {
             bench.out = argv[++i];
         } else if (arg == "--workers" && i + 1 < argc) {
-            bench.workers =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+            try {
+                bench.workers = parseNumber<unsigned>(
+                    arg, argv[++i], 1, runner::kMaxThreads);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << "serverbench: " << e.what() << "\n";
+                usage(std::cerr);
+                return 2;
+            }
         } else if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: serverbench [--quick] [--out FILE] "
-                         "[--workers N]\n";
+            usage(std::cout);
             return 0;
         } else {
             std::cerr << "serverbench: unknown flag " << arg << "\n";

@@ -58,16 +58,17 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "memsim/parse_number.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -278,22 +279,6 @@ readBaseline(const std::string &path)
     return base;
 }
 
-/** @p text parsed in full as a T, or exit 2 naming @p flag. */
-template <typename T>
-T
-parseNumber(const std::string &flag, const std::string &text)
-{
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc{} || ptr != end) {
-        std::cerr << "simbench: " << flag << " needs a number (got '"
-                  << text << "')\n";
-        std::exit(2);
-    }
-    return value;
-}
-
 /** A loop-visit gate: deterministic, so any growth fails. */
 bool
 visitsRegressed(const std::string &label, std::uint64_t visits,
@@ -326,25 +311,27 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--reps") {
-            reps = parseNumber<int>(arg, next());
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--check") {
-            check_path = next();
-        } else if (arg == "--tolerance") {
-            tolerance = parseNumber<double>(arg, next());
-        } else {
-            std::cerr << "simbench: unknown argument " << arg << "\n";
+        try {
+            if (arg == "--quick") {
+                quick = true;
+            } else if (arg == "--reps") {
+                reps = parseNumber<int>(arg, next(), 1,
+                                        std::numeric_limits<int>::max());
+            } else if (arg == "--out") {
+                out_path = next();
+            } else if (arg == "--check") {
+                check_path = next();
+            } else if (arg == "--tolerance") {
+                tolerance = parseNumber<double>(arg, next());
+            } else {
+                std::cerr << "simbench: unknown argument " << arg
+                          << "\n";
+                return 2;
+            }
+        } catch (const std::invalid_argument &e) {
+            std::cerr << "simbench: " << e.what() << "\n";
             return 2;
         }
-    }
-    if (reps < 1) {
-        std::cerr << "simbench: --reps must be >= 1 (got " << reps
-                  << ")\n";
-        return 2;
     }
     // A tolerance >= 1 puts every floor at or below zero: a dead gate.
     if (!(tolerance >= 0.0 && tolerance < 1.0)) {

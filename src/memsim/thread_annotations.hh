@@ -16,9 +16,9 @@
  * CAPABILITY-annotated wrapper that compiles to a plain std::mutex
  * off-clang, locked through the SCOPED_CAPABILITY MutexLock guard
  * (a std::unique_lock underneath, so condition variables wait on
- * native()). simlint's raw-mutex rule and ecdplint's
- * mutex-unannotated rule forbid raw std::mutex members anywhere
- * else, so new concurrent state cannot dodge the analysis.
+ * native()). simlint's raw-mutex rule forbids a raw std::mutex
+ * declaration anywhere else, so new concurrent state cannot dodge
+ * the analysis.
  */
 
 #ifndef ECDP_MEMSIM_THREAD_ANNOTATIONS_HH

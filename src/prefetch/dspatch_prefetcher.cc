@@ -15,13 +15,6 @@ DspatchPrefetcher::DspatchPrefetcher(const EngineContext &ctx)
 {
 }
 
-void
-DspatchPrefetcher::reset()
-{
-    buffer_.assign(buffer_.size(), BufferEntry{});
-    spt_.assign(spt_.size(), SptEntry{});
-}
-
 std::uint64_t
 DspatchPrefetcher::rotateToAnchor(std::uint64_t bitmap,
                                   std::uint32_t anchor) const

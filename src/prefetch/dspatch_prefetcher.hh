@@ -51,7 +51,6 @@ class DspatchPrefetcher final : public PrefetchEngine
     }
 
     void setAggressiveness(AggLevel level) override { level_ = level; }
-    void reset() override;
 
     void onDemandMiss(const TraceEntry &entry,
                       std::vector<PrefetchRequest> &out) override;

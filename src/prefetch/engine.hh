@@ -99,9 +99,6 @@ class PrefetchEngine
     /** Table 2 knob; engines without one ignore it. */
     virtual void setAggressiveness(AggLevel) {}
 
-    /** Forget all learned state (conformance replay checks). */
-    virtual void reset() {}
-
     /** A demand load missed the last-level cache. */
     virtual void onDemandMiss(const TraceEntry &,
                               std::vector<PrefetchRequest> &)

@@ -56,8 +56,6 @@ class StreamEngine final : public PrefetchEngine
         stream_.setAggressiveness(level);
     }
 
-    void reset() override { stream_.reset(); }
-
     void onDemandMiss(const TraceEntry &entry,
                       std::vector<PrefetchRequest> &out) override
     {

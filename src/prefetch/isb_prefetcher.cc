@@ -36,14 +36,6 @@ IsbPrefetcher::setAggressiveness(AggLevel level)
     degree_ = kIsbDegree[static_cast<unsigned>(level)];
 }
 
-void
-IsbPrefetcher::reset()
-{
-    pairTable_.assign(pairTable_.size(), Entry{});
-    singleTable_.assign(singleTable_.size(), Entry{});
-    historyLen_ = 0;
-}
-
 const IsbPrefetcher::Entry *
 IsbPrefetcher::findPair(std::uint64_t key) const
 {

@@ -46,7 +46,6 @@ class IsbPrefetcher final : public PrefetchEngine
     unsigned maxRequestsPerTrigger() const override { return degree_; }
 
     void setAggressiveness(AggLevel level) override;
-    void reset() override;
 
     void onDemandMiss(const TraceEntry &entry,
                       std::vector<PrefetchRequest> &out) override;

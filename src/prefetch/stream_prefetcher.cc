@@ -25,13 +25,6 @@ StreamPrefetcher::setAggressiveness(AggLevel level)
 }
 
 void
-StreamPrefetcher::reset()
-{
-    for (Stream &stream : streams_)
-        stream.state = State::Invalid;
-}
-
-void
 StreamPrefetcher::emit(std::int64_t block,
                        std::vector<PrefetchRequest> &out)
 {

@@ -50,9 +50,6 @@ class StreamPrefetcher
      */
     void trigger(Addr addr, std::vector<PrefetchRequest> &out);
 
-    /** Drop all stream state (used by tests and PAB disabling). */
-    void reset();
-
     /** Approximate storage cost in bits (for cost accounting). */
     std::uint64_t storageBits() const;
 

@@ -1,8 +1,10 @@
 #include "runner/thread_pool.hh"
 
 #include <cstdlib>
-#include <string>
+#include <stdexcept>
 #include <utility>
+
+#include "memsim/parse_number.hh"
 
 namespace ecdp
 {
@@ -13,10 +15,12 @@ unsigned
 jobCountFromEnv()
 {
     if (const char *env = std::getenv("ECDP_JOBS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 1024)
-            return static_cast<unsigned>(v);
+        try {
+            return parseNumber<unsigned>("ECDP_JOBS", env, 1,
+                                         kMaxThreads);
+        } catch (const std::invalid_argument &) {
+            // Garbage or out of range: fall back to the hardware.
+        }
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
@@ -34,13 +38,27 @@ ThreadPool::ThreadPool(unsigned threads)
 ThreadPool::~ThreadPool()
 {
     waitIdle(); // never throws: a pending job error dies with us
+    stop();     // the queue is empty now: this only joins
+}
+
+void
+ThreadPool::stop()
+{
+    std::deque<std::function<void()>> discarded;
     {
         MutexLock lock(mutex_);
         stopping_ = true;
+        discarded.swap(queue_);
+        pending_ -= static_cast<unsigned>(discarded.size());
+        if (pending_ == 0)
+            allIdle_.notify_all();
     }
     workReady_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
+    for (std::thread &worker : workers_) {
+        if (worker.joinable())
+            worker.join();
+    }
+    // `discarded` dies here, outside the lock, with its captures.
 }
 
 void
@@ -48,10 +66,19 @@ ThreadPool::submit(std::function<void()> job)
 {
     {
         MutexLock lock(mutex_);
+        if (stopping_)
+            return; // discarded; `job` dies after the lock is released
         queue_.push_back(std::move(job));
         ++pending_;
     }
     workReady_.notify_one();
+}
+
+std::size_t
+ThreadPool::queued() const
+{
+    MutexLock lock(mutex_);
+    return queue_.size();
 }
 
 void

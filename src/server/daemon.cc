@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.hh"
+#include "server/process_util.hh"
 #include "stats/json.hh"
 
 namespace ecdp
@@ -88,7 +89,7 @@ Daemon::Daemon(DaemonOptions opts)
       }),
       store_(opts_.storeDir, opts_.storeMemoryCap,
              opts_.storeDiskCap),
-      pool_(opts_.workerArgv, opts_.workers)
+      pool_(opts_.workers)
 {}
 
 Daemon::~Daemon()
@@ -106,11 +107,12 @@ void
 Daemon::stop()
 {
     // Teardown order matters: first the server (no new requests;
-    // late Responder calls are dropped), then the pool — joining it
-    // fails every queued job, and those completion callbacks run
-    // through store_ into onCellReady while mutex_/grids_ are still
-    // fully alive — then any flight the pool somehow left behind.
-    // After this, member destruction finds everything quiesced.
+    // late Responder calls are dropped), then the pool — running
+    // cells finish, queued ones are discarded — then every flight
+    // still open, discarded cells included, fails with "daemon
+    // shutting down"; those callbacks run through store_ into
+    // onCellReady while mutex_/grids_ are still fully alive. After
+    // this, member destruction finds everything quiesced.
     server_.stop();
     pool_.stop();
     store_.failAllFlights("daemon shutting down");
@@ -291,13 +293,35 @@ Daemon::launchCell(const std::string &gridId, std::size_t index,
         });
     if (role != ResultStore::Role::Leader)
         return;
-    pool_.submit(canonicalCellJson(spec),
-                 [this, key](std::string output, std::string error) {
-                     if (error.empty())
-                         store_.complete(key, std::move(output));
-                     else
-                         store_.fail(key, error);
-                 });
+    pool_.submit([this, key, cellJson = canonicalCellJson(spec)] {
+        runCellJob(key, cellJson);
+    });
+}
+
+void
+Daemon::runCellJob(std::uint64_t key, const std::string &cellJson)
+{
+    // An exception must not leave the job: the pool would park it
+    // for a wait() nobody calls, and the flight would never close.
+    spawned_.fetch_add(1);
+    std::string output;
+    std::string error;
+    try {
+        ChildResult result = runChild(opts_.workerArgv, cellJson);
+        if (result.ok) {
+            output = std::move(result.out);
+        } else {
+            if (result.signal != 0)
+                crashed_.fetch_add(1);
+            error = result.describeFailure();
+        }
+    } catch (const std::exception &e) {
+        error = e.what(); // exec failure — the child never ran
+    }
+    if (error.empty())
+        store_.complete(key, std::move(output));
+    else
+        store_.fail(key, error);
 }
 
 void
@@ -559,9 +583,9 @@ Daemon::exportMetrics(obs::MetricRegistry &registry) const
     registry.counter("ecdpd.store.evicted").set(store_.evicted());
     registry.counter("ecdpd.store.disk_evicted")
         .set(store_.diskEvicted());
-    registry.counter("ecdpd.pool.shards").set(pool_.shards());
-    registry.counter("ecdpd.pool.spawned").set(pool_.spawned());
-    registry.counter("ecdpd.pool.crashed").set(pool_.crashed());
+    registry.counter("ecdpd.pool.shards").set(pool_.threadCount());
+    registry.counter("ecdpd.pool.spawned").set(spawned_.load());
+    registry.counter("ecdpd.pool.crashed").set(crashed_.load());
 }
 
 void

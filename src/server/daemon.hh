@@ -3,7 +3,8 @@
  * ecdpd — the simulation-as-a-service daemon. Glues the subsystem
  * together: the epoll HTTP front door (http_server), the
  * content-addressed single-flight result store (result_store) and
- * the FIFO pool of crash-isolated worker processes (worker_pool).
+ * a runner::ThreadPool whose jobs each simulate one cell in a
+ * crash-isolated worker process (process_util's runChild).
  *
  * Request lifecycle of one grid cell:
  *
@@ -12,7 +13,7 @@
  *        └▶ store.fetchOrAttach(key):
  *             Hit       cell completes immediately (0 simulations)
  *             Follower  rides an in-flight leader (0 simulations)
- *             Leader    one worker process simulates, then
+ *             Leader    one pool job runs one worker process, then
  *                       store.complete() fans out to every follower
  *
  * so N identical concurrent submissions cost exactly one simulation
@@ -47,10 +48,10 @@
 #include <vector>
 
 #include "memsim/thread_annotations.hh"
+#include "runner/thread_pool.hh"
 #include "server/cell.hh"
 #include "server/http_server.hh"
 #include "server/result_store.hh"
-#include "server/worker_pool.hh"
 
 namespace ecdp
 {
@@ -66,7 +67,8 @@ struct DaemonOptions
 {
     /** Port to bind (0 = ephemeral; read back via Daemon::port()). */
     std::uint16_t port = 0;
-    /** Worker-pool shards (concurrent worker processes). */
+    /** Pool threads, each running one worker process at a time
+     *  (0 = runner::jobCountFromEnv(), as for any ThreadPool). */
     unsigned workers = 4;
     /** Daemon-wide bound on admitted-but-incomplete cells; a grid
      *  that would exceed it is rejected whole with 429. */
@@ -120,7 +122,8 @@ class Daemon
 
     /** @{ Diagnostics for tests and serverbench. */
     const ResultStore &store() const { return store_; }
-    const WorkerPool &pool() const { return pool_; }
+    /** Worker processes spawned (one per simulated cell). */
+    std::uint64_t spawned() const { return spawned_.load(); }
     std::uint64_t cellsInflight() const { return inflight_.load(); }
     std::uint64_t inflightPeak() const
     {
@@ -191,6 +194,9 @@ class Daemon
     void launchCell(const std::string &gridId, std::size_t index,
                     const CellSpec &spec, std::uint64_t key)
         ECDP_EXCLUDES(mutex_);
+    /** A pool job: simulate @p cellJson in a worker process and
+     *  complete or fail flight @p key. Never throws. */
+    void runCellJob(std::uint64_t key, const std::string &cellJson);
     void onCellReady(const std::string &gridId, std::size_t index,
                      const ResultStore::Bytes &bytes,
                      const std::string &error) ECDP_EXCLUDES(mutex_);
@@ -209,14 +215,13 @@ class Daemon
 
     DaemonOptions opts_;
 
-    // Declaration order is load-bearing. All state that completion
-    // callbacks (onCellReady) touch — mutex_, grids_,
+    // Declaration order is load-bearing. All state that pool jobs
+    // and completion callbacks (onCellReady) touch — mutex_, grids_,
     // clientInflight_, the counters below — is declared BEFORE the
-    // server/store/pool, so it is destroyed after them: ~WorkerPool
-    // fails any still-queued job, and those callbacks run through
-    // store_ into onCellReady, which must find this state alive.
-    // stop() tears the subsystems down in the same order (server,
-    // then pool, then store flights) before destruction even starts.
+    // server/store/pool, so it is destroyed after them. stop() tears
+    // the subsystems down in the same order (server, then pool, then
+    // store flights) before destruction even starts, so the
+    // destructors below find everything quiesced.
     mutable AnnotatedMutex mutex_;
     std::map<std::string, Grid> grids_ ECDP_GUARDED_BY(mutex_);
     /** Completed grid ids, oldest first, for cap eviction. */
@@ -240,17 +245,20 @@ class Daemon
     std::atomic<std::uint64_t> latencyUsSum_{0};
     std::atomic<std::uint64_t> latencyUsCount_{0};
     std::atomic<std::uint64_t> latencyUsMax_{0};
+    /** Worker processes spawned, and those that died on a signal. */
+    std::atomic<std::uint64_t> spawned_{0};
+    std::atomic<std::uint64_t> crashed_{0};
 
     mutable AnnotatedMutex shutdownMutex_;
     std::condition_variable shutdownCv_;
     bool shutdownRequested_ ECDP_GUARDED_BY(shutdownMutex_) = false;
 
     // Destroyed before the state above (see the ordering note): the
-    // pool first — its teardown fails pending jobs, whose completion
+    // pool first — its jobs complete flights in store_, whose
     // callbacks respond through the server — the server last.
     HttpServer server_;
     ResultStore store_;
-    WorkerPool pool_;
+    runner::ThreadPool pool_;
 };
 
 } // namespace server

@@ -1027,29 +1027,4 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
     }
 }
 
-void
-MemorySystem::resetEngineStack()
-{
-    const std::size_t n = engines_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        engines_[i]->reset();
-        feedback_[i].reset();
-        pollutionEvents_[i].reset();
-        pollutionFilter_[i].clear();
-        enabled_[i] = 1;
-    }
-    demandMissCounter_.reset();
-    applyLevel(0, cfg_.primaryStartLevel);
-    for (std::size_t i = 1; i < n; ++i)
-        applyLevel(i, i == 1 ? cfg_.ldsStartLevel
-                             : AggLevel::Aggressive);
-    policy_->reset();
-    // Re-arm the interval machinery at the current counts so the
-    // first post-reset interval measures only post-reset activity.
-    lastIntervalEvictions_ = l2_.evictions();
-    lastIntervalInstructions_ =
-        progressCore_ ? progressCore_->retired() : 0;
-    lastIntervalBus_ = dram_->busTransactions(coreId_);
-}
-
 } // namespace ecdp

@@ -157,11 +157,6 @@ class MemorySystem : public CoreMemoryInterface
     {
         applyLevel(i, level);
     }
-    /** Test hook: one slot's feedback lane (reset-path assertions). */
-    const PrefetcherFeedback &feedbackLane(std::size_t i) const
-    {
-        return feedback_[i];
-    }
     /** PolicyRegistry name of the running throttle policy. */
     const std::string &throttlePolicyName() const
     {
@@ -178,20 +173,6 @@ class MemorySystem : public CoreMemoryInterface
      * MemorySystem).
      */
     void attachCore(const Core *core) { progressCore_ = core; }
-
-    /**
-     * Fresh-replay reset of the adaptive machinery: every engine
-     * forgets its learned state, all feedback lanes (interval
-     * counters AND the latched held accuracy), the shared miss
-     * counter, pollution filters/counters, aggressiveness levels,
-     * enable bits and the policy's learned state return to their
-     * construction values, and the interval baselines re-arm at the
-     * current eviction/bus/instruction counts. Cache contents, MSHRs
-     * and lifetime obs counters are deliberately untouched: the hook
-     * models replaying the *throttling* machinery, not a machine
-     * reset.
-     */
-    void resetEngineStack();
 
   private:
     struct QueuedPrefetch

@@ -56,8 +56,6 @@ class IntervalCounter
     /** Lifetime total across all intervals (for end-of-run stats). */
     std::uint64_t lifetime() const { return lifetime_ + during_; }
 
-    void reset() { value_ = during_ = lifetime_ = 0; }
-
   private:
     std::uint64_t value_ = 0;
     std::uint64_t during_ = 0;

@@ -95,19 +95,6 @@ class PrefetcherFeedback
                late_.during() > 0;
     }
 
-    /** Fresh-replay reset: clears the aged, in-flight and lifetime
-     *  counters AND the latched accuracy that endInterval()
-     *  deliberately holds across zero-issue stretches. Without the
-     *  latter a replayed engine inherits the previous run's accuracy
-     *  and the throttler starts from a stale measurement. */
-    void reset()
-    {
-        issued_.reset();
-        used_.reset();
-        late_.reset();
-        heldAccuracy_ = 1.0;
-    }
-
   private:
     IntervalCounter issued_;
     IntervalCounter used_;

@@ -93,8 +93,7 @@ class PabPolicy final : public ThrottlePolicy
 {
   public:
     explicit PabPolicy(const PolicyContext &ctx)
-        : window_(ctx.pabWindow), slots_(ctx.slots),
-          selector_(window_, slots_)
+        : selector_(ctx.pabWindow, ctx.slots)
     {}
 
     const char *name() const override { return "pab"; }
@@ -121,11 +120,7 @@ class PabPolicy final : public ThrottlePolicy
         return ThrottleDecision::Nothing;
     }
 
-    void reset() override { selector_ = PabSelector(window_, slots_); }
-
   private:
-    unsigned window_;
-    unsigned slots_;
     PabSelector selector_;
 };
 

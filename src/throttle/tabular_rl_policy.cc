@@ -182,22 +182,6 @@ TabularRlPolicy::onIntervalEnd(
     return toDecision(action);
 }
 
-void
-TabularRlPolicy::reset()
-{
-    agents_.clear();
-    lastDecisions_.clear();
-    rng_ = seed_;
-    havePrevIpc_ = false;
-    prevIpc_ = 0.0;
-    reward_ = 0.0;
-    intervalsSeen_ = 0;
-    explorations_ = 0;
-    updates_ = 0;
-    // Registered counters are lifetime totals and deliberately keep
-    // counting across resets (like every other obs counter).
-}
-
 std::string
 TabularRlPolicy::intervalStateJson() const
 {

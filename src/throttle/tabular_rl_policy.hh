@@ -71,7 +71,6 @@ class TabularRlPolicy final : public ThrottlePolicy
                   const std::vector<FeedbackSnapshot> &snapshots,
                   const IntervalContext &interval) override;
 
-    void reset() override;
     std::string intervalStateJson() const override;
     std::string stateJson() const override;
     void bindCounters(obs::MetricScope &scope) override;

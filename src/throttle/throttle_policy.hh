@@ -128,9 +128,6 @@ class ThrottlePolicy
     virtual void selectEnabled(std::vector<std::uint8_t> & /*enabled*/)
     {}
 
-    /** Forget all learned/adaptive state (fresh-replay reset path). */
-    virtual void reset() {}
-
     /**
      * Compact JSON object describing the policy's state over the
      * interval just decided ("" = nothing to report). Non-empty

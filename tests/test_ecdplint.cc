@@ -5,8 +5,8 @@
  * tools (raw strings, comments, preprocessor continuations), the
  * structural pass (member extraction through nested templates,
  * initializers and lambdas), and exact-violation assertions for all
- * four rules over their seeded fixtures. A meta-test walks the rule
- * registry so a fifth rule cannot ship without a fixture proving it
+ * three rules over their seeded fixtures. A meta-test walks the rule
+ * registry so a fourth rule cannot ship without a fixture proving it
  * fires.
  */
 
@@ -339,13 +339,6 @@ TEST(EcdplintRules, UnboundedContainerFixture)
     ASSERT_EQ(vs.size(), std::size_t(1));
     EXPECT_EQ(vs[0].line, 31);
     EXPECT_NE(vs[0].message.find("sessions_"), std::string::npos);
-}
-
-TEST(EcdplintRules, MutexUnannotatedFixture)
-{
-    std::vector<Violation> vs = runRuleOnFixture("mutex-unannotated");
-    std::vector<int> expect = {16, 23};
-    EXPECT_EQ(lines(vs), expect);
 }
 
 TEST(EcdplintRules, RelockableGuardGapIsNotUnderLock)

@@ -127,13 +127,6 @@ TEST_P(EngineConformance, FreshReplayIsDeterministic)
         EXPECT_FALSE(first.empty())
             << "hook script produced no requests";
     }
-
-    // reset() (a no-op for stateless adapters) must at least be
-    // callable, and the engine must keep working afterwards.
-    std::unique_ptr<PrefetchEngine> engine = create();
-    harness::driveHookScript(*engine, [](std::size_t) {});
-    engine->reset();
-    harness::driveHookScript(*engine, [](std::size_t) {});
 }
 
 TEST_P(EngineConformance, DisabledSlotGeneratesNothing)
@@ -167,51 +160,6 @@ TEST_P(EngineConformance, DisabledSlotGeneratesNothing)
 
     EXPECT_EQ(metrics.value("core0.pf.primary.generated"), 0u);
     EXPECT_EQ(metrics.value("core0.pf.primary.issued"), 0u);
-}
-
-TEST_P(EngineConformance, ResetEngineStackRestoresFreshFeedback)
-{
-    // Drive a throttled single-engine system far enough to latch
-    // feedback and move the aggressiveness level, then reset the
-    // stack: the level must return to the configured start level and
-    // the feedback lane must read as never-used (the
-    // PrefetcherFeedback::reset() fix — the held accuracy used to
-    // leak across replays).
-    const EngineFixture &f = fixture();
-    SystemConfig cfg = f.cfg;
-    cfg.throttlePolicy = "coordinated";
-    obs::MetricRegistry metrics;
-    Observability obs{&metrics, nullptr};
-    DramSystem dram(cfg.dram, 1);
-    MemorySystem mem(cfg, 0, f.workload.image.clone(), &dram, &obs);
-    ASSERT_EQ(mem.engineCount(), 1u);
-
-    Cycle now{0};
-    const std::size_t limit =
-        std::min<std::size_t>(f.workload.trace.size(), 2048);
-    for (std::size_t i = 0; i < limit; ++i) {
-        const TraceEntry &entry = f.workload.trace[i];
-        for (unsigned c = 0; c < 4; ++c) {
-            mem.tick(now);
-            now = now + 1;
-        }
-        if (entry.kind == AccessKind::Store)
-            mem.store(entry, now);
-        else
-            mem.load(entry, now);
-    }
-    for (unsigned c = 0; c < 2000; ++c) {
-        mem.tick(now);
-        now = now + 1;
-    }
-
-    mem.resetEngineStack();
-    EXPECT_EQ(mem.engineLevel(0), cfg.primaryStartLevel);
-    const PrefetcherFeedback &lane = mem.feedbackLane(0);
-    EXPECT_DOUBLE_EQ(lane.accuracy(), 1.0);
-    EXPECT_FALSE(lane.anyPrefetches());
-    EXPECT_FALSE(lane.currentIntervalActive());
-    EXPECT_EQ(lane.lifetimeIssued(), 0u);
 }
 
 TEST_P(EngineConformance, FiresWhenExpectedAndConserves)

@@ -1,11 +1,15 @@
 // Child-process plumbing: stdin/stdout/stderr round trips, exit and
-// signal decoding, exec-failure reporting, and the concurrent-drain
-// guarantee that a chatty child cannot deadlock the parent.
+// signal decoding, exec-failure reporting, the concurrent-drain
+// guarantee that a chatty child cannot deadlock the parent, and
+// children spawned from two pool threads at once (as ecdpd does).
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
+#include "runner/thread_pool.hh"
 #include "server/process_util.hh"
 
 namespace
@@ -39,9 +43,17 @@ TEST(ProcessUtil, ReportsNonZeroExit)
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.exitCode, 3);
     EXPECT_EQ(result.signal, 0);
-    // The failure description carries the stderr tail.
-    EXPECT_NE(result.describeFailure().find("why"),
-              std::string::npos);
+}
+
+TEST(ProcessUtil, FailureTextCarriesExitCodeAndStderrTail)
+{
+    // ecdpd fails a cell with this text, so both the status and the
+    // worker's last words must reach the client.
+    ChildResult result = runChild(
+        {"/bin/sh", "-c", "echo diagnostic >&2; exit 7"}, "");
+    const std::string why = result.describeFailure();
+    EXPECT_NE(why.find("status 7"), std::string::npos) << why;
+    EXPECT_NE(why.find("diagnostic"), std::string::npos) << why;
 }
 
 TEST(ProcessUtil, DecodesTerminatingSignal)
@@ -71,6 +83,54 @@ TEST(ProcessUtil, LargeBidirectionalTrafficDoesNotDeadlock)
     EXPECT_TRUE(result.ok);
     EXPECT_EQ(result.out.size(), input.size());
     EXPECT_EQ(result.err.size(), input.size());
+}
+
+TEST(ProcessUtil, PoolJobsDeliverEachChildsOutput)
+{
+    // A handful of children run from two pool threads, as ecdpd runs
+    // its cells: each job gets its own child's stdout, intact.
+    constexpr std::size_t kJobs = 8;
+    std::vector<ChildResult> results(kJobs);
+    {
+        ecdp::runner::ThreadPool pool(2);
+        for (std::size_t i = 0; i < kJobs; ++i) {
+            pool.submit([&results, i] {
+                results[i] =
+                    runChild({"/bin/cat"}, "job" + std::to_string(i));
+            });
+        }
+        pool.wait();
+    }
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(results[i].describeFailure(), "") << i;
+        EXPECT_EQ(results[i].out, "job" + std::to_string(i));
+        EXPECT_EQ(results[i].err, "");
+    }
+}
+
+TEST(ProcessUtil, ConcurrentSpawnsOnTwoPoolThreadsAllComplete)
+{
+    // Two pool threads fork children at the same time. Every pipe end
+    // must be close-on-exec: a child that inherits its sibling's
+    // stdin write end keeps that sibling from seeing EOF until it
+    // exits itself, so two children holding each other's wait
+    // forever (and the ctest TIMEOUT fails this test).
+    constexpr std::size_t kJobs = 2000;
+    std::vector<ChildResult> results(kJobs);
+    {
+        ecdp::runner::ThreadPool pool(2);
+        for (std::size_t i = 0; i < kJobs; ++i) {
+            pool.submit([&results, i] {
+                results[i] =
+                    runChild({"/bin/cat"}, "job" + std::to_string(i));
+            });
+        }
+        pool.wait();
+    }
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        EXPECT_TRUE(results[i].ok) << i << results[i].describeFailure();
+        EXPECT_EQ(results[i].out, "job" + std::to_string(i));
+    }
 }
 
 TEST(ProcessUtil, SelfExePathPointsAtThisBinary)

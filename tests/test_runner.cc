@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment runner: the thread pool, the
+ * Tests for the parallel experiment runner: the thread pool (also
+ * ecdpd's: FIFO behind a slow job, stop() discarding the queue), the
  * collision-free run memoization (configHash), timeout reporting,
  * the RunStats codec and the ECDP_RESULT_CACHE spill, and — most
  * importantly — that a parallel run produces exactly the statistics
@@ -9,12 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
@@ -41,6 +49,19 @@ TEST(ThreadPoolTest, RunsEverySubmittedJob)
         pool.submit([&count] { ++count; });
     pool.wait();
     EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolTest, QueueDepthDrainsToZero)
+{
+    // ecdpd reports queued() as ecdpd.queue.depth: once every job
+    // has run, nothing may still read as queued.
+    std::atomic<int> count{0};
+    ThreadPool pool(2);
+    for (int i = 0; i < 6; ++i)
+        pool.submit([&count] { ++count; });
+    pool.wait();
+    EXPECT_EQ(count.load(), 6);
+    EXPECT_EQ(pool.queued(), 0u);
 }
 
 TEST(ThreadPoolTest, WaitIsReusable)
@@ -84,6 +105,103 @@ TEST(ThreadPoolTest, DestructorDrainsTheQueue)
     EXPECT_EQ(count.load(), 10);
 }
 
+/** Poll @p done for up to 10 s; false if it never held. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+TEST(ThreadPoolTest, FreeThreadRunsTheJobsQueuedBehindASlowOne)
+{
+    // One shared FIFO: while one thread sits in a slow job, the other
+    // takes every job queued behind it. The slow job is released only
+    // once all fast jobs have run, so a pool that parked them behind
+    // it would fail the deadline instead.
+    ThreadPool pool(2);
+    std::mutex mutex;
+    std::vector<std::string> order;
+    auto record = [&](const char *what) {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.emplace_back(what);
+    };
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.submit([&, released] {
+        released.wait();
+        record("slow");
+    });
+    constexpr std::size_t kFast = 5;
+    for (std::size_t i = 0; i < kFast; ++i)
+        pool.submit([&] { record("fast"); });
+    const bool fastRan = eventually([&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        return order.size() == kFast;
+    });
+    release.set_value();
+    pool.wait();
+    EXPECT_TRUE(fastRan) << "fast jobs waited behind the slow one";
+    ASSERT_EQ(order.size(), kFast + 1);
+    for (std::size_t i = 0; i < kFast; ++i)
+        EXPECT_EQ(order[i], "fast") << i;
+    EXPECT_EQ(order[kFast], "slow");
+}
+
+TEST(ThreadPoolTest, StopDiscardsQueuedJobsAndFinishesTheRunningOne)
+{
+    ThreadPool pool(1);
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<bool> firstDone{false};
+    std::atomic<int> othersRan{0};
+    pool.submit([&, released] {
+        started.set_value();
+        released.wait();
+        firstDone = true;
+    });
+    for (int i = 0; i < 3; ++i)
+        pool.submit([&othersRan] { ++othersRan; });
+    started.get_future().wait();
+    EXPECT_EQ(pool.queued(), 3u);
+
+    // stop() blocks joining the busy thread, so it runs on a helper.
+    // The one thread is inside job 1, so only stop() can empty the
+    // queue while job 1 still runs.
+    std::thread stopper([&pool] { pool.stop(); });
+    const bool queueTaken = eventually([&] { return pool.queued() == 0; });
+    EXPECT_TRUE(queueTaken);
+    EXPECT_FALSE(firstDone.load());
+    release.set_value();
+    stopper.join();
+
+    EXPECT_TRUE(firstDone.load());
+    EXPECT_EQ(othersRan.load(), 0);
+    pool.wait(); // returns at once: nothing is pending
+    pool.stop(); // idempotent
+}
+
+TEST(ThreadPoolTest, SubmitAfterStopNeverRuns)
+{
+    std::atomic<int> ran{0};
+    ThreadPool pool(2);
+    pool.submit([&ran] { ++ran; });
+    pool.wait();
+    pool.stop();
+    pool.submit([&ran] { ++ran; });
+    EXPECT_EQ(pool.queued(), 0u);
+    pool.wait(); // the discarded job is never counted as pending
+    EXPECT_EQ(ran.load(), 1);
+}
+
 TEST(ThreadPoolTest, JobCountRespectsEnvironment)
 {
     ::setenv("ECDP_JOBS", "3", 1);
@@ -95,6 +213,12 @@ TEST(ThreadPoolTest, JobCountRespectsEnvironment)
     EXPECT_GE(runner::jobCountFromEnv(), 1u);
     ::setenv("ECDP_JOBS", "banana", 1);
     EXPECT_GE(runner::jobCountFromEnv(), 1u);
+    // A prefix is not a count, and 1025 is past the clamp.
+    ::setenv("ECDP_JOBS", "3x", 1);
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(runner::jobCountFromEnv(), hw);
+    ::setenv("ECDP_JOBS", "1025", 1);
+    EXPECT_EQ(runner::jobCountFromEnv(), hw);
     ::unsetenv("ECDP_JOBS");
     EXPECT_GE(runner::jobCountFromEnv(), 1u);
 }

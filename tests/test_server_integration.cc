@@ -85,7 +85,7 @@ TEST(ServerIntegration, WorkerResultsAreByteIdenticalToInProcess)
         client.get("/v1/cells/" + hex16(cellKey(spec)));
     ASSERT_EQ(raw.status, 200);
     EXPECT_EQ(raw.body, expected); // byte-for-byte
-    EXPECT_EQ(daemon.pool().spawned(), 1u);
+    EXPECT_EQ(daemon.spawned(), 1u);
 }
 
 TEST(ServerIntegration, ConcurrentIdenticalSubmissionsCostOneSim)
@@ -116,7 +116,7 @@ TEST(ServerIntegration, ConcurrentIdenticalSubmissionsCostOneSim)
 
     // Exactly one simulation ran, and every submitter got
     // byte-identical results (modulo its own grid id).
-    EXPECT_EQ(daemon.pool().spawned(), 1u);
+    EXPECT_EQ(daemon.spawned(), 1u);
     EXPECT_EQ(daemon.store().leaders(), 1u);
     const std::string reference = cellsTail(bodies[0]);
     for (int t = 0; t < kSubmitters; ++t) {
@@ -137,11 +137,11 @@ TEST(ServerIntegration, ResubmissionIsServedEntirelyFromStore)
 
     HttpResponse first = client.post("/v1/grids", body);
     ASSERT_EQ(first.status, 200) << first.body;
-    EXPECT_EQ(daemon.pool().spawned(), 2u);
+    EXPECT_EQ(daemon.spawned(), 2u);
 
     HttpResponse replay = client.post("/v1/grids", body);
     ASSERT_EQ(replay.status, 200) << replay.body;
-    EXPECT_EQ(daemon.pool().spawned(), 2u); // zero new simulations
+    EXPECT_EQ(daemon.spawned(), 2u); // zero new simulations
     EXPECT_EQ(cellsTail(replay.body), cellsTail(first.body));
     EXPECT_GE(daemon.store().memoryHits(), 2u);
 }
@@ -219,7 +219,7 @@ TEST(ServerIntegration, CrashedWorkerSurfacesAsFailedCellNotCache)
     EXPECT_EQ(cell.at("status").asString(), "failed");
     EXPECT_NE(cell.at("error").asString().find("boom"),
               std::string::npos);
-    EXPECT_EQ(daemon.pool().spawned(), 1u);
+    EXPECT_EQ(daemon.spawned(), 1u);
 
     // Status endpoint agrees, and the daemon still answers.
     JsonValue status = parseJson(client.get("/v1/grids/g1").body);
@@ -228,7 +228,55 @@ TEST(ServerIntegration, CrashedWorkerSurfacesAsFailedCellNotCache)
 
     HttpResponse retry = client.post("/v1/grids", body);
     ASSERT_EQ(retry.status, 200);
-    EXPECT_EQ(daemon.pool().spawned(), 2u); // retried, not cached
+    EXPECT_EQ(daemon.spawned(), 2u); // retried, not cached
+}
+
+TEST(ServerIntegration, CrashedChildIsIsolated)
+{
+    // The worker for mst segfaults; every other worker prints a
+    // result. The crash fails only its own cell (with the signal),
+    // is counted, and the pool keeps running cells, in the same
+    // grid and in later ones.
+    DaemonOptions opts = workerOptions();
+    opts.workerArgv = {"/bin/sh", "-c",
+                       "case $(cat) in *mst*) kill -SEGV $$;; esac; "
+                       "echo {}"};
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+
+    HttpResponse first = client.post(
+        "/v1/grids",
+        "{\"wait\":true,\"cells\":["
+        "{\"bench\":\"mst\",\"input\":\"train\"},"
+        "{\"bench\":\"health\",\"input\":\"train\"},"
+        "{\"bench\":\"perimeter\",\"input\":\"train\"}]}");
+    ASSERT_EQ(first.status, 200) << first.body;
+    SCOPED_TRACE("results body: " + first.body);
+    const JsonValue firstDoc = parseJson(first.body);
+    const auto &cells = firstDoc.at("cells").asArray();
+    ASSERT_EQ(cells.size(), 3u);
+    EXPECT_EQ(cells[0].at("status").asString(), "failed");
+    EXPECT_NE(cells[0].at("error").asString().find("signal"),
+              std::string::npos);
+    EXPECT_EQ(cells[1].at("status").asString(), "done");
+    EXPECT_EQ(cells[2].at("status").asString(), "done");
+
+    HttpResponse later = client.post(
+        "/v1/grids", "{\"wait\":true,\"cells\":[{\"bench\":"
+                     "\"bisort\",\"input\":\"train\"}]}");
+    ASSERT_EQ(later.status, 200) << later.body;
+    EXPECT_EQ(parseJson(later.body)
+                  .at("cells")
+                  .asArray()
+                  .at(0)
+                  .at("status")
+                  .asString(),
+              "done");
+
+    const JsonValue metrics = parseJson(client.get("/metrics").body);
+    EXPECT_EQ(metrics.at("ecdpd.pool.crashed").asI64(), 1);
+    EXPECT_EQ(metrics.at("ecdpd.pool.spawned").asI64(), 4);
 }
 
 TEST(ServerIntegration, ErrorSurfaceAndMetrics)
@@ -262,9 +310,10 @@ TEST(ServerIntegration, DestructionWithCellsStillInFlightIsClean)
 {
     // Regression for a destruction-order use-after-free: cells still
     // pending when the Daemon dies used to reach onCellReady (via
-    // ~WorkerPool's orphan callbacks) after the grid state was
-    // already destroyed. One slow 1-shard worker plus a queue of
-    // distinct cells forces exactly that teardown path.
+    // the flights the pool's teardown left open) after the grid
+    // state was already destroyed. One slow worker on a 1-thread
+    // pool plus a queue of distinct cells forces exactly that
+    // teardown path.
     DaemonOptions opts = workerOptions();
     opts.workers = 1;
     opts.workerArgv = {"/bin/sh", "-c", "sleep 0.3; echo spun"};
@@ -418,7 +467,7 @@ TEST(ServerIntegration, SpillFromBeforeTheStatsSchemaIsNotServed)
                           "\"mst\",\"input\":\"train\"}]}")
                   .status,
               200);
-    EXPECT_EQ(daemon.pool().spawned(), 1u);
+    EXPECT_EQ(daemon.spawned(), 1u);
     HttpResponse served =
         client.get("/v1/cells/" + hex16(cellKey(spec)));
     ASSERT_EQ(served.status, 200);

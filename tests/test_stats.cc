@@ -100,16 +100,6 @@ TEST(IntervalCounter, OldBehaviourDecaysAway)
     EXPECT_EQ(counter.value(), 0u);
 }
 
-TEST(IntervalCounter, ResetClearsEverything)
-{
-    IntervalCounter counter;
-    counter.add(7);
-    counter.endInterval();
-    counter.reset();
-    EXPECT_EQ(counter.value(), 0u);
-    EXPECT_EQ(counter.lifetime(), 0u);
-}
-
 TEST(TablePrinter, AlignsColumnsAndPrintsHeader)
 {
     TablePrinter table("demo");

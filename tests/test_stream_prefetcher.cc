@@ -114,15 +114,6 @@ TEST(StreamPrefetcher, Table2Configurations)
     EXPECT_EQ(pf.degree(), 4u);
 }
 
-TEST(StreamPrefetcher, ResetDropsAllStreams)
-{
-    StreamPrefetcher pf;
-    trigger(pf, 0x40000000);
-    pf.reset();
-    // After reset the next nearby miss only re-allocates.
-    EXPECT_TRUE(trigger(pf, 0x40000080).empty());
-}
-
 TEST(StreamPrefetcher, LruEntryIsReplaced)
 {
     StreamPrefetcher pf(2); // two entries only

@@ -6,7 +6,7 @@
  *    create) — mirrors the PR-7 EngineRegistry tests.
  *  - A conformance battery instantiated over every registered policy
  *    (creatable, deterministic over a scripted snapshot sequence,
- *    reset() restores fresh behaviour, serialized state parses).
+ *    serialized state parses).
  *  - PAB as a policy: it selects enable bits, never levels.
  *  - Seeded-determinism tests for tabular-rl: equal seeds give
  *    byte-identical runs, different seeds diverge, and the seed
@@ -177,19 +177,6 @@ TEST_P(PolicyConformance, DeterministicOverScriptedHistory)
     EXPECT_EQ(driveScript(*a), driveScript(*b));
 }
 
-TEST_P(PolicyConformance, ResetRestoresFreshBehaviour)
-{
-    std::unique_ptr<ThrottlePolicy> fresh = create();
-    const std::vector<ThrottleDecision> expected =
-        driveScript(*fresh);
-
-    std::unique_ptr<ThrottlePolicy> recycled = create();
-    driveScript(*recycled);
-    recycled->reset();
-    EXPECT_EQ(driveScript(*recycled), expected)
-        << GetParam() << " carries state across reset()";
-}
-
 TEST_P(PolicyConformance, SerializedStateIsValidJsonOrEmpty)
 {
     std::unique_ptr<ThrottlePolicy> policy = create();
@@ -275,12 +262,6 @@ TEST(PabPolicyTest, KeepsOnlyTheMostAccurateSlotEnabled)
         EXPECT_EQ(pab->onIntervalEnd(slot, snaps, IntervalContext{}),
                   ThrottleDecision::Nothing);
     }
-
-    // After reset no slot has evidence; every slot reads accuracy
-    // 1.0 and the tie goes to slot 0.
-    pab->reset();
-    pab->selectEnabled(enabled);
-    EXPECT_EQ(enabled, (std::vector<std::uint8_t>{1, 0, 0}));
 }
 
 TEST(PabPolicyTest, OnlyPabAsksForOutcomes)

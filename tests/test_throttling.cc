@@ -338,36 +338,6 @@ TEST(PollutionFilterTest, StillDeterministicPerBlock)
 }
 
 // ---------------------------------------------------------------
-// PrefetcherFeedback::reset(): the fresh-replay path must clear the
-// latched accuracy, not only the aged counters.
-// ---------------------------------------------------------------
-
-TEST(Feedback, ResetClearsCountersAndHeldAccuracy)
-{
-    PrefetcherFeedback fb;
-    for (int i = 0; i < 16; ++i)
-        fb.onPrefetchIssued();
-    fb.onPrefetchUsed();
-    fb.endInterval();
-    ASSERT_LT(fb.accuracy(), 0.2);
-    // Age the issued count to zero: accuracy() now reports the
-    // latched measurement.
-    for (int i = 0; i < 8; ++i)
-        fb.endInterval();
-    ASSERT_FALSE(fb.anyPrefetches());
-    ASSERT_LT(fb.accuracy(), 0.2) << "latch should hold";
-
-    fb.reset();
-    EXPECT_DOUBLE_EQ(fb.accuracy(), 1.0)
-        << "reset must clear the held accuracy";
-    EXPECT_FALSE(fb.anyPrefetches());
-    EXPECT_FALSE(fb.currentIntervalActive());
-    EXPECT_EQ(fb.lifetimeIssued(), 0u);
-    EXPECT_EQ(fb.lifetimeUsed(), 0u);
-    EXPECT_EQ(fb.lifetimeLate(), 0u);
-}
-
-// ---------------------------------------------------------------
 // CoordinatedThrottler::rival over N-slot stacks: the neutral-rival
 // path (lone engine) and the all-idle-stack path must agree, ties
 // break to the lowest slot, and idle slots are decision-inert.

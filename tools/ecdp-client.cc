@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "memsim/parse_number.hh"
 #include "server/http_client.hh"
 #include "stats/json.hh"
 
@@ -79,9 +80,16 @@ main(int argc, char **argv)
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--port" && i + 1 < argc)
-            port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
-        else if (arg == "--help" || arg == "-h") {
+        if (arg == "--port" && i + 1 < argc) {
+            try {
+                port = parseNumber<std::uint16_t>(arg, argv[++i], 1,
+                                                  65535);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << "error: " << e.what() << '\n';
+                usage(std::cerr);
+                return 2;
+            }
+        } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
         } else

@@ -30,6 +30,8 @@
 #include <string>
 #include <thread>
 
+#include "memsim/parse_number.hh"
+#include "runner/thread_pool.hh"
 #include "server/cell.hh"
 #include "server/daemon.hh"
 #include "server/process_util.hh"
@@ -74,7 +76,10 @@ usage(std::ostream &os)
           "             [--client-limit N] [--grid-cap N] "
           "[--store-cap N]\n"
           "             [--store DIR] [--disk-cap N]\n"
-          "       ecdpd --worker\n";
+          "       ecdpd --worker\n"
+          "--port is 0..65535 (0 = ephemeral), --workers 1..1024; "
+          "limits and caps\n"
+          "are whole numbers >= 0.\n";
 }
 
 } // namespace
@@ -94,29 +99,29 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Limits and caps: whole numbers >= 0, read in full.
+        auto count = [&](const char *flag) {
+            return parseNumber<std::size_t>(flag, value(flag));
+        };
         try {
             if (arg == "--worker") {
                 worker = true;
             } else if (arg == "--port") {
-                opts.port = static_cast<std::uint16_t>(
-                    std::stoul(value("--port")));
+                opts.port = parseNumber<std::uint16_t>(
+                    arg, value("--port"), 0, 65535);
             } else if (arg == "--workers") {
-                opts.workers = static_cast<unsigned>(
-                    std::stoul(value("--workers")));
+                opts.workers = parseNumber<unsigned>(
+                    arg, value("--workers"), 1, runner::kMaxThreads);
             } else if (arg == "--admission-limit") {
-                opts.admissionLimit =
-                    std::stoul(value("--admission-limit"));
+                opts.admissionLimit = count("--admission-limit");
             } else if (arg == "--client-limit") {
-                opts.perClientLimit =
-                    std::stoul(value("--client-limit"));
+                opts.perClientLimit = count("--client-limit");
             } else if (arg == "--grid-cap") {
-                opts.completedGridCap =
-                    std::stoul(value("--grid-cap"));
+                opts.completedGridCap = count("--grid-cap");
             } else if (arg == "--store-cap") {
-                opts.storeMemoryCap =
-                    std::stoul(value("--store-cap"));
+                opts.storeMemoryCap = count("--store-cap");
             } else if (arg == "--disk-cap") {
-                opts.storeDiskCap = std::stoul(value("--disk-cap"));
+                opts.storeDiskCap = count("--disk-cap");
             } else if (arg == "--store") {
                 opts.storeDir = value("--store");
             } else if (arg == "--help" || arg == "-h") {

@@ -377,9 +377,8 @@ const std::set<std::string> &
 workerTypeNames()
 {
     static const std::set<std::string> kNames = {
-        "thread",       "jthread",     "WorkerPool",
-        "HttpServer",   "ThreadPool",  "ResultStore",
-        "ExperimentRunner",
+        "thread",      "jthread",     "HttpServer",
+        "ThreadPool",  "ResultStore", "ExperimentRunner",
     };
     return kNames;
 }
@@ -528,24 +527,6 @@ Analysis::isGrowableContainer(const std::vector<std::string> &type)
 {
     for (const std::string &t : type) {
         if (containerTypeNames().count(t))
-            return true;
-    }
-    return false;
-}
-
-bool
-Analysis::isRawStdMutex(const std::vector<std::string> &type)
-{
-    static const std::set<std::string> kMutexes = {
-        "mutex",
-        "shared_mutex",
-        "recursive_mutex",
-        "timed_mutex",
-        "recursive_timed_mutex",
-    };
-    for (std::size_t k = 2; k < type.size(); ++k) {
-        if (kMutexes.count(type[k]) && type[k - 1] == "::" &&
-            type[k - 2] == "std")
             return true;
     }
     return false;

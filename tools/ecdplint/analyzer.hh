@@ -118,7 +118,6 @@ class Analysis
     static bool isWorkerType(const std::vector<std::string> &type);
     static bool
     isGrowableContainer(const std::vector<std::string> &type);
-    static bool isRawStdMutex(const std::vector<std::string> &type);
     bool isCallbackType(const std::vector<std::string> &type) const;
     /** @} */
 

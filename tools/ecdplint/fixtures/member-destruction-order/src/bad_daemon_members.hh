@@ -1,8 +1,8 @@
 // Seeded fixture: the exact member ordering the ecdpd daemon shipped
 // with before its shutdown use-after-free fix. The pool/server/store
 // subsystems are declared BEFORE the state their completion
-// callbacks touch, so that state is destroyed first and ~WorkerPool
-// runs failure callbacks into freed maps. member-destruction-order
+// callbacks touch, so that state is destroyed first and the pool's
+// teardown runs failure callbacks into freed maps. member-destruction-order
 // must flag every data member declared after the first worker.
 
 #ifndef ECDPLINT_FIXTURE_BAD_DAEMON_MEMBERS_HH
@@ -17,7 +17,7 @@
 
 class HttpServer;
 class ResultStore;
-class WorkerPool;
+class ThreadPool;
 
 class BadDaemon
 {
@@ -30,8 +30,8 @@ class BadDaemon
 
     // Workers first: everything below dies before they do.
     HttpServer *server_ = nullptr;
-    WorkerPool *pool_ = nullptr; // pointer members are fine...
-    WorkerPool pool2_;           // ...but a by-value worker is not.
+    ThreadPool *pool_ = nullptr; // pointer members are fine...
+    ThreadPool pool2_;           // ...but a by-value worker is not.
 
     mutable std::mutex mutex_;                 // BAD
     std::map<std::string, Grid> grids_;        // BAD
@@ -51,7 +51,7 @@ class GoodDaemon
   private:
     mutable std::mutex mutex_;
     std::map<std::string, int> grids_;
-    WorkerPool pool_; // workers declared last: destroyed first
+    ThreadPool pool_; // workers declared last: destroyed first
 };
 
 #endif

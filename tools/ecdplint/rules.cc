@@ -1,6 +1,6 @@
 /**
  * @file
- * The four ecdplint rules. Each is a pure function over the shared
+ * The three ecdplint rules. Each is a pure function over the shared
  * Analysis; suppression is always `// ecdplint-allow(<rule>)` on the
  * flagged line or the line above.
  *
@@ -26,10 +26,8 @@
  *                            and no allow. Every admission needs a
  *                            matching eviction.
  *
- *   mutex-unannotated        a raw std::mutex data member outside
- *                            memsim/thread_annotations.hh — use
- *                            AnnotatedMutex so clang -Wthread-safety
- *                            actually checks the locking discipline.
+ * A raw std::mutex is simlint's raw-mutex rule, which scans every
+ * declaration, not only class members.
  */
 
 #include <cstddef>
@@ -46,14 +44,6 @@ namespace lint
 
 namespace
 {
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
 
 // ---------------------------------------------------------------
 // callback-under-lock
@@ -262,32 +252,6 @@ checkUnboundedContainer(const Analysis &a,
     }
 }
 
-// ---------------------------------------------------------------
-// mutex-unannotated
-
-void
-checkMutexUnannotated(const Analysis &a, std::vector<Violation> &out)
-{
-    for (const ClassInfo &c : a.classes()) {
-        if (endsWith(c.file, "thread_annotations.hh"))
-            continue; // AnnotatedMutex wraps the one raw mutex
-        const SourceFile *f = a.fileByPath(c.file);
-        for (const MemberDecl &m : c.members) {
-            if (!Analysis::isRawStdMutex(m.type))
-                continue;
-            if (f &&
-                a.allowed(*f, m.line, "mutex-unannotated"))
-                continue;
-            out.push_back(
-                {c.file, m.line, "mutex-unannotated",
-                 "member '" + m.name +
-                     "' is a raw std::mutex; use AnnotatedMutex "
-                     "from memsim/thread_annotations.hh so clang "
-                     "-Wthread-safety can check what it guards"});
-        }
-    }
-}
-
 } // namespace
 
 const std::vector<Rule> &
@@ -305,9 +269,6 @@ rules()
          "containers in long-lived classes need an erase path or a "
          "documented cap",
          &checkUnboundedContainer},
-        {"mutex-unannotated",
-         "use AnnotatedMutex instead of raw std::mutex members",
-         &checkMutexUnannotated},
     };
     return kRules;
 }

@@ -19,7 +19,8 @@
  * replaces its policy (static, coordinated, fdp, pab, tabular-rl);
  * --rl-seed seeds the tabular-rl explorer. The flags are checked,
  * resolved and run exactly like an ecdpd cell (server/cell.cc): a
- * bad name or knob exits 2 with usage, a stack naming ecdp
+ * bad name or knob, or a number with trailing text ("1000k"),
+ * exits 2 with usage, a stack naming ecdp
  * gets train-profiled hints whatever the config, and a run is
  * memoized, traced (ECDP_TRACE) and spilled (ECDP_RESULT_CACHE) by
  * ExperimentContext. A --multicore mix's speedups divide by each
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "memsim/parse_number.hh"
 #include "server/cell.hh"
 #include "stats/json.hh"
 #include "workloads/workload.hh"
@@ -167,11 +169,13 @@ main(int argc, char **argv)
             } else if (arg == "--throttle-policy") {
                 opts.cell.throttlePolicy = value("--throttle-policy");
             } else if (arg == "--rl-seed") {
-                opts.cell.rlSeed = std::stol(value("--rl-seed"));
+                opts.cell.rlSeed =
+                    parseNumber<long>(arg, value("--rl-seed"));
             } else if (arg == "--tcov") {
-                opts.cell.tcov = std::stod(value("--tcov"));
+                opts.cell.tcov = parseNumber<double>(arg, value("--tcov"));
             } else if (arg == "--interval") {
-                opts.cell.interval = std::stol(value("--interval"));
+                opts.cell.interval =
+                    parseNumber<long>(arg, value("--interval"));
             } else if (arg == "--help" || arg == "-h") {
                 usage(std::cout);
                 return 0;

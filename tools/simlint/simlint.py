@@ -63,11 +63,10 @@ classes fail CI instead of corrupting experiments:
                         bench/ or examples/ outside
                         src/memsim/thread_annotations.hh. Use
                         AnnotatedMutex/MutexLock from that header so
-                        clang -Wthread-safety sees every lock and the
-                        ecdplint mutex-unannotated rule stays
-                        vacuously true. tests/ are exempt (test-local
-                        synchronization is fine), as are the lint
-                        tools' own fixture trees.
+                        clang -Wthread-safety sees every lock. tests/
+                        are exempt (test-local synchronization is
+                        fine), as are the lint tools' own fixture
+                        trees.
   hot-path-vector       In files tagged '// simlint: hot-path', no
                         line may construct a std::vector by value: a
                         per-event heap allocation is exactly the bug
