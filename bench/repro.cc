@@ -1107,13 +1107,13 @@ Figure
 ablationThresholds()
 {
     const Cell base = named("baseline");
-    const std::vector<CoordinatedThrottler::Thresholds> points = {
+    const std::vector<CoordinatedThresholds> points = {
         {0.1, 0.4, 0.7}, {0.2, 0.4, 0.7}, {0.3, 0.4, 0.7},
         {0.4, 0.4, 0.7}, {0.3, 0.3, 0.7}, {0.3, 0.5, 0.7},
         {0.3, 0.4, 0.6}, {0.3, 0.4, 0.8},
     };
     std::vector<Cell> sweep;
-    for (const CoordinatedThrottler::Thresholds &p : points) {
+    for (const CoordinatedThresholds &p : points) {
         char name[32];
         std::snprintf(name, sizeof(name), "alow%.1f-ahigh%.1f", p.aLow,
                       p.aHigh);

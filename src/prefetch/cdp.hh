@@ -9,6 +9,8 @@
  * pointer and becomes a prefetch candidate. Filtering applies only to
  * blocks fetched by demand misses; blocks fetched by CDP's own
  * (recursive) prefetches are always scanned greedily (Section 3).
+ * It is the LDS-class fill-scanning engine behind two table rows:
+ * "cdp" (greedy) and "ecdp" (compiler hints or GRP coarse gating).
  *
  * The slot walk is the simulator's innermost content loop (32 slots
  * per 128B fill), so the candidate test is factored into a bitmask
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "memsim/block_geometry.hh"
+#include "prefetch/engine.hh"
 #include "prefetch/hint_table.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -36,9 +39,11 @@ namespace ecdp
 /**
  * The content-directed prefetcher.
  */
-class ContentDirectedPrefetcher
+class ContentDirectedPrefetcher final : public PrefetchEngine
 {
   public:
+    using ScanContext = ::ecdp::ScanContext;
+
     /** How demand-fill scans are filtered. */
     enum class FilterMode : std::uint8_t
     {
@@ -62,8 +67,29 @@ class ContentDirectedPrefetcher
     explicit ContentDirectedPrefetcher(unsigned compare_bits = 8,
                                        unsigned block_bytes = 128);
 
+    /** Greedy ("cdp"); the "ecdp" factory then sets the filter mode
+     *  and the hints. */
+    explicit ContentDirectedPrefetcher(const EngineContext &ctx)
+        : ContentDirectedPrefetcher(ctx.cdpCompareBits,
+                                    ctx.geom.blockBytes())
+    {
+    }
+
+    const char *name() const override
+    {
+        return filterMode_ == FilterMode::None ? "cdp" : "ecdp";
+    }
+
+    Class statClass() const override { return Class::Lds; }
+
+    /** One scan can at most request every pointer slot of a block. */
+    unsigned maxRequestsPerTrigger() const override
+    {
+        return geom_.blockBytes() / kPointerBytes;
+    }
+
     /** Table 2 knob: maximum recursion depth 1..4. */
-    void setAggressiveness(AggLevel level)
+    void setAggressiveness(AggLevel level) override
     {
         maxDepth_ = kCdpDepthTable[static_cast<unsigned>(level)];
         level_ = level;
@@ -79,22 +105,6 @@ class ContentDirectedPrefetcher
     /** Install the compiler's hints (ECDP / GRP modes). */
     void setHints(const HintTable *hints) { hints_ = hints; }
 
-    /** Context of a block fill that is about to be scanned. */
-    struct ScanContext
-    {
-        /** True when a demand load miss fetched the block. */
-        bool demandFill = true;
-        /** Demand fills: PC of the missing load. */
-        Addr loadPc = 0;
-        /** Demand fills: byte offset the load accessed in the block. */
-        std::uint32_t accessByteOffset = 0;
-        /** Recursion depth of the fill (0 = demand fill). */
-        std::uint8_t fillDepth = 0;
-        /** Root PG for recursive fills. */
-        bool pgValid = false;
-        PgId pgRoot{};
-    };
-
     /**
      * Should a block that filled at recursion depth @p fill_depth be
      * scanned at all? Depth-(d+1) requests are allowed while
@@ -103,6 +113,20 @@ class ContentDirectedPrefetcher
     bool shouldScan(unsigned fill_depth) const
     {
         return fill_depth < maxDepth_;
+    }
+
+    bool wantsFillScan() const override { return true; }
+
+    bool scansOwnFillAt(unsigned fill_depth) const override
+    {
+        return shouldScan(fill_depth);
+    }
+
+    void onFill(Addr block_vaddr, const std::uint8_t *bytes,
+                const ScanContext &ctx,
+                std::vector<PrefetchRequest> &out) override
+    {
+        scan(block_vaddr, bytes, ctx, out);
     }
 
     /**

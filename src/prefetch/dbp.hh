@@ -11,7 +11,9 @@
  * value V, a prefetch is issued to V + offset — one linked node ahead,
  * which is exactly the timeliness limitation the paper points out.
  *
- * Sizing per the paper: 256-entry CT + 128-entry PPW (~3 KB).
+ * Sizing per the paper: 256-entry CT + 128-entry PPW (~3 KB). As the
+ * engine "dbp" it is LDS-class, observes load values, and has no
+ * aggressiveness knob.
  */
 
 #ifndef ECDP_PREFETCH_DBP_HH
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "prefetch/engine.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace ecdp
@@ -28,7 +31,7 @@ namespace ecdp
 /**
  * The dependence-based LDS prefetcher.
  */
-class DependenceBasedPrefetcher
+class DependenceBasedPrefetcher final : public PrefetchEngine
 {
   public:
     /**
@@ -38,11 +41,22 @@ class DependenceBasedPrefetcher
     explicit DependenceBasedPrefetcher(unsigned ppw_entries = 128,
                                        unsigned ct_entries = 256);
 
+    explicit DependenceBasedPrefetcher(const EngineContext &)
+        : DependenceBasedPrefetcher()
+    {
+    }
+
+    const char *name() const override { return "dbp"; }
+    Class statClass() const override { return Class::Lds; }
+    unsigned maxRequestsPerTrigger() const override { return 1; }
+
+    bool wantsLoadValues() const override { return true; }
+
     /**
      * A load issued with data address @p addr: search the PPW for the
      * producer of that address and record the correlation.
      */
-    void onLoadIssue(Addr pc, Addr addr);
+    void onLoadIssue(Addr pc, Addr addr) override;
 
     /**
      * A pointer-sized load completed having loaded @p value: record it
@@ -50,9 +64,9 @@ class DependenceBasedPrefetcher
      * a prefetch for its consumer template.
      */
     void onLoadComplete(Addr pc, Addr value,
-                        std::vector<PrefetchRequest> &out);
+                        std::vector<PrefetchRequest> &out) override;
 
-    std::uint64_t storageBits() const;
+    std::uint64_t storageBits() const override;
 
   private:
     struct PpwEntry

@@ -1,6 +1,6 @@
 /**
  * @file
- * DSPatch-style dual-spatial-pattern prefetcher, ported as a registry
+ * DSPatch-style dual-spatial-pattern prefetcher, ported as a table
  * engine (second competitor of Issue 7; after Bera et al., MICRO-52).
  *
  * DSPatch learns, per trigger PC, the bit pattern of blocks a program
@@ -32,7 +32,7 @@ namespace ecdp
 {
 
 /**
- * The dual-spatial-pattern engine, registered as "dspatch".
+ * The dual-spatial-pattern engine, table row "dspatch".
  * Primary-class: it targets spatially clustered (streaming-adjacent)
  * traffic, so like the stream prefetcher it bypasses the LDS hardware
  * filter.

@@ -1,67 +1,71 @@
 #include "prefetch/engine.hh"
 
-#include <mutex>
 #include <stdexcept>
-#include <utility>
+
+#include "memsim/name_table.hh"
+#include "prefetch/cdp.hh"
+#include "prefetch/dbp.hh"
+#include "prefetch/dspatch_prefetcher.hh"
+#include "prefetch/ghb_prefetcher.hh"
+#include "prefetch/isb_prefetcher.hh"
+#include "prefetch/markov_prefetcher.hh"
+#include "prefetch/stream_prefetcher.hh"
 
 namespace ecdp
 {
 
-EngineRegistry &
-EngineRegistry::instance()
+namespace
 {
-    static EngineRegistry registry;
-    static std::once_flag builtins;
-    std::call_once(builtins, [] { registerBuiltinEngines(registry); });
-    return registry;
-}
 
-void
-EngineRegistry::add(const std::string &name, Factory factory)
-{
-    auto [it, inserted] = factories_.emplace(name, std::move(factory));
-    (void)it;
-    if (!inserted) {
-        throw std::logic_error("prefetch engine \"" + name +
-                               "\" is already registered");
-    }
-}
-
-bool
-EngineRegistry::contains(const std::string &name) const
-{
-    return factories_.count(name) != 0;
-}
-
-std::vector<std::string>
-EngineRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        out.push_back(name); // std::map iterates sorted
-    }
-    return out;
-}
-
+template <typename Engine>
 std::unique_ptr<PrefetchEngine>
-EngineRegistry::create(const std::string &name,
-                       const EngineContext &ctx) const
+make(const EngineContext &ctx)
 {
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-        std::string known;
-        for (const auto &[key, factory] : factories_) {
-            (void)factory;
-            known += known.empty() ? "" : ", ";
-            known += key;
-        }
-        throw std::invalid_argument("unknown prefetch engine \"" +
-                                    name + "\" (known engines: " +
-                                    known + ")");
+    return std::make_unique<Engine>(ctx);
+}
+
+/** "ecdp": CDP filtered by the compiler's hints (or GRP-style coarse
+ *  gating), which it cannot run without. */
+std::unique_ptr<PrefetchEngine>
+makeEcdp(const EngineContext &ctx)
+{
+    if (ctx.hints == nullptr) {
+        throw std::invalid_argument(
+            "engine \"ecdp\" requires compiler hints "
+            "(SystemConfig::hints)");
     }
-    return it->second(ctx);
+    auto cdp = std::make_unique<ContentDirectedPrefetcher>(ctx);
+    cdp->setFilterMode(
+        ctx.grpCoarse ? ContentDirectedPrefetcher::FilterMode::GrpCoarse
+                      : ContentDirectedPrefetcher::FilterMode::EcdpHints);
+    cdp->setHints(ctx.hints);
+    return cdp;
+}
+
+constexpr EngineRow kEngines[] = {
+    {"cdp", make<ContentDirectedPrefetcher>},
+    {"dbp", make<DependenceBasedPrefetcher>},
+    {"dspatch", make<DspatchPrefetcher>},
+    {"ecdp", makeEcdp},
+    {"ghb", make<GhbPrefetcher>},
+    {"isb", make<IsbPrefetcher>},
+    {"markov", make<MarkovPrefetcher>},
+    {"none", make<NullEngine>},
+    {"stream", make<StreamPrefetcher>},
+};
+
+} // namespace
+
+std::span<const EngineRow>
+engineTable()
+{
+    return kEngines;
+}
+
+const EngineRow &
+findEngine(std::string_view name)
+{
+    return findByName(kEngines, name, "prefetch engine");
 }
 
 } // namespace ecdp

@@ -1,38 +1,39 @@
 /**
  * @file
- * The pluggable prefetch-engine interface and its string-keyed
- * registry.
+ * The pluggable prefetch-engine interface and the engine table.
  *
  * Every prefetching mechanism the simulator can instantiate — the
  * paper's stream/CDP pair, the Section 6.3 comparison points, and the
- * ported competitors (ISB, DSPatch) — implements PrefetchEngine. The
- * MemorySystem owns an ordered *stack* of engines (SystemConfig::
- * engines, by registry name) and drives every engine through the same
- * hooks: train on demand/store misses, retrigger on prefetched-block
- * use, observe load values (dependence-based prefetching), and scan
- * fresh fills (content-directed prefetching). Each stack slot owns its
- * prefetched-bit tag in the cache, its feedback/throttle lane, and its
- * obs counter scope, so the paper's accuracy/coverage/pollution
- * feedback applies uniformly to stacks the paper never ran.
+ * ported competitors (ISB, DSPatch) — is one class implementing
+ * PrefetchEngine. The MemorySystem owns an ordered *stack* of engines
+ * (SystemConfig::engines, by table name) and drives every engine
+ * through the same hooks: train on demand/store misses, retrigger on
+ * prefetched-block use, observe load values (dependence-based
+ * prefetching), and scan fresh fills (content-directed prefetching).
+ * Each stack slot owns its prefetched-bit tag in the cache, its
+ * feedback/throttle lane, and its obs counter scope, so the paper's
+ * accuracy/coverage/pollution feedback applies uniformly to stacks
+ * the paper never ran.
  *
- * The conformance harness (tests/engine_harness.hh) instantiates its
- * full battery once per registry entry; a new engine only has to
- * register itself to inherit the tests, and the simlint rule
- * `engine-conformance` fails the build if it forgets.
+ * Engines are found by name in one constant table (engineTable(),
+ * defined in engine.cc). The conformance harness
+ * (tests/engine_harness.hh) instantiates its full battery once per
+ * table row; a new engine only needs a row to inherit the tests, and
+ * the simlint rule `engine-conformance` fails the build if a
+ * PrefetchEngine class has no row or a row has no fixture.
  */
 
 #ifndef ECDP_PREFETCH_ENGINE_HH
 #define ECDP_PREFETCH_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "memsim/block_geometry.hh"
-#include "prefetch/cdp.hh"
+#include "prefetch/hint_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "trace/trace.hh"
 
@@ -58,10 +59,26 @@ struct EngineContext
     const HintTable *hints = nullptr;
 };
 
+/** Context of a block fill that is about to be scanned. */
+struct ScanContext
+{
+    /** True when a demand load miss fetched the block. */
+    bool demandFill = true;
+    /** Demand fills: PC of the missing load. */
+    Addr loadPc = 0;
+    /** Demand fills: byte offset the load accessed in the block. */
+    std::uint32_t accessByteOffset = 0;
+    /** Recursion depth of the fill (0 = demand fill). */
+    std::uint8_t fillDepth = 0;
+    /** Root PG for recursive fills. */
+    bool pgValid = false;
+    PgId pgRoot{};
+};
+
 /**
  * One prefetching mechanism behind uniform hooks.
  *
- * Contract, enforced per registry entry by the conformance harness:
+ * Contract, enforced per table row by the conformance harness:
  *  - no hook call may append more than maxRequestsPerTrigger()
  *    requests to its output vector;
  *  - engines are deterministic: the same hook sequence produces the
@@ -78,13 +95,13 @@ class PrefetchEngine
      * classification purposes: Lds-class engines target linked-data
      * misses and sit behind the Zhuang-Lee hardware filter when it is
      * enabled; Primary-class engines model the streaming side and
-     * bypass it (matching the pre-registry hard-coded pair).
+     * bypass it.
      */
     enum class Class : std::uint8_t { Primary, Lds };
 
     virtual ~PrefetchEngine() = default;
 
-    /** Registry name ("stream", "cdp", "isb", ...). */
+    /** Table name ("stream", "cdp", "isb", ...). */
     virtual const char *name() const = 0;
 
     virtual Class statClass() const = 0;
@@ -139,7 +156,7 @@ class PrefetchEngine
     }
     virtual void onFill(Addr /*block_vaddr*/,
                         const std::uint8_t * /*bytes*/,
-                        const ContentDirectedPrefetcher::ScanContext &,
+                        const ScanContext &,
                         std::vector<PrefetchRequest> &)
     {
     }
@@ -149,49 +166,35 @@ class PrefetchEngine
     virtual std::uint64_t storageBits() const { return 0; }
 };
 
-/**
- * Process-wide string-keyed engine factory registry.
- *
- * Built-in engines are registered on first use (an explicit call from
- * instance(), not static initializers, so static-archive dead
- * stripping cannot silently drop an engine). Unknown names fail with
- * an error listing every known name.
- */
-class EngineRegistry
+/** Empty stack slot: never prefetches. The named configs put it in
+ *  an unused paper slot so the slot still exists: it owns a feedback
+ *  lane and a PAB window, and an idle slot reports accuracy 1.0 in
+ *  both, which PAB's tie-break reads. */
+class NullEngine final : public PrefetchEngine
 {
   public:
-    using Factory = std::function<std::unique_ptr<PrefetchEngine>(
-        const EngineContext &)>;
+    explicit NullEngine(const EngineContext &) {}
 
-    /** The process-wide registry, builtins included. */
-    static EngineRegistry &instance();
-
-    /**
-     * Register a factory under @p name.
-     * @throws std::logic_error if the name is already taken.
-     */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Create an engine by name.
-     * @throws std::invalid_argument naming the unknown engine and
-     *         listing the known ones.
-     */
-    std::unique_ptr<PrefetchEngine>
-    create(const std::string &name, const EngineContext &ctx) const;
-
-  private:
-    std::map<std::string, Factory> factories_;
+    const char *name() const override { return "none"; }
+    Class statClass() const override { return Class::Primary; }
+    unsigned maxRequestsPerTrigger() const override { return 0; }
 };
 
-/** Registers the built-in engines (defined in engines.cc; called once
- *  from EngineRegistry::instance()). */
-void registerBuiltinEngines(EngineRegistry &registry);
+/** One engine-table row: a name and the factory behind it. */
+struct EngineRow
+{
+    std::string_view name;
+    std::unique_ptr<PrefetchEngine> (*make)(const EngineContext &);
+};
+
+/** Every engine, sorted by name. */
+std::span<const EngineRow> engineTable();
+
+/**
+ * The engine row named @p name; nothing is constructed. Throws
+ * std::runtime_error naming @p name and every engine otherwise.
+ */
+const EngineRow &findEngine(std::string_view name);
 
 } // namespace ecdp
 

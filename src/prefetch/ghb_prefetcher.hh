@@ -10,7 +10,8 @@
  * miss, the last two deltas form a key into an index table pointing at
  * the most recent previous occurrence of the same delta pair; the
  * deltas that followed that occurrence are replayed to generate up to
- * `degree` prefetch addresses.
+ * `degree` prefetch addresses. As the engine "ghb" it is
+ * primary-class, and Table 2's levels set its degree (1, 1, 2, 4).
  */
 
 #ifndef ECDP_PREFETCH_GHB_PREFETCHER_HH
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "memsim/block_geometry.hh"
+#include "prefetch/engine.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace ecdp
@@ -29,7 +31,7 @@ namespace ecdp
 /**
  * GHB G/DC prefetcher.
  */
-class GhbPrefetcher
+class GhbPrefetcher final : public PrefetchEngine
 {
   public:
     /**
@@ -39,14 +41,36 @@ class GhbPrefetcher
     explicit GhbPrefetcher(unsigned entries = 1024,
                            unsigned block_bytes = 128);
 
+    explicit GhbPrefetcher(const EngineContext &ctx)
+        : GhbPrefetcher(1024, ctx.geom.blockBytes())
+    {
+    }
+
+    const char *name() const override { return "ghb"; }
+    Class statClass() const override { return Class::Primary; }
+    unsigned maxRequestsPerTrigger() const override { return degree_; }
+
     /** Prefetch degree knob (used when GHB is throttled). */
     void setDegree(unsigned degree) { degree_ = degree; }
     unsigned degree() const { return degree_; }
 
+    void setAggressiveness(AggLevel level) override
+    {
+        static constexpr unsigned kGhbDegree[kNumAggLevels] = {1, 1, 2,
+                                                               4};
+        setDegree(kGhbDegree[static_cast<unsigned>(level)]);
+    }
+
     /** Train on a demand miss and emit delta-correlated prefetches. */
     void onDemandMiss(Addr addr, std::vector<PrefetchRequest> &out);
 
-    std::uint64_t storageBits() const;
+    void onDemandMiss(const TraceEntry &entry,
+                      std::vector<PrefetchRequest> &out) override
+    {
+        onDemandMiss(entry.vaddr, out);
+    }
+
+    std::uint64_t storageBits() const override;
 
   private:
     using Key = std::uint64_t;

@@ -1,6 +1,6 @@
 /**
  * @file
- * ISB/Domino-style temporal prefetcher, ported as a registry engine
+ * ISB/Domino-style temporal prefetcher, ported as a table engine
  * (first competitor of Issue 7; after Jain & Lin's Irregular Stream
  * Buffer, MICRO-46, and Bakhshalipour et al.'s Domino, HPCA-24).
  *
@@ -32,7 +32,7 @@ namespace ecdp
 {
 
 /**
- * The temporal (miss-sequence replay) engine, registered as "isb".
+ * The temporal (miss-sequence replay) engine, table row "isb".
  * LDS-class: its traffic targets irregular/pointer misses, so it sits
  * behind the hardware filter like CDP does.
  */

@@ -9,7 +9,8 @@
  * successor addresses per entry; so do we (65536 direct-mapped entries
  * x 16 bytes). Its inherent limits — it can only prefetch addresses it
  * has already seen miss, and the table thrashes on large pointer
- * working sets — are what the evaluation exposes.
+ * working sets — are what the evaluation exposes. As the engine
+ * "markov" it is LDS-class and has no aggressiveness knob.
  */
 
 #ifndef ECDP_PREFETCH_MARKOV_PREFETCHER_HH
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "memsim/block_geometry.hh"
+#include "prefetch/engine.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace ecdp
@@ -28,7 +30,7 @@ namespace ecdp
 /**
  * The Markov (miss-correlation) prefetcher.
  */
-class MarkovPrefetcher
+class MarkovPrefetcher final : public PrefetchEngine
 {
   public:
     static constexpr unsigned kSuccessors = 4;
@@ -42,13 +44,31 @@ class MarkovPrefetcher
     explicit MarkovPrefetcher(const BlockGeometry &geom,
                               unsigned entries = 65536);
 
+    explicit MarkovPrefetcher(const EngineContext &ctx)
+        : MarkovPrefetcher(ctx.geom)
+    {
+    }
+
+    const char *name() const override { return "markov"; }
+    Class statClass() const override { return Class::Lds; }
+    unsigned maxRequestsPerTrigger() const override
+    {
+        return kSuccessors;
+    }
+
     /**
      * Train on a demand miss and emit prefetches for the recorded
      * successors of the missing block.
      */
     void onDemandMiss(BlockAddr block, std::vector<PrefetchRequest> &out);
 
-    std::uint64_t storageBits() const
+    void onDemandMiss(const TraceEntry &entry,
+                      std::vector<PrefetchRequest> &out) override
+    {
+        onDemandMiss(geom_.blockOf(entry.vaddr), out);
+    }
+
+    std::uint64_t storageBits() const override
     {
         return std::uint64_t{static_cast<std::uint32_t>(table_.size())} *
                (32 + kSuccessors * 32);

@@ -9,7 +9,8 @@
  * in the monitored region pull the prefetch frontier forward, keeping
  * it at most `distance` blocks ahead and issuing at most `degree`
  * prefetch requests per trigger. Distance and degree are the
- * aggressiveness knobs of Table 2.
+ * aggressiveness knobs of Table 2. As the engine "stream" it trains
+ * on demand and store misses and on hits to the blocks it prefetched.
  */
 
 #ifndef ECDP_PREFETCH_STREAM_PREFETCHER_HH
@@ -19,15 +20,16 @@
 #include <vector>
 
 #include "memsim/block_geometry.hh"
+#include "prefetch/engine.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace ecdp
 {
 
 /**
- * The baseline stream prefetcher.
+ * The baseline stream prefetcher, a primary-class engine.
  */
-class StreamPrefetcher
+class StreamPrefetcher final : public PrefetchEngine
 {
   public:
     /**
@@ -37,8 +39,17 @@ class StreamPrefetcher
     explicit StreamPrefetcher(unsigned streams = 32,
                               unsigned block_bytes = 128);
 
+    explicit StreamPrefetcher(const EngineContext &ctx)
+        : StreamPrefetcher(ctx.streamEntries, ctx.geom.blockBytes())
+    {
+    }
+
+    const char *name() const override { return "stream"; }
+    Class statClass() const override { return Class::Primary; }
+    unsigned maxRequestsPerTrigger() const override { return degree_; }
+
     /** Apply a Table 2 aggressiveness level. */
-    void setAggressiveness(AggLevel level);
+    void setAggressiveness(AggLevel level) override;
     AggLevel aggressiveness() const { return level_; }
 
     unsigned distance() const { return distance_; }
@@ -50,8 +61,27 @@ class StreamPrefetcher
      */
     void trigger(Addr addr, std::vector<PrefetchRequest> &out);
 
+    void onDemandMiss(const TraceEntry &entry,
+                      std::vector<PrefetchRequest> &out) override
+    {
+        trigger(entry.vaddr, out);
+    }
+
+    void onStoreMiss(Addr addr,
+                     std::vector<PrefetchRequest> &out) override
+    {
+        trigger(addr, out);
+    }
+
+    /** A hit on a stream-prefetched block keeps the stream alive. */
+    void onPrefetchHit(Addr block_addr,
+                       std::vector<PrefetchRequest> &out) override
+    {
+        trigger(block_addr, out);
+    }
+
     /** Approximate storage cost in bits (for cost accounting). */
-    std::uint64_t storageBits() const;
+    std::uint64_t storageBits() const override;
 
   private:
     enum class State : std::uint8_t { Invalid, Training, Monitor };

@@ -83,16 +83,10 @@ validateCellSpec(const CellSpec &spec)
     // Check names up front instead of failing mid-simulation in a
     // worker: each lookup throws a diagnostic listing the known names.
     configs::nameNeedsHints(spec.config);
-    for (const std::string &engine : spec.engines) {
-        if (!EngineRegistry::instance().contains(engine))
-            EngineRegistry::instance().create(engine,
-                                              EngineContext{});
-    }
-    if (!spec.throttlePolicy.empty() &&
-        !PolicyRegistry::instance().contains(spec.throttlePolicy)) {
-        PolicyRegistry::instance().create(spec.throttlePolicy,
-                                          PolicyContext{});
-    }
+    for (const std::string &engine : spec.engines)
+        findEngine(engine);
+    if (!spec.throttlePolicy.empty())
+        findPolicy(spec.throttlePolicy);
     // -1 is the "keep the config's" sentinel of each knob.
     if (spec.rlSeed < -1)
         throw std::runtime_error("rlSeed must be >= 0");

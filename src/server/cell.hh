@@ -57,12 +57,12 @@ struct CellSpec
 CellSpec parseCellSpec(const JsonValue &v);
 
 /**
- * The cell check ecdpd and ecdpsim share: throws (std::runtime_error,
- * or the engine/policy registry's std::invalid_argument listing every
- * known name) on an unknown benchmark, config, engine or policy, an
- * input other than ref/train, or a knob out of range (rlSeed < 0,
- * tcov outside [0,1], interval <= 0; -1 is "unset"). The bench is
- * checked only when set: a multi-core cell has none.
+ * The cell check ecdpd and ecdpsim share: throws std::runtime_error
+ * on an unknown benchmark, config, engine or policy (the last three
+ * list every known name), an input other than ref/train, or a knob
+ * out of range (rlSeed < 0, tcov outside [0,1], interval <= 0; -1 is
+ * "unset"). The bench is checked only when set: a multi-core cell has
+ * none.
  */
 void validateCellSpec(const CellSpec &spec);
 

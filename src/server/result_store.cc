@@ -159,10 +159,8 @@ ResultStore::lookup(std::uint64_t key)
     {
         MutexLock lock(mutex_);
         auto it = results_.find(key);
-        if (it != results_.end()) {
-            memoryHits_.fetch_add(1);
+        if (it != results_.end())
             return it->second;
-        }
     }
     return loadFromDisk(key);
 }
@@ -201,6 +199,7 @@ ResultStore::fetchOrAttach(std::uint64_t key, Ready cb)
             return Role::Hit;
         }
         if (Bytes fromDisk = loadFromDisk(key)) {
+            diskHits_.fetch_add(1);
             cb(std::move(fromDisk), "");
             return Role::Hit;
         }
@@ -324,7 +323,6 @@ ResultStore::loadFromDisk(std::uint64_t key)
         MutexLock lock(mutex_);
         shared = insertLocked(key, std::move(shared));
     }
-    diskHits_.fetch_add(1);
     return shared;
 }
 

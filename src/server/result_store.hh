@@ -118,10 +118,12 @@ class ResultStore
     void failAllFlights(const std::string &error)
         ECDP_EXCLUDES(mutex_);
 
-    /** Materialized result, or nullptr (never joins a flight). */
+    /** Materialized result, or nullptr (never joins a flight). A
+     *  read, not a submission: it counts no hit. */
     Bytes lookup(std::uint64_t key) ECDP_EXCLUDES(mutex_);
 
-    /** @{ Monotonic statistics. */
+    /** @{ Monotonic statistics. memoryHits/diskHits count the
+     *  fetchOrAttach() submissions served from memory or disk. */
     std::uint64_t memoryHits() const { return memoryHits_.load(); }
     std::uint64_t diskHits() const { return diskHits_.load(); }
     std::uint64_t dedupAttached() const

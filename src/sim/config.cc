@@ -122,7 +122,6 @@ configHash(const SystemConfig &cfg)
     h.f64(cfg.fdpThresholds.aLow);
     h.f64(cfg.fdpThresholds.tLateness);
     h.f64(cfg.fdpThresholds.tPollution);
-    h.u64(cfg.fdpThresholds.intervalEvictions);
     h.u64(cfg.fdpThresholds.pollutionFilterEntries);
     h.u64(cfg.pabWindow);
     h.str(cfg.throttlePolicy);

@@ -13,11 +13,9 @@
 
 #include "core/core.hh"
 #include "dram/dram.hh"
-#include "prefetch/cdp.hh"
 #include "prefetch/hint_table.hh"
 #include "prefetch/prefetcher.hh"
-#include "throttle/coordinated_throttler.hh"
-#include "throttle/fdp_throttler.hh"
+#include "throttle/throttle_policy.hh"
 
 namespace ecdp
 {
@@ -51,7 +49,7 @@ struct SystemConfig
 
     /** @{ Prefetcher selection. */
     /**
-     * The engine stack by registry name, one engine per slot. Slot
+     * The engine stack by engine-table name, one engine per slot. Slot
      * order matters: slot 0 is the primary (streaming-capable)
      * prefetcher, with the "primary" counter scope and start level;
      * slot 1 is the LDS prefetcher, with "lds"; further slots are
@@ -90,12 +88,12 @@ struct SystemConfig
      *  bandwidth-limited systems; this system (128 B blocks over an
      *  8 B bus) is one, so T_coverage defaults to 0.3 here.
      *  `repro --figure ablation_thresholds` sweeps them. */
-    CoordinatedThrottler::Thresholds coordThresholds{0.3, 0.4, 0.7};
-    FdpThrottler::Thresholds fdpThresholds{};
+    CoordinatedThresholds coordThresholds{0.3, 0.4, 0.7};
+    FdpThresholds fdpThresholds{};
     /** Outcomes per slot in the "pab" policy's accuracy window. */
     unsigned pabWindow = 64;
     /**
-     * Throttle policy by PolicyRegistry name: "static" (fixed
+     * Throttle policy by policy-table name: "static" (fixed
      * aggressiveness), "coordinated" (Section 4), "fdp" (Section 6.5),
      * "pab" (Section 7.4) or "tabular-rl". Part of configHash().
      */

@@ -2,9 +2,9 @@
 
 #include <array>
 #include <cstdlib>
-#include <stdexcept>
 #include <string_view>
 
+#include "memsim/name_table.hh"
 #include "obs/trace_session.hh"
 #include "server/result_store.hh"
 #include "stats/json.hh"
@@ -70,14 +70,7 @@ constexpr Named kNamed[] = {
 const Named &
 row(const std::string &name)
 {
-    for (const Named &entry : kNamed)
-        if (name == entry.name)
-            return entry;
-    std::string known;
-    for (const std::string &k : knownNames())
-        known += (known.empty() ? "" : ", ") + k;
-    throw std::runtime_error("unknown config '" + name +
-                             "' (known: " + known + ")");
+    return findByName(kNamed, name, "config");
 }
 
 } // namespace
@@ -106,12 +99,7 @@ nameNeedsHints(const std::string &name)
 const std::vector<std::string> &
 knownNames()
 {
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> all;
-        for (const Named &entry : kNamed)
-            all.emplace_back(entry.name);
-        return all;
-    }();
+    static const std::vector<std::string> names = namesOf(kNamed);
     return names;
 }
 

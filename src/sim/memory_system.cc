@@ -43,7 +43,7 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
                                             core_id);
     pctx.slots = static_cast<unsigned>(stackNames_.size());
     pctx.pabWindow = cfg_.pabWindow;
-    policy_ = PolicyRegistry::instance().create(policyName_, pctx);
+    policy_ = findPolicy(policyName_).make(pctx);
     policyWantsOutcomes_ = policy_->wantsOutcomes();
 
     EngineContext ectx;
@@ -53,10 +53,9 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
     ectx.grpCoarse = cfg_.grpCoarse;
     ectx.hints = cfg_.hints;
 
-    EngineRegistry &registry = EngineRegistry::instance();
     engines_.reserve(stackNames_.size());
     for (const std::string &name : stackNames_)
-        engines_.push_back(registry.create(name, ectx));
+        engines_.push_back(findEngine(name).make(ectx));
 
     const std::size_t n = engines_.size();
     ldsClass_.resize(n);
@@ -527,9 +526,8 @@ MemorySystem::store(const TraceEntry &entry, Cycle now)
 }
 
 void
-MemorySystem::scanAndEnqueue(
-    std::uint8_t engine, Addr block_addr,
-    const ContentDirectedPrefetcher::ScanContext &ctx, Cycle now)
+MemorySystem::scanAndEnqueue(std::uint8_t engine, Addr block_addr,
+                             const ScanContext &ctx, Cycle now)
 {
     image_.readBlock(block_addr, blockBuf_.data(), blockBuf_.size());
     scratch_.clear();
@@ -640,7 +638,7 @@ MemorySystem::installFill(Mshr &mshr, Cycle now)
     // Content-directed scan of the freshly arrived block.
     if (owner == kNoPrefetchOwner) {
         if (mshr.scanOnFill) {
-            ContentDirectedPrefetcher::ScanContext ctx;
+            ScanContext ctx;
             ctx.demandFill = true;
             ctx.loadPc = mshr.loadPc;
             ctx.accessByteOffset = mshr.blockByteOffset;
@@ -652,7 +650,7 @@ MemorySystem::installFill(Mshr &mshr, Cycle now)
         }
     } else if (engines_[owner]->wantsFillScan() && enabled_[owner] &&
                engines_[owner]->scansOwnFillAt(mshr.cdpDepth)) {
-        ContentDirectedPrefetcher::ScanContext ctx;
+        ScanContext ctx;
         ctx.demandFill = false;
         ctx.fillDepth = mshr.cdpDepth;
         ctx.pgValid = mshr.pgRootValid;
@@ -849,8 +847,7 @@ MemorySystem::endInterval(Cycle now)
             throttleNothingCtr_->inc();
             break;
         }
-        applyLevel(i,
-                   CoordinatedThrottler::apply(levels_[i], decision));
+        applyLevel(i, applyDecision(levels_[i], decision));
     }
 
     IntervalSample sample = makeSample(now, snaps);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-core memory hierarchy: L1D, L2 with MSHRs, an ordered stack of
- * prefetch engines (SystemConfig::engines, by registry name), feedback
+ * prefetch engines (SystemConfig::engines, by table name), feedback
  * collection and throttling. Several cores' memory systems share one
  * DramSystem.
  *
@@ -41,11 +41,9 @@
 #include "obs/metrics.hh"
 #include "obs/observability.hh"
 #include "obs/throttle_monitor.hh"
-#include "prefetch/cdp.hh"
 #include "prefetch/engine.hh"
 #include "prefetch/hardware_filter.hh"
 #include "sim/config.hh"
-#include "throttle/coordinated_throttler.hh"
 #include "throttle/feedback.hh"
 #include "throttle/throttle_policy.hh"
 
@@ -157,7 +155,7 @@ class MemorySystem : public CoreMemoryInterface
     {
         applyLevel(i, level);
     }
-    /** PolicyRegistry name of the running throttle policy. */
+    /** Policy-table name of the running throttle policy. */
     const std::string &throttlePolicyName() const
     {
         return policyName_;
@@ -265,8 +263,7 @@ class MemorySystem : public CoreMemoryInterface
     void processFills(Cycle now);
     void installFill(Mshr &mshr, Cycle now);
     void scanAndEnqueue(std::uint8_t engine, Addr block_addr,
-                        const ContentDirectedPrefetcher::ScanContext &ctx,
-                        Cycle now);
+                        const ScanContext &ctx, Cycle now);
     void handleVictim(const Cache::Victim &victim,
                       std::uint8_t insert_owner, Cycle now);
     void issuePrefetches(Cycle now);
@@ -300,7 +297,7 @@ class MemorySystem : public CoreMemoryInterface
     SimMemory image_;
     DramSystem *dram_;
 
-    /** @{ The engine stack: registry names, stats instance names, and
+    /** @{ The engine stack: table names, stats instance names, and
      *  the engine objects, all indexed by slot. */
     std::vector<std::string> stackNames_;
     std::vector<std::string> instanceNames_;

@@ -7,6 +7,7 @@
 #include "core/core.hh"
 #include "dram/dram.hh"
 #include "sim/memory_system.hh"
+#include "sim/simulator.hh"
 #include "stats/stats.hh"
 
 namespace ecdp
@@ -87,26 +88,9 @@ simulateMultiCore(const SystemConfig &cfg,
     result.timedOut = !all_done();
     std::vector<double> ratios;
     for (unsigned i = 0; i < n; ++i) {
-        const bool core_timed_out = !cores[i]->finishedOnce();
-        RunStats stats;
-        stats.workload = workloads[i]->name;
-        stats.timedOut = core_timed_out;
-        stats.cycles =
-            core_timed_out ? cycle : cores[i]->finishCycle();
-        stats.instructions = core_timed_out
-            ? cores[i]->retired()
-            : cores[i]->retiredFirstPass();
-        stats.ipc = stats.cycles.raw() == 0
-            ? 0.0
-            : static_cast<double>(stats.instructions) /
-                  static_cast<double>(stats.cycles.raw());
-        stats.busTransactions = dram.busTransactions(i);
-        stats.bpki = stats.instructions == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(stats.busTransactions) /
-                  static_cast<double>(stats.instructions);
-        memories[i]->collectStats(stats, stats.cycles);
-        result.perCore.push_back(std::move(stats));
+        result.perCore.push_back(coreRunStats(workloads[i]->name,
+                                              *cores[i], *memories[i],
+                                              dram, i, cycle));
 
         double ratio = alone_ipc[i] <= 0.0
             ? 1.0

@@ -57,21 +57,28 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     if (obs.metrics)
         obs.metrics->counter("sim.loop_visits").add(visits);
 
+    return coreRunStats(workload.name, core, memory, dram, 0, cycle);
+}
+
+RunStats
+coreRunStats(const std::string &workload, const Core &core,
+             MemorySystem &memory, const DramSystem &dram,
+             unsigned core_id, Cycle end)
+{
     RunStats stats;
-    stats.workload = workload.name;
+    stats.workload = workload;
     // Unconditional watchdog check: an assert would compile out under
     // NDEBUG and let a hung config report garbage IPC silently.
     stats.timedOut = !core.finishedOnce();
-    stats.cycles = stats.timedOut
-        ? (cycle.raw() ? cycle : Cycle{1})
-        : (core.finishCycle().raw() ? core.finishCycle() : Cycle{1});
+    const Cycle cycles = stats.timedOut ? end : core.finishCycle();
+    stats.cycles = cycles.raw() ? cycles : Cycle{1};
     // retiredFirstPass() is only latched at completion; a timed-out
     // run reports whatever actually retired.
     stats.instructions =
         stats.timedOut ? core.retired() : core.retiredFirstPass();
     stats.ipc = static_cast<double>(stats.instructions) /
                 static_cast<double>(stats.cycles.raw());
-    stats.busTransactions = dram.busTransactions(0);
+    stats.busTransactions = dram.busTransactions(core_id);
     stats.bpki = stats.instructions == 0
         ? 0.0
         : 1000.0 * static_cast<double>(stats.busTransactions) /

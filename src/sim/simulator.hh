@@ -1,10 +1,13 @@
 /**
  * @file
- * Single-core simulation driver.
+ * Single-core simulation driver, and the per-core stats assembly the
+ * multi-core driver shares with it.
  */
 
 #ifndef ECDP_SIM_SIMULATOR_HH
 #define ECDP_SIM_SIMULATOR_HH
+
+#include <string>
 
 #include "obs/observability.hh"
 #include "sim/config.hh"
@@ -12,6 +15,10 @@
 
 namespace ecdp
 {
+
+class Core;
+class DramSystem;
+class MemorySystem;
 
 /**
  * Runs one Workload on one core under a SystemConfig and returns the
@@ -23,6 +30,17 @@ namespace ecdp
  */
 RunStats simulate(const SystemConfig &cfg, const Workload &workload,
                   const Observability &obs = {});
+
+/**
+ * The RunStats of core @p core_id when its run loop stopped at cycle
+ * @p end: the watchdog flag, cycles, instructions, IPC, bus traffic,
+ * and the memory system's counters. A core that finished reports its
+ * first pass; one that timed out reports @p end and what it retired.
+ * A zero cycle count reads as 1, so IPC is always defined.
+ */
+RunStats coreRunStats(const std::string &workload, const Core &core,
+                      MemorySystem &memory, const DramSystem &dram,
+                      unsigned core_id, Cycle end);
 
 } // namespace ecdp
 

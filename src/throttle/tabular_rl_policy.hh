@@ -111,7 +111,7 @@ class TabularRlPolicy final : public ThrottlePolicy
     void beginInterval(const IntervalContext &interval);
     static ThrottleDecision toDecision(unsigned action);
 
-    CoordinatedThrottler::Thresholds coord_;
+    CoordinatedThresholds coord_;
     std::uint64_t seed_;
     std::uint64_t rng_;
     std::vector<SlotAgent> agents_;

@@ -1,7 +1,6 @@
 /**
  * @file
- * The pluggable throttle-decision interface and its string-keyed
- * registry.
+ * The pluggable throttle-decision interface and the policy table.
  *
  * The paper's Table 3 coordinated rules and the FDP comparison point
  * are two hand-built policies over the same per-interval feedback
@@ -11,34 +10,60 @@
  * Up/Down/Nothing move, given the pre-decision snapshots of the whole
  * stack plus interval-level progress deltas (cycles, instructions,
  * bus transactions). Rule policies ignore the deltas; learned
- * policies ("tabular-rl") use them as their reward signal.
+ * policies ("tabular-rl") use them as their reward signal. The
+ * MemorySystem applies every policy's decision with applyDecision().
  *
- * PolicyRegistry mirrors the PR-7 EngineRegistry: built-in policies
- * are registered on first use by an explicit call (never static
- * initializers), duplicate names throw, and unknown names fail with a
- * diagnostic listing every known policy. The conformance battery in
- * tests/test_throttle_policy.cc instantiates per registry entry, and
- * the simlint `policy-conformance` rule fails the build if a
- * ThrottlePolicy subclass skips registration or the fixture table.
+ * Each policy is one class (policies.hh, tabular_rl_policy.hh) found
+ * by name in one constant table (policyTable(), in policies.cc). The
+ * conformance battery in tests/test_throttle_policy.cc instantiates
+ * per table row, and the simlint `policy-conformance` rule fails the
+ * build if a ThrottlePolicy class has no row or a row has no fixture.
  */
 
 #ifndef ECDP_THROTTLE_THROTTLE_POLICY_HH
 #define ECDP_THROTTLE_THROTTLE_POLICY_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memsim/types.hh"
 #include "obs/metrics.hh"
-#include "throttle/coordinated_throttler.hh"
-#include "throttle/fdp_throttler.hh"
+#include "prefetch/prefetcher.hh"
+#include "throttle/feedback.hh"
 
 namespace ecdp
 {
+
+/** A policy's move for one slot at an interval end. */
+enum class ThrottleDecision { Up, Down, Nothing };
+
+/** Apply @p decision to @p level, clamped to the four Table 2
+ *  levels. */
+AggLevel applyDecision(AggLevel level, ThrottleDecision decision);
+
+/** Table 4 thresholds of the coordinated rules (Section 4.2). */
+struct CoordinatedThresholds
+{
+    double tCoverage = 0.2;
+    double aLow = 0.4;
+    double aHigh = 0.7;
+};
+
+/** FDP's thresholds (Srinath et al.; the Section 6.5 comparison). Its
+ *  interval is SystemConfig::intervalEvictions, as for every policy. */
+struct FdpThresholds
+{
+    double aHigh = 0.75;
+    double aLow = 0.40;
+    double tLateness = 0.10;
+    double tPollution = 0.005;
+    /** Pollution filter entries. */
+    unsigned pollutionFilterEntries = 4096;
+};
 
 /**
  * Interval-level system observation shared by every slot's decision:
@@ -63,8 +88,8 @@ struct IntervalContext
  */
 struct PolicyContext
 {
-    CoordinatedThrottler::Thresholds coord{};
-    FdpThrottler::Thresholds fdp{};
+    CoordinatedThresholds coord{};
+    FdpThresholds fdp{};
     /**
      * Exploration seed for randomized policies. All policy randomness
      * derives from it (never from wall clock or address entropy), so
@@ -81,7 +106,7 @@ struct PolicyContext
 /**
  * One throttle-decision policy behind uniform hooks.
  *
- * Contract, enforced per registry entry by the conformance battery:
+ * Contract, enforced per table row by the conformance battery:
  *  - onIntervalEnd() is called once per stack slot at every interval
  *    boundary, slots in increasing order, with the same pre-decision
  *    @c snapshots vector (all snapshots are taken before any decision
@@ -97,7 +122,7 @@ class ThrottlePolicy
   public:
     virtual ~ThrottlePolicy() = default;
 
-    /** Registry name ("coordinated", "fdp", "pab", "static",
+    /** Table name ("coordinated", "fdp", "pab", "static",
      *  "tabular-rl"). */
     virtual const char *name() const = 0;
 
@@ -144,46 +169,21 @@ class ThrottlePolicy
     virtual void bindCounters(obs::MetricScope & /*scope*/) {}
 };
 
-/**
- * Process-wide string-keyed policy factory registry, mirroring
- * EngineRegistry: explicit builtin registration from instance(),
- * duplicate add() throws, unknown create() lists the known names.
- */
-class PolicyRegistry
+/** One policy-table row: a name and the factory behind it. */
+struct PolicyRow
 {
-  public:
-    using Factory = std::function<std::unique_ptr<ThrottlePolicy>(
-        const PolicyContext &)>;
-
-    /** The process-wide registry, builtins included. */
-    static PolicyRegistry &instance();
-
-    /**
-     * Register a factory under @p name.
-     * @throws std::logic_error if the name is already taken.
-     */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Create a policy by name.
-     * @throws std::invalid_argument naming the unknown policy and
-     *         listing the known ones.
-     */
-    std::unique_ptr<ThrottlePolicy>
-    create(const std::string &name, const PolicyContext &ctx) const;
-
-  private:
-    std::map<std::string, Factory> factories_;
+    std::string_view name;
+    std::unique_ptr<ThrottlePolicy> (*make)(const PolicyContext &);
 };
 
-/** Registers the built-in policies (defined in policies.cc; called
- *  once from PolicyRegistry::instance()). */
-void registerBuiltinPolicies(PolicyRegistry &policies);
+/** Every throttle policy, sorted by name. */
+std::span<const PolicyRow> policyTable();
+
+/**
+ * The policy row named @p name; nothing is constructed. Throws
+ * std::runtime_error naming @p name and every policy otherwise.
+ */
+const PolicyRow &findPolicy(std::string_view name);
 
 } // namespace ecdp
 

@@ -6,9 +6,9 @@
  * isolation, and the conservation-identity checker generalised to an
  * arbitrary engine stack.
  *
- * Every name registered in the EngineRegistry must have a row in
+ * Every engine-table row must have a row in
  * fixtureTable() below — test_engine_conformance.cc instantiates the
- * full battery from the registry's name list and fails loudly on a
+ * full battery from the engine table's names and fails loudly on a
  * missing fixture, and tools/simlint greps this table to enforce the
  * same rule statically (rule: engine-conformance).
  */
@@ -27,8 +27,8 @@
 
 #include "compiler/profiling_compiler.hh"
 #include "obs/metrics.hh"
+#include "memsim/name_table.hh"
 #include "prefetch/engine.hh"
-#include "prefetch/engines.hh"
 #include "sim/config.hh"
 #include "trace/trace.hh"
 
@@ -46,7 +46,7 @@ enum class WorkloadKind : std::uint8_t
 };
 
 /**
- * One row per registered engine. simlint's engine-conformance rule
+ * One row per engine-table row. simlint's engine-conformance rule
  * greps for `{"<name>",` in this table, so keep each entry on its own
  * line in that exact shape.
  */
@@ -217,6 +217,13 @@ makeEngineFixture(const std::string &engine)
 }
 
 /** EngineContext over a default 128 B geometry (hints optional). */
+/** Every engine-table name, in table order. */
+inline std::vector<std::string>
+engineNames()
+{
+    return namesOf(engineTable());
+}
+
 inline EngineContext
 defaultEngineContext(const HintTable *hints = nullptr)
 {
@@ -347,7 +354,7 @@ driveHookScript(PrefetchEngine &engine, PerCallFn per_call)
             }
         }
         for (unsigned i = 0; i < 4; ++i) {
-            ContentDirectedPrefetcher::ScanContext ctx;
+            ScanContext ctx;
             ctx.demandFill = true;
             ctx.loadPc = 0x300;
             ctx.accessByteOffset = 0;

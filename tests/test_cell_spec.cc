@@ -69,14 +69,15 @@ TEST(CellSpec, RejectsBadInput)
                  std::runtime_error);
     EXPECT_THROW(parse("{\"bench\":\"mst\",\"input\":\"test\"}"),
                  std::runtime_error);
-    // The engine/policy registries throw invalid_argument listing
-    // every known name; the daemon turns any std::exception into 400.
+    // The engine and policy tables, like the named configurations,
+    // throw runtime_error listing every known name; the daemon turns
+    // any std::exception into 400.
     EXPECT_THROW(
         parse("{\"bench\":\"mst\",\"engines\":[\"warp-drive\"]}"),
-        std::invalid_argument);
+        std::runtime_error);
     EXPECT_THROW(
         parse("{\"bench\":\"mst\",\"throttlePolicy\":\"chaotic\"}"),
-        std::invalid_argument);
+        std::runtime_error);
     EXPECT_THROW(parse("{\"bench\":\"mst\",\"rlSeed\":-3}"),
                  std::runtime_error);
     EXPECT_THROW(parse("{\"bench\":\"mst\",\"rlSeed\":1.5}"),

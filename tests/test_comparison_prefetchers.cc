@@ -2,13 +2,14 @@
  * @file
  * Behavioural tests for the comparison prefetchers, driven through
  * the PrefetchEngine interface the simulator actually uses (the
- * engines come out of the EngineRegistry, exactly as a configured
+ * engines come out of the engine table, exactly as a configured
  * stack would create them). Generic contract checks — degree caps,
  * determinism, conservation, disable — live in the conformance
  * battery (test_engine_conformance.cc); this file keeps only the
  * algorithm-specific behaviours: what each engine learns and what it
- * predicts. The hardware filter and PAB selector are not engines and
- * keep their direct unit tests.
+ * predicts. The hardware filter is not an engine and keeps its direct
+ * unit tests; PAB is a throttle policy, driven here through the
+ * ThrottlePolicy interface.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include "engine_harness.hh"
 #include "memsim/block_geometry.hh"
 #include "prefetch/hardware_filter.hh"
-#include "prefetch/pab_selector.hh"
+#include "throttle/policies.hh"
 
 namespace ecdp
 {
@@ -26,8 +27,7 @@ namespace
 std::unique_ptr<PrefetchEngine>
 makeEngine(const std::string &name)
 {
-    return EngineRegistry::instance().create(
-        name, harness::defaultEngineContext());
+    return findEngine(name).make(harness::defaultEngineContext());
 }
 
 TraceEntry
@@ -247,43 +247,78 @@ TEST(HardwareFilter, StorageIs8KB)
     EXPECT_EQ(filter.storageBits(), 65536u);
 }
 
+/** A PAB policy over a @p slots-slot stack with a @p window-outcome
+ *  accuracy window. */
+PabPolicy
+pabPolicy(unsigned window, unsigned slots = 2)
+{
+    PolicyContext ctx;
+    ctx.pabWindow = window;
+    ctx.slots = slots;
+    return PabPolicy(ctx);
+}
+
+/** The one slot PAB keeps enabled at an interval end. */
+std::size_t
+selected(PabPolicy &pab, std::size_t slots = 2)
+{
+    std::vector<std::uint8_t> enabled(slots, 1);
+    pab.selectEnabled(enabled);
+    std::size_t kept = slots;
+    for (std::size_t i = 0; i < slots; ++i) {
+        if (enabled[i]) {
+            EXPECT_EQ(kept, slots) << "more than one slot enabled";
+            kept = i;
+        }
+    }
+    return kept;
+}
+
 TEST(Pab, PicksTheMoreAccuratePrefetcher)
 {
-    PabSelector pab(16);
+    PabPolicy pab = pabPolicy(16);
     for (unsigned i = 0; i < 16; ++i) {
-        pab.recordOutcome(0, i % 4 == 0); // 25% accurate
-        pab.recordOutcome(1, i % 2 == 0); // 50% accurate
+        pab.onPrefetchOutcome(0, i % 4 == 0); // 25% accurate
+        pab.onPrefetchOutcome(1, i % 2 == 0); // 50% accurate
     }
-    EXPECT_EQ(pab.select(), 1u);
+    EXPECT_EQ(selected(pab), 1u);
     EXPECT_NEAR(pab.accuracy(0), 0.25, 0.01);
     EXPECT_NEAR(pab.accuracy(1), 0.5, 0.01);
 }
 
 TEST(Pab, TieGoesToPrimary)
 {
-    PabSelector pab(8);
+    PabPolicy pab = pabPolicy(8);
     for (unsigned i = 0; i < 8; ++i) {
-        pab.recordOutcome(0, true);
-        pab.recordOutcome(1, true);
+        pab.onPrefetchOutcome(0, true);
+        pab.onPrefetchOutcome(1, true);
     }
-    EXPECT_EQ(pab.select(), 0u);
+    EXPECT_EQ(selected(pab), 0u);
 }
 
 TEST(Pab, WindowForgetsOldOutcomes)
 {
-    PabSelector pab(4);
+    PabPolicy pab = pabPolicy(4);
     for (unsigned i = 0; i < 4; ++i)
-        pab.recordOutcome(1, false);
+        pab.onPrefetchOutcome(1, false);
     for (unsigned i = 0; i < 4; ++i)
-        pab.recordOutcome(1, true); // old misses roll out
+        pab.onPrefetchOutcome(1, true); // old misses roll out
     EXPECT_DOUBLE_EQ(pab.accuracy(1), 1.0);
+    // 3 of 4 used in slot 0 loses to slot 1's forgotten misses.
+    for (unsigned i = 0; i < 4; ++i)
+        pab.onPrefetchOutcome(0, i != 0);
+    EXPECT_EQ(selected(pab), 1u);
 }
 
 TEST(Pab, NoEvidenceMeansAccurate)
 {
-    PabSelector pab;
+    PabPolicy pab = pabPolicy(64);
     EXPECT_DOUBLE_EQ(pab.accuracy(0), 1.0);
     EXPECT_DOUBLE_EQ(pab.accuracy(1), 1.0);
+    // A slot without outcomes outranks a measured 3-of-4.
+    for (unsigned i = 0; i < 4; ++i)
+        pab.onPrefetchOutcome(0, i != 0);
+    EXPECT_EQ(selected(pab), 1u);
 }
 
 } // namespace

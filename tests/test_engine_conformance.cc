@@ -1,8 +1,8 @@
 /**
  * @file
  * Engine-conformance battery: one parameterized suite, instantiated
- * automatically over every name in the EngineRegistry, so a newly
- * registered engine is held to the full contract (creatable, degree
+ * automatically over every name in the engine table, so a newly
+ * added engine is held to the full contract (creatable, degree
  * caps honoured, deterministic, disable-able, conservation-clean,
  * bit-identical on replay and under cycle skipping) without anyone
  * remembering to add tests for it. The per-engine fixtures live in
@@ -64,16 +64,14 @@ class EngineConformance : public ::testing::TestWithParam<std::string>
     {
         // Script-matched hints (not the fixture's profiled ones) so
         // the hinted CDP engine fires under driveHookScript too.
-        return EngineRegistry::instance().create(
-            GetParam(),
+        return findEngine(GetParam()).make(
             harness::defaultEngineContext(&harness::scriptHints()));
     }
 };
 
 TEST_P(EngineConformance, RegistryCreatesWellFormedEngine)
 {
-    const std::vector<std::string> names =
-        EngineRegistry::instance().names();
+    const std::vector<std::string> names = harness::engineNames();
     EXPECT_NE(std::find(names.begin(), names.end(), GetParam()),
               names.end());
 
@@ -209,20 +207,19 @@ TEST_P(EngineConformance, CycleSkippingIsExact)
 
 INSTANTIATE_TEST_SUITE_P(
     AllRegisteredEngines, EngineConformance,
-    ::testing::ValuesIn(EngineRegistry::instance().names()),
+    ::testing::ValuesIn(harness::engineNames()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
 
-/** Every registry entry must have a fixture row, and vice versa. */
+/** Every table row must have a fixture row, and vice versa. */
 TEST(EngineConformanceCoverage, FixtureTableMatchesRegistry)
 {
-    const std::vector<std::string> names =
-        EngineRegistry::instance().names();
+    const std::vector<std::string> names = harness::engineNames();
     for (const std::string &name : names)
         EXPECT_NO_THROW(harness::fixtureSpec(name)) << name;
     EXPECT_EQ(harness::fixtureTable().size(), names.size())
-        << "stale fixture row for an unregistered engine";
+        << "stale fixture row for an engine the table lacks";
 }
 
 /** A three-engine hybrid stack: slots 2+ get derived instance names,

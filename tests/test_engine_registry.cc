@@ -1,8 +1,8 @@
 /**
  * @file
- * Property tests for the EngineRegistry and the engine-stack plumbing
+ * Property tests for the engine table and the engine-stack plumbing
  * in SystemConfig: unknown names fail with a diagnosable error,
- * duplicate registration is rejected, configHash() distinguishes
+ * configHash() distinguishes
  * every stack ordering (including duplicates), and instance naming
  * never collides — so two configs that run different engine stacks
  * can never alias in the result store or the metric tree.
@@ -28,49 +28,37 @@ namespace ecdp
 namespace
 {
 
-TEST(EngineRegistry_, UnknownNameThrowsWithDiagnosis)
+TEST(EngineTable, UnknownNameThrowsWithDiagnosis)
 {
     try {
-        EngineRegistry::instance().create(
-            "no-such-engine", harness::defaultEngineContext());
-        FAIL() << "create() accepted an unknown engine name";
-    } catch (const std::invalid_argument &err) {
+        findEngine("no-such-engine");
+        FAIL() << "findEngine() accepted an unknown engine name";
+    } catch (const std::runtime_error &err) {
         const std::string what = err.what();
         // The error must name the offender and list valid choices.
         EXPECT_NE(what.find("no-such-engine"), std::string::npos)
             << what;
         EXPECT_NE(what.find("stream"), std::string::npos) << what;
     }
-    EXPECT_FALSE(EngineRegistry::instance().contains("no-such-engine"));
 }
 
-TEST(EngineRegistry_, DuplicateRegistrationThrows)
+TEST(EngineTable, NamesAreSortedAndCreatable)
 {
-    // "stream" is a builtin, so re-adding it must be rejected (and
-    // must not clobber the existing factory).
-    EXPECT_THROW(EngineRegistry::instance().add(
-                     "stream",
-                     [](const EngineContext &) {
-                         return std::unique_ptr<PrefetchEngine>{};
-                     }),
-                 std::logic_error);
-    EXPECT_NE(EngineRegistry::instance().create(
-                  "stream", harness::defaultEngineContext()),
-              nullptr);
-}
-
-TEST(EngineRegistry_, NamesAreSortedAndCreatable)
-{
-    const std::vector<std::string> names =
-        EngineRegistry::instance().names();
+    const std::vector<std::string> names = harness::engineNames();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     const EngineContext ctx =
         harness::defaultEngineContext(&harness::scriptHints());
-    for (const std::string &name : names) {
-        EXPECT_NE(EngineRegistry::instance().create(name, ctx),
-                  nullptr)
-            << name;
-    }
+    for (const std::string &name : names)
+        EXPECT_NE(findEngine(name).make(ctx), nullptr) << name;
+}
+
+TEST(EngineTable, EcdpRowRejectsMissingHints)
+{
+    // Looking "ecdp" up constructs nothing, so a cell check can name
+    // it without hints; building it without hints is an error.
+    EXPECT_EQ(findEngine("ecdp").name, "ecdp");
+    EXPECT_THROW(findEngine("ecdp").make(harness::defaultEngineContext()),
+                 std::invalid_argument);
 }
 
 TEST(EngineStackHash, OrderAndMultiplicitySensitive)

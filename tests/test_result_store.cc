@@ -141,6 +141,31 @@ TEST(ResultStore, FailedFlightLeavesKeyUncachedForRetry)
     EXPECT_EQ(*store.lookup(9), "second try");
 }
 
+TEST(ResultStore, LookupCountsNoHit)
+{
+    // Hits count served submissions; lookup() is a read of a result
+    // (the daemon renders a grid's results with it), so neither a
+    // memory entry nor a disk-only entry moves a counter.
+    const std::string dir = freshDir("ecdp_store_lookup");
+    {
+        ResultStore writer(dir);
+        writer.fetchOrAttach(
+            1, [](ResultStore::Bytes, const std::string &) {});
+        writer.complete(1, "on disk");
+    }
+    ResultStore store(dir);
+    store.fetchOrAttach(2,
+                        [](ResultStore::Bytes, const std::string &) {});
+    store.complete(2, "in memory");
+
+    ASSERT_TRUE(store.lookup(2));
+    EXPECT_EQ(*store.lookup(2), "in memory");
+    ASSERT_TRUE(store.lookup(1));
+    EXPECT_EQ(*store.lookup(1), "on disk");
+    EXPECT_EQ(store.memoryHits(), 0u);
+    EXPECT_EQ(store.diskHits(), 0u);
+}
+
 TEST(ResultStore, SpillsToDiskAndReloadsInFreshStore)
 {
     const std::string dir = freshDir("ecdp_store_spill");

@@ -1,10 +1,10 @@
 /**
  * @file
- * ThrottlePolicy registry, conformance and byte-identity tests.
+ * ThrottlePolicy table, conformance and byte-identity tests.
  *
- *  - PolicyRegistry semantics (builtins, duplicate add, unknown
- *    create) — mirrors the PR-7 EngineRegistry tests.
- *  - A conformance battery instantiated over every registered policy
+ *  - Policy-table lookup (builtins, sorted names, unknown names),
+ *    as for the engine table.
+ *  - A conformance battery instantiated over every table row
  *    (creatable, deterministic over a scripted snapshot sequence,
  *    serialized state parses).
  *  - PAB as a policy: it selects enable bits, never levels.
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "memsim/name_table.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -34,7 +35,7 @@ namespace
 
 // ---------------------------------------------------------------
 // Per-policy fixture table. The simlint `policy-conformance` rule
-// greps these rows: every registered policy must have one, so a new
+// greps these rows: every policy-table row must have one, so a new
 // policy cannot dodge the battery below.
 // ---------------------------------------------------------------
 
@@ -64,46 +65,44 @@ fixtureRow(const std::string &policy)
     throw std::logic_error("no policy fixture row for " + policy);
 }
 
-// ---------------------------------------------------------------
-// Registry semantics.
-// ---------------------------------------------------------------
-
-TEST(PolicyRegistry_, ContainsAllBuiltins)
+/** Every policy-table name, in table order. */
+std::vector<std::string>
+policyNames()
 {
-    PolicyRegistry &reg = PolicyRegistry::instance();
-    EXPECT_TRUE(reg.contains("static"));
-    EXPECT_TRUE(reg.contains("coordinated"));
-    EXPECT_TRUE(reg.contains("fdp"));
-    EXPECT_TRUE(reg.contains("tabular-rl"));
-    EXPECT_FALSE(reg.contains("nonsense"));
+    return namesOf(policyTable());
 }
 
-TEST(PolicyRegistry_, NamesAreSorted)
+std::unique_ptr<ThrottlePolicy>
+makePolicy(const std::string &name, const PolicyContext &ctx = {})
 {
-    const std::vector<std::string> names =
-        PolicyRegistry::instance().names();
+    return findPolicy(name).make(ctx);
+}
+
+// ---------------------------------------------------------------
+// Table lookup.
+// ---------------------------------------------------------------
+
+TEST(PolicyTable, ContainsAllBuiltins)
+{
+    for (const char *name : {"static", "coordinated", "fdp", "pab",
+                             "tabular-rl"})
+        EXPECT_EQ(findPolicy(name).name, name);
+    EXPECT_THROW(findPolicy("nonsense"), std::runtime_error);
+}
+
+TEST(PolicyTable, NamesAreSorted)
+{
+    const std::vector<std::string> names = policyNames();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     EXPECT_EQ(names.size(), std::size(kPolicyFixtures));
 }
 
-TEST(PolicyRegistry_, DuplicateAddThrows)
-{
-    EXPECT_THROW(PolicyRegistry::instance().add(
-                     "coordinated",
-                     [](const PolicyContext &)
-                         -> std::unique_ptr<ThrottlePolicy> {
-                         return nullptr;
-                     }),
-                 std::logic_error);
-}
-
-TEST(PolicyRegistry_, UnknownCreateListsKnownNames)
+TEST(PolicyTable, UnknownNameListsKnownNames)
 {
     try {
-        PolicyRegistry::instance().create("no-such-policy",
-                                          PolicyContext{});
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
+        findPolicy("no-such-policy");
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("no-such-policy"), std::string::npos);
         EXPECT_NE(what.find("coordinated"), std::string::npos);
@@ -156,8 +155,7 @@ class PolicyConformance : public ::testing::TestWithParam<std::string>
   protected:
     std::unique_ptr<ThrottlePolicy> create() const
     {
-        return PolicyRegistry::instance().create(GetParam(),
-                                                 PolicyContext{});
+        return makePolicy(GetParam());
     }
 };
 
@@ -200,7 +198,7 @@ TEST_P(PolicyConformance, SerializedStateIsValidJsonOrEmpty)
 
 INSTANTIATE_TEST_SUITE_P(
     AllRegisteredPolicies, PolicyConformance,
-    ::testing::ValuesIn(PolicyRegistry::instance().names()),
+    ::testing::ValuesIn(policyNames()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         std::string name = info.param;
         for (char &ch : name) {
@@ -210,15 +208,14 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-/** Every registry entry must have a fixture row, and vice versa. */
+/** Every table row must have a fixture row, and vice versa. */
 TEST(PolicyConformanceCoverage, FixtureTableMatchesRegistry)
 {
-    const std::vector<std::string> names =
-        PolicyRegistry::instance().names();
+    const std::vector<std::string> names = policyNames();
     for (const std::string &name : names)
         EXPECT_NO_THROW(fixtureRow(name)) << name;
     EXPECT_EQ(std::size(kPolicyFixtures), names.size())
-        << "stale fixture row for an unregistered policy";
+        << "stale fixture row for a policy the table lacks";
 }
 
 // ---------------------------------------------------------------
@@ -240,8 +237,7 @@ TEST(PabPolicyTest, KeepsOnlyTheMostAccurateSlotEnabled)
     PolicyContext ctx;
     ctx.slots = 3;
     ctx.pabWindow = 4;
-    std::unique_ptr<ThrottlePolicy> pab =
-        PolicyRegistry::instance().create("pab", ctx);
+    std::unique_ptr<ThrottlePolicy> pab = makePolicy("pab", ctx);
     ASSERT_TRUE(pab->wantsOutcomes());
     feedOutcomes(*pab, 0, 1);
     feedOutcomes(*pab, 1, 3);
@@ -266,13 +262,9 @@ TEST(PabPolicyTest, KeepsOnlyTheMostAccurateSlotEnabled)
 
 TEST(PabPolicyTest, OnlyPabAsksForOutcomes)
 {
-    for (const std::string &name : PolicyRegistry::instance().names()) {
-        EXPECT_EQ(PolicyRegistry::instance()
-                      .create(name, PolicyContext{})
-                      ->wantsOutcomes(),
-                  name == "pab")
+    for (const std::string &name : policyNames())
+        EXPECT_EQ(makePolicy(name)->wantsOutcomes(), name == "pab")
             << name;
-    }
 }
 
 TEST(PabPolicyTest, RunCountsUnderThePabScope)

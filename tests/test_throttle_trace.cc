@@ -1,7 +1,7 @@
 /**
  * @file
  * Throttle-transition tracing: drive the coordinated / FDP
- * throttlers with synthetic feedback and assert the ThrottleMonitor
+ * policies with synthetic feedback and assert the ThrottleMonitor
  * emits exactly the transitions the paper's threshold tables
  * prescribe — no event when the decision is Nothing or the level is
  * already clamped, one event per real level change, and the disabled
@@ -13,9 +13,8 @@
 #include <vector>
 
 #include "obs/throttle_monitor.hh"
-#include "throttle/coordinated_throttler.hh"
-#include "throttle/fdp_throttler.hh"
 #include "throttle/feedback.hh"
+#include "throttle/policies.hh"
 
 namespace ecdp
 {
@@ -85,6 +84,14 @@ TEST(ThrottleMonitor, EncodesDisableAsLevel255)
     EXPECT_EQ(events[1].b, 2u);
 }
 
+PolicyContext
+paperThresholds()
+{
+    PolicyContext ctx;
+    ctx.coord = CoordinatedThresholds{0.2, 0.4, 0.7};
+    return ctx;
+}
+
 /**
  * Walk a throttled prefetcher through the coordinated decision
  * table exactly as MemorySystem::endInterval() does: decide from
@@ -92,8 +99,7 @@ TEST(ThrottleMonitor, EncodesDisableAsLevel255)
  */
 struct ThrottleRig
 {
-    CoordinatedThrottler throttler{
-        CoordinatedThrottler::Thresholds{0.2, 0.4, 0.7}};
+    CoordinatedPolicy policy{paperThresholds()};
     obs::EventTracer tracer;
     AggLevel level = AggLevel::Aggressive;
     obs::ThrottleMonitor monitor{&tracer, 0, 0, level};
@@ -103,8 +109,9 @@ struct ThrottleRig
               const FeedbackSnapshot &rival)
     {
         now += 1000;
-        ThrottleDecision decision = throttler.decide(self, rival);
-        level = CoordinatedThrottler::apply(level, decision);
+        ThrottleDecision decision =
+            policy.onIntervalEnd(0, {self, rival}, IntervalContext{});
+        level = applyDecision(level, decision);
         return monitor.observe(now, level, true);
     }
 };
@@ -164,7 +171,7 @@ TEST(CoordinatedThrottleTrace, Case5EmitsNoEvent)
 
 TEST(FdpThrottleTrace, DecisionMatrixDrivesMonitor)
 {
-    FdpThrottler fdp;
+    FdpPolicy fdp{PolicyContext{}};
     obs::EventTracer tracer;
     AggLevel level = AggLevel::Moderate;
     obs::ThrottleMonitor monitor(&tracer, 0, 0, level);
@@ -176,7 +183,8 @@ TEST(FdpThrottleTrace, DecisionMatrixDrivesMonitor)
         s.lateness = lateness;
         s.pollution = pollution;
         s.anyPrefetches = true;
-        level = CoordinatedThrottler::apply(level, fdp.decide(s));
+        level = applyDecision(
+            level, fdp.onIntervalEnd(0, {s}, IntervalContext{}));
         return monitor.observe(now, level, true);
     };
 

@@ -1,15 +1,15 @@
 /**
  * @file
  * Unit tests for feedback collection (Section 4.1) and the
- * coordinated / FDP throttlers (Sections 4.2 and 6.5).
+ * coordinated / FDP policies (Sections 4.2 and 6.5), driven through
+ * the ThrottlePolicy interface the MemorySystem uses.
  */
 
 #include <gtest/gtest.h>
 
 #include "memsim/block_geometry.hh"
-#include "throttle/coordinated_throttler.hh"
-#include "throttle/fdp_throttler.hh"
 #include "throttle/feedback.hh"
+#include "throttle/policies.hh"
 
 namespace ecdp
 {
@@ -24,6 +24,32 @@ snap(double coverage, double accuracy)
     s.accuracy = accuracy;
     s.anyPrefetches = true;
     return s;
+}
+
+/** The Table 4 thresholds the paper quotes (the repo default raises
+ *  T_coverage to 0.3). */
+PolicyContext
+paperThresholds()
+{
+    PolicyContext ctx;
+    ctx.coord = CoordinatedThresholds{0.2, 0.4, 0.7};
+    return ctx;
+}
+
+/** Slot 0's coordinated decision in the pair {self, rival}. */
+ThrottleDecision
+coordinated(const FeedbackSnapshot &self, const FeedbackSnapshot &rival)
+{
+    CoordinatedPolicy policy(paperThresholds());
+    return policy.onIntervalEnd(0, {self, rival}, IntervalContext{});
+}
+
+/** A lone slot's FDP decision. */
+ThrottleDecision
+fdp(const FeedbackSnapshot &self)
+{
+    FdpPolicy policy{PolicyContext{}};
+    return policy.onIntervalEnd(0, {self}, IntervalContext{});
 }
 
 TEST(Feedback, AccuracyCountsUsedAndLate)
@@ -80,12 +106,11 @@ TEST(Feedback, HeldAccuracyKeepsFdpFromRepromoting)
         fb.onPrefetchIssued();
     fb.onPrefetchUsed();
     fb.endInterval();
-    FdpThrottler fdp;
     for (int i = 0; i < 8; ++i) {
         FeedbackSnapshot s;
         s.accuracy = fb.accuracy();
         s.anyPrefetches = fb.anyPrefetches();
-        EXPECT_EQ(fdp.decide(s), ThrottleDecision::Down)
+        EXPECT_EQ(fdp(s), ThrottleDecision::Down)
             << "interval " << i;
         fb.endInterval(); // nothing issued: fully throttled
     }
@@ -162,10 +187,8 @@ class Table3Test : public ::testing::TestWithParam<Table3Case>
 TEST_P(Table3Test, DecisionMatchesPaper)
 {
     const Table3Case &c = GetParam();
-    CoordinatedThrottler throttler(
-        CoordinatedThrottler::Thresholds{0.2, 0.4, 0.7});
-    EXPECT_EQ(throttler.decide(snap(c.self_cov, c.self_acc),
-                               snap(c.rival_cov, 0.5)),
+    EXPECT_EQ(coordinated(snap(c.self_cov, c.self_acc),
+                          snap(c.rival_cov, 0.5)),
               c.expected)
         << c.name;
 }
@@ -194,48 +217,44 @@ INSTANTIATE_TEST_SUITE_P(
         Table3Case{"case5", 0.1, 0.9, 0.9,
                    ThrottleDecision::Nothing}));
 
-TEST(CoordinatedThrottlerTest, ThresholdBoundaries)
+TEST(CoordinatedPolicyTest, ThresholdBoundaries)
 {
-    CoordinatedThrottler throttler(
-        CoordinatedThrottler::Thresholds{0.2, 0.4, 0.7});
     // Coverage exactly at threshold counts as high (case 1).
-    EXPECT_EQ(throttler.decide(snap(0.2, 0.1), snap(0.0, 0.5)),
+    EXPECT_EQ(coordinated(snap(0.2, 0.1), snap(0.0, 0.5)),
               ThrottleDecision::Up);
     // Accuracy exactly at A_high is high (case 5).
-    EXPECT_EQ(throttler.decide(snap(0.1, 0.7), snap(0.9, 0.5)),
+    EXPECT_EQ(coordinated(snap(0.1, 0.7), snap(0.9, 0.5)),
               ThrottleDecision::Nothing);
     // Accuracy exactly at A_low is medium (case 4 with rival high).
-    EXPECT_EQ(throttler.decide(snap(0.1, 0.4), snap(0.9, 0.5)),
+    EXPECT_EQ(coordinated(snap(0.1, 0.4), snap(0.9, 0.5)),
               ThrottleDecision::Down);
 }
 
-TEST(CoordinatedThrottlerTest, ApplyClampsAtLevelBounds)
+TEST(CoordinatedPolicyTest, ApplyClampsAtLevelBounds)
 {
-    EXPECT_EQ(CoordinatedThrottler::apply(AggLevel::Aggressive,
-                                          ThrottleDecision::Up),
+    EXPECT_EQ(applyDecision(AggLevel::Aggressive, ThrottleDecision::Up),
               AggLevel::Aggressive);
-    EXPECT_EQ(CoordinatedThrottler::apply(AggLevel::VeryConservative,
-                                          ThrottleDecision::Down),
+    EXPECT_EQ(applyDecision(AggLevel::VeryConservative,
+                            ThrottleDecision::Down),
               AggLevel::VeryConservative);
-    EXPECT_EQ(CoordinatedThrottler::apply(AggLevel::Moderate,
-                                          ThrottleDecision::Up),
+    EXPECT_EQ(applyDecision(AggLevel::Moderate, ThrottleDecision::Up),
               AggLevel::Aggressive);
-    EXPECT_EQ(CoordinatedThrottler::apply(AggLevel::Moderate,
-                                          ThrottleDecision::Down),
+    EXPECT_EQ(applyDecision(AggLevel::Moderate, ThrottleDecision::Down),
               AggLevel::Conservative);
-    EXPECT_EQ(CoordinatedThrottler::apply(AggLevel::Moderate,
-                                          ThrottleDecision::Nothing),
+    EXPECT_EQ(applyDecision(AggLevel::Moderate,
+                            ThrottleDecision::Nothing),
               AggLevel::Moderate);
 }
 
-TEST(CoordinatedThrottlerTest, SymmetricAcrossPrefetchers)
+TEST(CoordinatedPolicyTest, SymmetricAcrossPrefetchers)
 {
-    // The same decide() serves both prefetchers: swapping roles with
-    // identical snapshots yields identical decisions.
-    CoordinatedThrottler throttler;
-    FeedbackSnapshot a = snap(0.1, 0.5);
-    FeedbackSnapshot b = snap(0.1, 0.5);
-    EXPECT_EQ(throttler.decide(a, b), throttler.decide(b, a));
+    // The same rules serve every slot: swapping roles with identical
+    // snapshots yields identical decisions.
+    CoordinatedPolicy policy{PolicyContext{}};
+    const std::vector<FeedbackSnapshot> pair = {snap(0.1, 0.5),
+                                                snap(0.1, 0.5)};
+    EXPECT_EQ(policy.onIntervalEnd(0, pair, IntervalContext{}),
+              policy.onIntervalEnd(1, pair, IntervalContext{}));
 }
 
 // ---------------------------------------------------------------
@@ -253,50 +272,46 @@ fdpSnap(double accuracy, double lateness, double pollution)
     return s;
 }
 
-TEST(FdpThrottlerTest, HighAccuracyLateGoesUp)
+TEST(FdpPolicyTest, HighAccuracyLateGoesUp)
 {
-    FdpThrottler fdp;
-    EXPECT_EQ(fdp.decide(fdpSnap(0.9, 0.5, 0.0)),
+    EXPECT_EQ(fdp(fdpSnap(0.9, 0.5, 0.0)), ThrottleDecision::Up);
+}
+
+TEST(FdpPolicyTest, HighAccuracyTimelyStays)
+{
+    EXPECT_EQ(fdp(fdpSnap(0.9, 0.0, 0.0)), ThrottleDecision::Nothing);
+}
+
+TEST(FdpPolicyTest, MediumAccuracyPollutingGoesDown)
+{
+    EXPECT_EQ(fdp(fdpSnap(0.5, 0.0, 0.1)), ThrottleDecision::Down);
+}
+
+TEST(FdpPolicyTest, MediumAccuracyLateGoesUp)
+{
+    EXPECT_EQ(fdp(fdpSnap(0.5, 0.5, 0.0)), ThrottleDecision::Up);
+}
+
+TEST(FdpPolicyTest, LowAccuracyAlwaysGoesDown)
+{
+    EXPECT_EQ(fdp(fdpSnap(0.1, 0.9, 0.0)), ThrottleDecision::Down);
+    EXPECT_EQ(fdp(fdpSnap(0.1, 0.0, 0.0)), ThrottleDecision::Down);
+}
+
+TEST(FdpPolicyTest, IgnoresRivalByDesign)
+{
+    // FDP decides from the slot's own snapshot alone: a rival that
+    // would flip the coordinated decision changes nothing. This is
+    // the structural difference Section 6.5 calls out.
+    FdpPolicy policy{PolicyContext{}};
+    const FeedbackSnapshot s = fdpSnap(0.9, 0.5, 0.0);
+    EXPECT_EQ(policy.onIntervalEnd(0, {s}, IntervalContext{}),
               ThrottleDecision::Up);
-}
-
-TEST(FdpThrottlerTest, HighAccuracyTimelyStays)
-{
-    FdpThrottler fdp;
-    EXPECT_EQ(fdp.decide(fdpSnap(0.9, 0.0, 0.0)),
-              ThrottleDecision::Nothing);
-}
-
-TEST(FdpThrottlerTest, MediumAccuracyPollutingGoesDown)
-{
-    FdpThrottler fdp;
-    EXPECT_EQ(fdp.decide(fdpSnap(0.5, 0.0, 0.1)),
-              ThrottleDecision::Down);
-}
-
-TEST(FdpThrottlerTest, MediumAccuracyLateGoesUp)
-{
-    FdpThrottler fdp;
-    EXPECT_EQ(fdp.decide(fdpSnap(0.5, 0.5, 0.0)),
-              ThrottleDecision::Up);
-}
-
-TEST(FdpThrottlerTest, LowAccuracyAlwaysGoesDown)
-{
-    FdpThrottler fdp;
-    EXPECT_EQ(fdp.decide(fdpSnap(0.1, 0.9, 0.0)),
-              ThrottleDecision::Down);
-    EXPECT_EQ(fdp.decide(fdpSnap(0.1, 0.0, 0.0)),
-              ThrottleDecision::Down);
-}
-
-TEST(FdpThrottlerTest, IgnoresRivalByDesign)
-{
-    // FDP has no rival input at all: its decide() takes one snapshot.
-    // This is the structural difference Section 6.5 calls out.
-    FdpThrottler fdp;
-    FeedbackSnapshot s = fdpSnap(0.9, 0.5, 0.0);
-    EXPECT_EQ(fdp.decide(s), ThrottleDecision::Up);
+    for (const FeedbackSnapshot &rival :
+         {fdpSnap(0.1, 0.0, 0.5), snap(0.9, 0.9)}) {
+        EXPECT_EQ(policy.onIntervalEnd(0, {s, rival}, IntervalContext{}),
+                  ThrottleDecision::Up);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -338,7 +353,7 @@ TEST(PollutionFilterTest, StillDeterministicPerBlock)
 }
 
 // ---------------------------------------------------------------
-// CoordinatedThrottler::rival over N-slot stacks: the neutral-rival
+// CoordinatedPolicy::rival over N-slot stacks: the neutral-rival
 // path (lone engine) and the all-idle-stack path must agree, ties
 // break to the lowest slot, and idle slots are decision-inert.
 // ---------------------------------------------------------------
@@ -361,9 +376,9 @@ TEST(CoordinatedRival, LoneEngineAndIdleStackAgree)
 {
     // A lone engine gets the neutral default snapshot; a slot whose
     // three rivals are all idle must get a fieldwise-identical one.
-    const FeedbackSnapshot lone = CoordinatedThrottler::rival(
+    const FeedbackSnapshot lone = CoordinatedPolicy::rival(
         {snap(0.3, 0.8)}, 0);
-    const FeedbackSnapshot crowded = CoordinatedThrottler::rival(
+    const FeedbackSnapshot crowded = CoordinatedPolicy::rival(
         {snap(0.3, 0.8), idleSnap(), idleSnap(), idleSnap()}, 0);
     EXPECT_DOUBLE_EQ(lone.accuracy, crowded.accuracy);
     EXPECT_DOUBLE_EQ(lone.coverage, crowded.coverage);
@@ -378,7 +393,7 @@ TEST(CoordinatedRival, TieBreaksToLowestSlot)
     std::vector<FeedbackSnapshot> stack = {
         snap(0.1, 0.9), snap(0.3, 0.5), snap(0.2, 0.6),
         snap(0.3, 0.8)};
-    const FeedbackSnapshot r = CoordinatedThrottler::rival(stack, 0);
+    const FeedbackSnapshot r = CoordinatedPolicy::rival(stack, 0);
     EXPECT_DOUBLE_EQ(r.coverage, 0.3);
     EXPECT_DOUBLE_EQ(r.accuracy, 0.5) << "tie must keep slot 1";
 }
@@ -388,7 +403,7 @@ TEST(CoordinatedRival, IdleSlotsAreDecisionInert)
     // Property: appending idle engines to a stack never changes any
     // existing slot's decision. Randomized stacks via a fixed LCG —
     // deterministic, no wall-clock entropy.
-    CoordinatedThrottler throttler;
+    CoordinatedPolicy policy{PolicyContext{}};
     std::uint64_t lcg = 12345;
     auto next01 = [&lcg] {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -405,11 +420,10 @@ TEST(CoordinatedRival, IdleSlotsAreDecisionInert)
         extended.push_back(idleSnap());
         extended.push_back(idleSnap());
         for (std::size_t i = 0; i < n; ++i) {
-            const ThrottleDecision before = throttler.decide(
-                stack[i], CoordinatedThrottler::rival(stack, i));
-            const ThrottleDecision after = throttler.decide(
-                extended[i],
-                CoordinatedThrottler::rival(extended, i));
+            const ThrottleDecision before =
+                policy.onIntervalEnd(i, stack, IntervalContext{});
+            const ThrottleDecision after =
+                policy.onIntervalEnd(i, extended, IntervalContext{});
             EXPECT_EQ(before, after)
                 << "trial " << trial << " slot " << i;
         }

@@ -13,7 +13,7 @@
  * Configs: every configs::knownNames() entry (src/sim/experiment.cc).
  *
  * A config is an engine stack plus a throttle policy name. --engines
- * replaces the chosen config's stack with a registry-name list (any
+ * replaces the chosen config's stack with an engine-name list (any
  * length), keeping its policy and feedback knobs — the N-engine
  * hybrid recipe in EXPERIMENTS.md builds on it. --throttle-policy
  * replaces its policy (static, coordinated, fdp, pab, tabular-rl);

@@ -1,9 +1,9 @@
 // Intentionally-broken header seeding both legs of the
 // engine-conformance rule (see fixtures/README.md):
-//   - GhostEngine inherits PrefetchEngine but no make_unique<...>
-//     anywhere in this fixture tree constructs it, so it could never
-//     come out of the registry.
-//   - "phantom" is registered but has no {"phantom", WorkloadKind...}
+//   - GhostEngine inherits PrefetchEngine but no make<...> or
+//     make_unique<...> anywhere in this fixture tree constructs it,
+//     so it could never come out of the engine table.
+//   - "phantom" has a kEngines row but no {"phantom", WorkloadKind...}
 //     fixture row under tests/, so the conformance battery would
 //     never exercise it.
 // (Never built; only scanned.)
@@ -15,17 +15,15 @@ namespace fixture
 {
 
 class PrefetchEngine;
-class EngineRegistry;
+struct EngineRow;
 
 class GhostEngine final : public PrefetchEngine
 {
 };
 
-inline void
-wireGhost(EngineRegistry &registry)
-{
-    registry.add("phantom", nullptr);
-}
+constexpr EngineRow kEngines[] = {
+    {"phantom", nullptr},
+};
 
 } // namespace fixture
 

@@ -1,9 +1,9 @@
 // Intentionally-broken header seeding both legs of the
 // policy-conformance rule (see fixtures/README.md):
-//   - GhostPolicy inherits ThrottlePolicy but no make_unique<...>
-//     anywhere in this fixture tree constructs it, so it could never
-//     come out of the registry.
-//   - "ghost-policy" is registered but has no
+//   - GhostPolicy inherits ThrottlePolicy but no make<...> or
+//     make_unique<...> anywhere in this fixture tree constructs it,
+//     so it could never come out of the policy table.
+//   - "ghost-policy" has a kPolicies row but no
 //     {"ghost-policy", PolicyProbe...} fixture row under tests/, so
 //     the conformance battery would never exercise it.
 // (Never built; only scanned.)
@@ -15,17 +15,15 @@ namespace fixture
 {
 
 class ThrottlePolicy;
-class PolicyRegistry;
+struct PolicyRow;
 
 class GhostPolicy final : public ThrottlePolicy
 {
 };
 
-inline void
-wireGhostPolicy(PolicyRegistry &policies)
-{
-    policies.add("ghost-policy", nullptr);
-}
+constexpr PolicyRow kPolicies[] = {
+    {"ghost-policy", nullptr},
+};
 
 } // namespace fixture
 

@@ -30,23 +30,19 @@ classes fail CI instead of corrupting experiments:
                         either way a "green" run simply isn't running
                         those tests.
   engine-conformance    Every class inheriting PrefetchEngine in src/
-                        must be constructed by a registry factory
-                        (a make_unique<Class> somewhere in src/, i.e.
-                        prefetch/engines.cc), and every name passed to
-                        registry.add("...") must have a conformance
-                        fixture row ({"name", WorkloadKind...}) in
+                        must be constructed by a factory
+                        (make<Class> or make_unique<Class> somewhere
+                        in src/, i.e. a kEngines row in
+                        prefetch/engine.cc), and every kEngines row
+                        {"name", ...} must have a conformance fixture
+                        row ({"name", WorkloadKind...}) in
                         tests/engine_harness.hh — so a new engine
-                        cannot ship outside the registry or dodge the
+                        cannot ship outside the table or dodge the
                         conformance battery.
-  policy-conformance    Every class inheriting ThrottlePolicy in src/
-                        must be constructed by a registry factory
-                        (a make_unique<Class> somewhere in src/, i.e.
-                        throttle/policies.cc), and every name passed
-                        to policies.add("...") must have a fixture row
-                        ({"name", PolicyProbe...}) in
-                        tests/test_throttle_policy.cc — so a new
-                        throttle policy cannot ship outside the
-                        registry or dodge the conformance battery.
+  policy-conformance    The same check for ThrottlePolicy classes,
+                        the kPolicies table (throttle/policies.cc)
+                        and the fixture rows ({"name", PolicyProbe...})
+                        in tests/test_throttle_policy.cc.
   raw-process-spawn     No system()/fork()/vfork()/popen()/exec*()/
                         posix_spawn() call anywhere in src/, tools/,
                         bench/, tests/ or examples/ outside
@@ -299,118 +295,88 @@ def check_test_registration(root, build_dir):
     return out
 
 
-# --- engine-conformance -----------------------------------------------
+# --- engine-conformance / policy-conformance -------------------------
 
-ENGINE_CLASS_RE = re.compile(
-    r"class\s+(\w+)\s*(?:final)?\s*:\s*public\s+PrefetchEngine\b")
-MAKE_UNIQUE_RE = re.compile(r"make_unique<\s*(\w+)\s*>")
-REGISTER_NAME_RE = re.compile(
-    r"\bregistry\s*\.\s*add\(\s*\"([a-z0-9_]+)\"")
-FIXTURE_ROW_RE = re.compile(
-    r"\{\s*\"([a-z0-9_]+)\"\s*,\s*WorkloadKind")
+# One check, two kinds: every class implementing the kind's interface
+# must be constructed by a factory in src/ (the table's make<Class>
+# rows, or a make_unique<Class> in a hand-written factory), and every
+# row of the kind's constant table must have a conformance fixture row
+# under tests/.
+CONFORMANCE_KINDS = {
+    "engine-conformance": dict(
+        base="PrefetchEngine", table="kEngines",
+        table_file="prefetch/engine.cc",
+        fixture_re=re.compile(
+            r"\{\s*\"([a-z0-9_-]+)\"\s*,\s*WorkloadKind"),
+        fixture="'{\"%s\", WorkloadKind...}' in tests/engine_harness.hh",
+        noun="engine"),
+    "policy-conformance": dict(
+        base="ThrottlePolicy", table="kPolicies",
+        table_file="throttle/policies.cc",
+        fixture_re=re.compile(
+            r"\{\s*\"([a-z0-9_-]+)\"\s*,\s*PolicyProbe"),
+        fixture="'{\"%s\", PolicyProbe...}' in "
+                "tests/test_throttle_policy.cc",
+        noun="throttle policy"),
+}
+MAKE_RE = re.compile(r"\bmake(?:_unique)?<\s*(\w+)\s*>")
+TABLE_ROW_RE = re.compile(r"\{\s*\"([a-z0-9_-]+)\"\s*,")
 
 
-def check_engine_conformance(root):
-    classes = []     # (rel, line_no, class name)
-    registered = []  # (rel, line_no, engine name)
-    instantiated = set()
+def check_conformance(root, rule):
+    kind = CONFORMANCE_KINDS[rule]
+    class_re = re.compile(r"class\s+(\w+)\s*(?:final)?\s*:\s*public\s+"
+                          + kind["base"] + r"\b")
+    table_re = re.compile(r"\b" + kind["table"] +
+                          r"\s*\[\s*\]\s*=\s*\{(.*?)^\};",
+                          re.S | re.M)
+    classes = []  # (rel, line_no, class name)
+    rows = []     # (rel, line_no, table name)
+    constructed = set()
     fixture_rows = set()
     for path in iter_source_files(root, "src"):
         rel = relpath(root, path)
         with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            text = f.read()
+        lines = text.splitlines()
         for i, line in enumerate(lines):
             code = line.split("//", 1)[0]
-            m = ENGINE_CLASS_RE.search(code)
-            if m and not allowed(lines, i, "engine-conformance"):
+            m = class_re.search(code)
+            if m and not allowed(lines, i, rule):
                 classes.append((rel, i + 1, m.group(1)))
-            for m in MAKE_UNIQUE_RE.finditer(code):
-                instantiated.add(m.group(1))
-            for m in REGISTER_NAME_RE.finditer(code):
-                if not allowed(lines, i, "engine-conformance"):
-                    registered.append((rel, i + 1, m.group(1)))
+            for m in MAKE_RE.finditer(code):
+                constructed.add(m.group(1))
+        for table in table_re.finditer(text):
+            for m in TABLE_ROW_RE.finditer(table.group(1)):
+                i = text.count("\n", 0, table.start(1) + m.start())
+                if not allowed(lines, i, rule):
+                    rows.append((rel, i + 1, m.group(1)))
     for path in iter_source_files(root, "tests"):
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        for m in FIXTURE_ROW_RE.finditer(text):
+        for m in kind["fixture_re"].finditer(text):
             fixture_rows.add(m.group(1))
 
     out = []
     for rel, line_no, name in classes:
-        if name in instantiated:
+        if name in constructed:
             continue
         out.append(Violation(
-            rel, line_no, "engine-conformance",
-            "class '%s' inherits PrefetchEngine but no registry "
-            "factory constructs it (no make_unique<%s> in src/); "
-            "register it in prefetch/engines.cc so configured stacks "
-            "and the conformance battery can reach it" % (name, name)))
-    for rel, line_no, name in registered:
+            rel, line_no, rule,
+            "class '%s' inherits %s but no factory constructs it (no "
+            "make<%s> or make_unique<%s> in src/); add a %s row in %s "
+            "so configurations and the conformance battery can reach "
+            "it" % (name, kind["base"], name, name, kind["table"],
+                    kind["table_file"])))
+    for rel, line_no, name in rows:
         if name in fixture_rows:
             continue
         out.append(Violation(
-            rel, line_no, "engine-conformance",
-            "registered engine '%s' has no conformance fixture row "
-            "('{\"%s\", WorkloadKind...}' in "
-            "tests/engine_harness.hh); the conformance battery "
-            "cannot exercise it" % (name, name)))
-    return out
-
-
-# --- policy-conformance -----------------------------------------------
-
-POLICY_CLASS_RE = re.compile(
-    r"class\s+(\w+)\s*(?:final)?\s*:\s*public\s+ThrottlePolicy\b")
-POLICY_REGISTER_RE = re.compile(
-    r"\bpolicies\s*\.\s*add\(\s*\"([a-z0-9_-]+)\"")
-POLICY_FIXTURE_ROW_RE = re.compile(
-    r"\{\s*\"([a-z0-9_-]+)\"\s*,\s*PolicyProbe")
-
-
-def check_policy_conformance(root):
-    classes = []     # (rel, line_no, class name)
-    registered = []  # (rel, line_no, policy name)
-    instantiated = set()
-    fixture_rows = set()
-    for path in iter_source_files(root, "src"):
-        rel = relpath(root, path)
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        for i, line in enumerate(lines):
-            code = line.split("//", 1)[0]
-            m = POLICY_CLASS_RE.search(code)
-            if m and not allowed(lines, i, "policy-conformance"):
-                classes.append((rel, i + 1, m.group(1)))
-            for m in MAKE_UNIQUE_RE.finditer(code):
-                instantiated.add(m.group(1))
-            for m in POLICY_REGISTER_RE.finditer(code):
-                if not allowed(lines, i, "policy-conformance"):
-                    registered.append((rel, i + 1, m.group(1)))
-    for path in iter_source_files(root, "tests"):
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        for m in POLICY_FIXTURE_ROW_RE.finditer(text):
-            fixture_rows.add(m.group(1))
-
-    out = []
-    for rel, line_no, name in classes:
-        if name in instantiated:
-            continue
-        out.append(Violation(
-            rel, line_no, "policy-conformance",
-            "class '%s' inherits ThrottlePolicy but no registry "
-            "factory constructs it (no make_unique<%s> in src/); "
-            "register it in throttle/policies.cc so configurations "
-            "and the conformance battery can reach it" % (name, name)))
-    for rel, line_no, name in registered:
-        if name in fixture_rows:
-            continue
-        out.append(Violation(
-            rel, line_no, "policy-conformance",
-            "registered throttle policy '%s' has no conformance "
-            "fixture row ('{\"%s\", PolicyProbe...}' in "
-            "tests/test_throttle_policy.cc); the conformance battery "
-            "cannot exercise it" % (name, name)))
+            rel, line_no, rule,
+            "%s '%s' has a %s row but no conformance fixture row (%s); "
+            "the conformance battery cannot exercise it"
+            % (kind["noun"], name, kind["table"],
+               kind["fixture"] % name)))
     return out
 
 
@@ -661,10 +627,9 @@ def main(argv):
         violations += check_unregistered_counter(root)
     if "test-registration" in rules:
         violations += check_test_registration(root, args.build_dir)
-    if "engine-conformance" in rules:
-        violations += check_engine_conformance(root)
-    if "policy-conformance" in rules:
-        violations += check_policy_conformance(root)
+    for rule in CONFORMANCE_KINDS:
+        if rule in rules:
+            violations += check_conformance(root, rule)
     if "raw-process-spawn" in rules:
         violations += check_raw_process_spawn(root)
     if "raw-mutex" in rules:
