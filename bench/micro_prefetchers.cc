@@ -4,12 +4,15 @@
  * per-fill CDP block scan, the per-miss stream trigger, and the
  * comparison predictors' lookup costs. These bound the simulation
  * overhead of each mechanism (and, loosely, its hardware complexity).
+ * BM_CoreTick times the core's per-visit cost on a pointer-chain
+ * trace, apart from the memory hierarchy.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "core/core.hh"
 #include "prefetch/cdp.hh"
 #include "prefetch/dbp.hh"
 #include "prefetch/ghb_prefetcher.hh"
@@ -109,6 +112,51 @@ BM_DbpIssueAndComplete(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DbpIssueAndComplete);
+
+/** Memory that accepts every load with one fixed latency. */
+class FixedLatencyMemory : public CoreMemoryInterface
+{
+  public:
+    std::optional<Cycle> load(const TraceEntry &, Cycle now) override
+    {
+        return now + 200;
+    }
+    void store(const TraceEntry &, Cycle) override {}
+};
+
+/**
+ * One event-driven visit of a Core (tick, then jump to its
+ * nextEventCycle) over a canned trace of 8 interleaved pointer
+ * chains, each load a few fillers after the last and dependent on
+ * the previous link of its chain, so the LSQ mostly holds loads that
+ * wait on an unissued producer. The core wraps so it never finishes.
+ */
+void
+BM_CoreTick(benchmark::State &state)
+{
+    constexpr unsigned kChains = 8;
+    Workload wl;
+    wl.name = "chains";
+    for (unsigned i = 0; i < 4096; ++i) {
+        TraceEntry e;
+        e.pc = 0x1000 + 4 * (i % kChains);
+        e.vaddr = Addr{0x40000000u + 128u * i};
+        e.isLds = true;
+        e.dep = i >= kChains ? static_cast<TraceRef>(i - kChains) : kNoDep;
+        e.nonMemBefore = 5;
+        wl.trace.push_back(e);
+    }
+    FixedLatencyMemory memory;
+    Core core(&wl, &memory);
+    core.setWrapAround(true);
+    Cycle now{};
+    for (auto _ : state) {
+        core.tick(now);
+        now = core.nextEventCycle(now);
+    }
+    benchmark::DoNotOptimize(core.retired());
+}
+BENCHMARK(BM_CoreTick);
 
 } // namespace
 

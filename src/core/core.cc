@@ -2,49 +2,53 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <functional>
 
 namespace ecdp
 {
 
 Core::Core(const Workload *workload, CoreMemoryInterface *memory,
            const CoreParams &params)
-    : workload_(workload), memory_(memory), params_(params)
+    : workload_(workload), memory_(memory), params_(params),
+      slotMask_(std::bit_ceil(std::size_t{params.lsqEntries}) - 1)
 {
     assert(workload_ && memory_);
     completion_.assign(workload_->trace.size(), kPending);
+    fillersAhead_.assign(slotMask_ + 1, 0);
+    waitHead_.assign(slotMask_ + 1, kNoLoad);
+    waitNext_.assign(slotMask_ + 1, kNoLoad);
+    wakeHeap_.reserve(params_.lsqEntries);
+    ready_.reserve(params_.lsqEntries);
 }
 
-bool
-Core::depSatisfied(const TraceEntry &entry, Cycle now) const
+void
+Core::wakeAt(Cycle ready, std::size_t idx)
 {
-    if (entry.dep == kNoDep)
-        return true;
-    Cycle ready = completion_[static_cast<std::size_t>(entry.dep)];
-    return ready != kPending && ready <= now;
+    wakeHeap_.push_back({ready, idx});
+    std::push_heap(wakeHeap_.begin(), wakeHeap_.end(), std::greater<>{});
 }
 
 void
 Core::retire(Cycle now)
 {
     unsigned budget = params_.width;
-    while (budget > 0 && !rob_.empty()) {
-        RobEntry &head = rob_.front();
-        if (!head.isMem) {
-            std::uint32_t take = std::min<std::uint32_t>(budget,
-                                                         head.fillers);
-            head.fillers -= take;
+    while (budget > 0 && robCount_ > 0) {
+        const std::size_t head = cursor_ - lsqCount_;
+        std::uint32_t &fillers =
+            lsqCount_ > 0 ? fillersAhead_[slot(head)] : tailFillers_;
+        if (fillers > 0) {
+            std::uint32_t take = std::min<std::uint32_t>(budget, fillers);
+            fillers -= take;
             robCount_ -= take;
             retired_ += take;
             budget -= take;
-            if (head.fillers == 0)
-                rob_.pop_front();
             continue;
         }
-        Cycle done = completion_[head.traceIdx];
+        Cycle done = completion_[head];
         if (done == kPending || done > now)
             break;
-        rob_.pop_front();
         --robCount_;
         --lsqCount_;
         ++retired_;
@@ -55,51 +59,32 @@ Core::retire(Cycle now)
 void
 Core::issueLoads(Cycle now)
 {
-    if (pendingLoads_.empty() || now < issueRecheckAt_)
-        return;
-    // Compact in place: loads that stay pending slide toward the
-    // front in their original order. This runs every busy cycle, so
-    // it must not allocate.
-    std::size_t keep = 0;
+    // Loads whose producer has completed by now join the ready list
+    // at their trace position.
+    while (!wakeHeap_.empty() && wakeHeap_.front().at <= now) {
+        std::pop_heap(wakeHeap_.begin(), wakeHeap_.end(), std::greater<>{});
+        const std::size_t idx = wakeHeap_.back().idx;
+        wakeHeap_.pop_back();
+        ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), idx),
+                      idx);
+    }
     unsigned issued = 0;
-    bool memory_stalled = false;
-    Cycle earliest_ready = kPending;
-    for (std::size_t i = 0; i < pendingLoads_.size(); ++i) {
-        const std::size_t idx = pendingLoads_[i];
-        const TraceEntry &entry = workload_->trace[idx];
-        if (memory_stalled || issued >= params_.issuePerCycle ||
-            !depSatisfied(entry, now)) {
-            if (entry.dep != kNoDep) {
-                Cycle ready =
-                    completion_[static_cast<std::size_t>(entry.dep)];
-                if (ready != kPending && ready > now)
-                    earliest_ready = std::min(earliest_ready, ready);
-            }
-            pendingLoads_[keep++] = idx;
-            continue;
-        }
-        std::optional<Cycle> done = memory_->load(entry, now);
-        if (!done) {
-            // The memory system is out of buffers; no point trying
-            // the remaining loads this cycle.
-            memory_stalled = true;
-            pendingLoads_[keep++] = idx;
-            continue;
-        }
-        completion_[idx] = std::max(*done, now + 1);
+    while (issued < params_.issuePerCycle && issued < ready_.size()) {
+        const std::size_t idx = ready_[issued];
+        std::optional<Cycle> done = memory_->load(workload_->trace[idx], now);
+        // The memory system is out of buffers; no point trying the
+        // remaining loads this cycle.
+        if (!done)
+            break;
+        const Cycle ready = std::max(*done, now + 1);
+        completion_[idx] = ready;
+        // Hand the waiters to the heap; this leaves the list empty.
+        std::size_t &waiter = waitHead_[slot(idx)];
+        for (; waiter != kNoLoad; waiter = waitNext_[slot(waiter)])
+            wakeAt(ready, waiter);
         ++issued;
     }
-    pendingLoads_.resize(keep);
-    // Nothing issued and nothing stalled means every pending load is
-    // waiting on a dependence: either one with a known completion
-    // (the earliest bounds the next possible issue) or on another
-    // load in this same list, which cannot issue before that bound
-    // either. Until then — or until dispatch() adds state — walking
-    // the list is provably a no-op, with no observable side effects
-    // skipped (memory_->load was never called).
-    issueRecheckAt_ = (issued == 0 && !memory_stalled)
-                          ? earliest_ready
-                          : Cycle{0};
+    ready_.erase(ready_.begin(), ready_.begin() + issued);
 }
 
 void
@@ -119,9 +104,7 @@ Core::dispatch(Cycle now)
         if (fillersLeft_ > 0) {
             std::uint32_t take = std::min<std::uint32_t>(
                 {budget, fillersLeft_, rob_space});
-            RobEntry filler;
-            filler.fillers = take;
-            rob_.push_back(filler);
+            tailFillers_ += take;
             robCount_ += take;
             budget -= take;
             fillersLeft_ -= take;
@@ -129,23 +112,30 @@ Core::dispatch(Cycle now)
         }
         if (lsqCount_ >= params_.lsqEntries)
             break;
-        RobEntry mem_entry;
-        mem_entry.isMem = true;
-        mem_entry.traceIdx = cursor_;
-        rob_.push_back(mem_entry);
+        fillersAhead_[slot(cursor_)] = tailFillers_;
+        tailFillers_ = 0;
         ++robCount_;
         ++lsqCount_;
         if (entry.kind == AccessKind::Store) {
             memory_->store(entry, now);
             completion_[cursor_] = now + 1;
+        } else if (entry.dep == kNoDep) {
+            ready_.push_back(cursor_);
         } else {
-            completion_[cursor_] = kPending;
-            pendingLoads_.push_back(cursor_);
+            const auto producer = static_cast<std::size_t>(entry.dep);
+            assert(producer < cursor_);
+            const Cycle ready = completion_[producer];
+            if (ready == kPending) {
+                // An unissued load, so still in the LSQ: its slot is
+                // live until it issues and hands over its waiters.
+                waitNext_[slot(cursor_)] = waitHead_[slot(producer)];
+                waitHead_[slot(producer)] = cursor_;
+            } else if (ready <= now) {
+                ready_.push_back(cursor_);
+            } else {
+                wakeAt(ready, cursor_);
+            }
         }
-        // Either branch changes what issueLoads() could do: a store
-        // completion may satisfy a dependence, a new load must be
-        // considered. Re-walk on the next tick.
-        issueRecheckAt_ = Cycle{0};
         --budget;
         ++cursor_;
         fillersPrimed_ = false;
@@ -155,11 +145,11 @@ Core::dispatch(Cycle now)
 void
 Core::resetPass()
 {
+    // Everything retired, hence issued: the issue queue is empty.
+    assert(ready_.empty() && wakeHeap_.empty());
     cursor_ = 0;
     fillersPrimed_ = false;
     fillersLeft_ = 0;
-    pendingLoads_.clear();
-    issueRecheckAt_ = Cycle{0};
     std::fill(completion_.begin(), completion_.end(), kPending);
 }
 
@@ -173,35 +163,28 @@ Core::nextEventCycle(Cycle now) const
     // behind it until that cycle (if the completion is already due,
     // retirement merely ran out of width this cycle — resume next).
     // A head whose completion is still kPending is an unissued load;
-    // the pending-loads walk below bounds it.
-    if (!rob_.empty()) {
-        const RobEntry &head = rob_.front();
-        if (!head.isMem)
+    // the issue queue below bounds it.
+    if (robCount_ > 0) {
+        const std::size_t head = cursor_ - lsqCount_;
+        if (lsqCount_ == 0 || fillersAhead_[slot(head)] > 0)
             return now + 1;
-        Cycle done = completion_[head.traceIdx];
+        Cycle done = completion_[head];
         if (done != kPending)
-            wake = std::min(wake, std::max(done, now + 1));
+            wake = std::max(done, now + 1);
     }
 
-    // Issue: a load whose dependence is already satisfied was held
-    // back only by the per-cycle issue budget or a memory-system
-    // rejection — both retried (with observable side effects such as
-    // the MSHR stall-cycle counters) every cycle, so no skipping.
-    // Otherwise the earliest state change is the earliest known
-    // dependence completion. Dependences whose completion is itself
-    // kPending are other unissued loads in this same list, so the
-    // walk bottoms out: the lowest-indexed pending load's dependence
-    // is always a store, an issued load, or absent.
-    for (std::size_t idx : pendingLoads_) {
-        const TraceEntry &entry = workload_->trace[idx];
-        if (entry.dep == kNoDep)
-            return now + 1;
-        Cycle ready = completion_[static_cast<std::size_t>(entry.dep)];
-        if (ready == kPending)
-            continue;
-        if (ready <= now)
-            return now + 1;
-        wake = std::min(wake, ready);
+    // Issue: a ready load was held back only by the per-cycle issue
+    // budget or a memory-system refusal — both retried (with
+    // observable side effects such as the MSHR stall-cycle counters)
+    // every cycle, so no skipping. Otherwise the earliest state change
+    // is the earliest known producer completion, the heap top (always
+    // after now: dispatch readies the loads whose producer is already
+    // done). Loads behind an unissued producer wait for at least that.
+    if (!ready_.empty())
+        return now + 1;
+    if (!wakeHeap_.empty()) {
+        assert(wakeHeap_.front().at > now);
+        wake = std::min(wake, wakeHeap_.front().at);
     }
 
     // Dispatch: possible next cycle whenever there is ROB space and
@@ -227,7 +210,7 @@ Core::tick(Cycle now)
     issueLoads(now);
     dispatch(now);
 
-    if (cursor_ == workload_->trace.size() && rob_.empty()) {
+    if (cursor_ == workload_->trace.size() && robCount_ == 0) {
         if (!finishedOnce_) {
             finishedOnce_ = true;
             finishCycle_ = now;

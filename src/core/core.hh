@@ -21,7 +21,6 @@
 #define ECDP_CORE_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -87,15 +86,14 @@ class Core
      * dispatch, no memory-system call), so the simulation loop may
      * skip straight to the bound with bit-identical results.
      *
-     * The bound is deliberately conservative: whenever the core could
-     * conceivably act next cycle — fillers at the ROB head, a
-     * dispatchable entry, or a dependence-satisfied load that was
-     * held back by an issue-budget or memory-system stall (whose
-     * retry has observable side effects: stall-cycle counters) — it
-     * answers now + 1. A later bound is only returned when the core
-     * is provably idle until a known completion time: the ROB head
-     * waiting on its miss, or every issuable load waiting on a
-     * dependence with a known completion cycle.
+     * It answers now + 1 whenever the core could act next cycle:
+     * fillers at the ROB head, a dispatchable entry, or a non-empty
+     * ready list (a dependence-satisfied load held back by the issue
+     * budget or a memory-system refusal, whose retry has observable
+     * side effects: stall-cycle counters). Otherwise it is the
+     * earliest of the ROB head's completion and the wake heap's top
+     * (the earliest known completion any waiting load depends on);
+     * loads behind an unissued producer cannot issue before either.
      *
      * Returns kNoEventCycle when the core can never act again without
      * external input (finished, non-wrapping).
@@ -123,29 +121,25 @@ class Core
     std::uint64_t retired() const { return retired_; }
 
   private:
-    struct RobEntry
-    {
-        /** Non-memory filler instructions represented by this entry
-         *  (0 for a memory operation). */
-        std::uint32_t fillers = 0;
-        /** Trace index of the memory op (valid when fillers == 0). */
-        std::size_t traceIdx = 0;
-        bool isMem = false;
-    };
-
-    /** Per-in-flight-load bookkeeping. */
-    enum class LoadState : std::uint8_t { WaitDep, Ready, Issued };
-
     void retire(Cycle now);
     void issueLoads(Cycle now);
     void dispatch(Cycle now);
     void resetPass();
 
-    bool depSatisfied(const TraceEntry &entry, Cycle now) const;
+    /** Ring slot of an LSQ resident (see fillersAhead_). */
+    std::size_t slot(std::size_t idx) const
+    {
+        return idx & slotMask_;
+    }
+    /** Queue load @p idx to issue once cycle @p ready is reached. */
+    void wakeAt(Cycle ready, std::size_t idx);
 
     const Workload *workload_;
     CoreMemoryInterface *memory_;
     CoreParams params_;
+    /** The rings below have lsqEntries slots rounded up to a power of
+     *  two (exactly lsqEntries by default), so a slot is a mask. */
+    std::size_t slotMask_;
 
     /** Next trace entry to dispatch. */
     std::size_t cursor_ = 0;
@@ -153,7 +147,16 @@ class Core
     std::uint32_t fillersLeft_ = 0;
     bool fillersPrimed_ = false;
 
-    std::deque<RobEntry> rob_;
+    /**
+     * The ROB. Its memory ops (the LSQ) are the contiguous trace
+     * indices [cursor_ - lsqCount_, cursor_), so each owns ring slot
+     * slot(idx) until it retires; this ring, and the waiter rings
+     * below, are indexed that way. Per slot: the non-memory fillers
+     * dispatched ahead of that op and not yet retired.
+     */
+    std::vector<std::uint32_t> fillersAhead_;
+    /** Fillers dispatched after the youngest memory op. */
+    std::uint32_t tailFillers_ = 0;
     /** Instructions currently in the ROB (fillers + memory ops). */
     unsigned robCount_ = 0;
     /** Memory ops currently in the ROB (LSQ occupancy). */
@@ -164,20 +167,28 @@ class Core
     std::vector<Cycle> completion_;
     static constexpr Cycle kPending = Cycle{~std::uint64_t{0}};
 
-    /** Dispatched, un-issued loads (trace indices). */
-    std::vector<std::size_t> pendingLoads_;
-
     /**
-     * Cycles strictly before this one cannot issue any pending load,
-     * so issueLoads() returns without walking the list. Set after a
-     * walk that issued nothing (to the earliest known dependence
-     * completion — the same bottoming-out argument nextEventCycle()
-     * documents) and reset to 0 ("always walk") whenever the
-     * assumption could break: a load issued, the memory system
-     * stalled (retries carry observable stall counters), dispatch
-     * completed a store or queued a new load, or the pass reset.
+     * The issue queue. Every dispatched, unissued load is in exactly
+     * one place: a waiter list (its producer is an unissued load),
+     * the wake heap (its producer completes at a known future cycle)
+     * or the ready list (its dependence is satisfied).
      */
-    Cycle issueRecheckAt_{};
+    static constexpr std::size_t kNoLoad = ~std::size_t{0};
+    /** Per producer slot: first load waiting for it to issue. */
+    std::vector<std::size_t> waitHead_;
+    /** Per waiter slot: next load waiting on the same producer. */
+    std::vector<std::size_t> waitNext_;
+
+    struct Wake
+    {
+        Cycle at;
+        std::size_t idx;
+        bool operator>(const Wake &o) const { return at > o.at; }
+    };
+    /** Min-heap on `at` (std::greater order). */
+    std::vector<Wake> wakeHeap_;
+    /** Dependence-satisfied loads, in trace order. */
+    std::vector<std::size_t> ready_;
 
     std::uint64_t retired_ = 0;
     std::uint64_t retiredFirstPass_ = 0;

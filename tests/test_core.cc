@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the out-of-order core timing model, driven by a stub
- * memory with a programmable fixed latency.
+ * memory with a programmable fixed latency, and by a recording memory
+ * that pins the exact order of the core's memory calls.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/core.hh"
+#include "workloads/workload.hh"
 
 namespace ecdp
 {
@@ -257,6 +261,266 @@ TEST(Core, CustomWidthChangesRetireBound)
     double ipc = static_cast<double>(core.retiredFirstPass()) /
                  static_cast<double>(end.raw());
     EXPECT_LE(ipc, 2.0 + 1e-9);
+}
+
+/**
+ * Logs every load()/store() the core makes as (cycle, trace index).
+ * Latencies are scripted per trace index (or hashed from the address
+ * when no script is given); refuse(n) may turn away the n-th load
+ * call (1-based), which is logged like an accepted one.
+ */
+class RecordingMemory : public CoreMemoryInterface
+{
+  public:
+    struct Call
+    {
+        bool store;
+        Cycle cycle;
+        std::size_t idx;
+        bool operator==(const Call &) const = default;
+    };
+
+    explicit RecordingMemory(const Workload &wl) : wl_(wl) {}
+
+    std::optional<Cycle> load(const TraceEntry &entry, Cycle now) override
+    {
+        std::size_t idx = indexOf(entry);
+        calls.push_back({false, now, idx});
+        ++loadCalls_;
+        if (refuse && refuse(loadCalls_))
+            return std::nullopt;
+        const std::uint64_t block = entry.vaddr.raw() >> 6;
+        Cycle latency = idx < latencies.size()
+                            ? latencies[idx]
+                            : Cycle{block * 2654435761u % 300};
+        return now + latency;
+    }
+
+    void store(const TraceEntry &entry, Cycle now) override
+    {
+        calls.push_back({true, now, indexOf(entry)});
+    }
+
+    std::vector<Call> calls;
+    std::vector<Cycle> latencies;
+    std::function<bool(std::uint64_t)> refuse;
+
+  private:
+    std::size_t indexOf(const TraceEntry &entry) const
+    {
+        return static_cast<std::size_t>(&entry - wl_.trace.data());
+    }
+
+    const Workload &wl_;
+    std::uint64_t loadCalls_ = 0;
+};
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void add(std::uint64_t v)
+    {
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Runs @p bench's train trace event-driven (tick, then jump to
+ * nextEventCycle) through a recording memory that refuses every 7th
+ * load, for the first pass and a wrapped second one, and digests
+ * every memory call and every wake bound.
+ */
+std::uint64_t
+coreCallDigest(const std::string &bench, const CoreParams &params = {})
+{
+    Workload wl = buildWorkload(bench, InputSet::Train);
+    RecordingMemory mem(wl);
+    mem.refuse = [](std::uint64_t n) { return n % 7 == 0; };
+    Core core(&wl, &mem, params);
+    core.setWrapAround(true);
+    Fnv digest;
+    Cycle now{};
+    while (!core.finishedOnce() ||
+           now.raw() < 2 * core.finishCycle().raw()) {
+        core.tick(now);
+        Cycle next = core.nextEventCycle(now);
+        digest.add(next.raw());
+        now = next;
+    }
+    for (const RecordingMemory::Call &call : mem.calls) {
+        digest.add(call.store);
+        digest.add(call.cycle.raw());
+        digest.add(call.idx);
+    }
+    digest.add(core.retired());
+    return digest.h;
+}
+
+TEST(CoreCallOrder, TrainDigestsArePinned)
+{
+    // Recorded on the pending-load-walk core; the issue queue must
+    // make the same calls in the same cycles and wake the same way.
+    EXPECT_EQ(coreCallDigest("mst"), 0xb813a2ce87af0a8eull);
+    EXPECT_EQ(coreCallDigest("health"), 0x343d693502af6102ull);
+    EXPECT_EQ(coreCallDigest("mcf"), 0x8e66023d06fbdc43ull);
+    // Odd sizes: an LSQ that is not a power of two, a ROB that fills
+    // before it, and a narrower issue budget.
+    CoreParams odd;
+    odd.robEntries = 60;
+    odd.width = 3;
+    odd.lsqEntries = 13;
+    odd.issuePerCycle = 3;
+    EXPECT_EQ(coreCallDigest("health", odd), 0x32c3eacb0438fa0bull);
+}
+
+/** Load 0 is a producer; loads 1..6 all depend on it. */
+Workload
+fanOutWorkload()
+{
+    std::vector<TraceEntry> entries;
+    entries.push_back(loadEntry(0x40000000));
+    for (unsigned i = 1; i <= 6; ++i)
+        entries.push_back(loadEntry(0x40000000 + 128 * i, 0));
+    return makeWorkload(entries);
+}
+
+/** Calls made at @p cycle, in order. */
+std::vector<std::size_t>
+loadsAt(const RecordingMemory &mem, Cycle cycle)
+{
+    std::vector<std::size_t> out;
+    for (const RecordingMemory::Call &call : mem.calls)
+        if (!call.store && call.cycle == cycle)
+            out.push_back(call.idx);
+    return out;
+}
+
+TEST(CoreCallOrder, LowestReadyIndicesIssueFirst)
+{
+    Workload wl = fanOutWorkload();
+    RecordingMemory mem(wl);
+    mem.latencies.assign(wl.trace.size(), Cycle{10});
+    Core core(&wl, &mem);
+    runToCompletion(core);
+    // Load 0 issues at 1 and completes at 11; all six dependents wake
+    // together and the issue budget of 4 takes the lowest indices.
+    EXPECT_EQ(loadsAt(mem, Cycle{1}), (std::vector<std::size_t>{0}));
+    EXPECT_EQ(loadsAt(mem, Cycle{11}),
+              (std::vector<std::size_t>{1, 2, 3, 4}));
+    EXPECT_EQ(loadsAt(mem, Cycle{12}), (std::vector<std::size_t>{5, 6}));
+    EXPECT_EQ(mem.calls.size(), 7u);
+}
+
+TEST(CoreCallOrder, RefusalLeavesTheRestForNextCycleInOrder)
+{
+    Workload wl = fanOutWorkload();
+    RecordingMemory mem(wl);
+    mem.latencies.assign(wl.trace.size(), Cycle{10});
+    // Calls: 1 = load 0, 2 = load 1, 3 = load 2 (refused).
+    mem.refuse = [](std::uint64_t n) { return n == 3; };
+    Core core(&wl, &mem);
+    runToCompletion(core);
+    EXPECT_EQ(loadsAt(mem, Cycle{11}), (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(loadsAt(mem, Cycle{12}),
+              (std::vector<std::size_t>{2, 3, 4, 5}));
+    EXPECT_EQ(loadsAt(mem, Cycle{13}), (std::vector<std::size_t>{6}));
+}
+
+TEST(CoreCallOrder, DependentNeverIssuesInItsProducersIssueCycle)
+{
+    // A zero-latency producer still completes no earlier than the
+    // next cycle, so its dependent issues one cycle later.
+    Workload wl = makeWorkload({loadEntry(0x40000000),
+                                loadEntry(0x40000100, 0),
+                                loadEntry(0x40000200, 1)});
+    RecordingMemory mem(wl);
+    mem.latencies.assign(wl.trace.size(), Cycle{0});
+    Core core(&wl, &mem);
+    runToCompletion(core);
+    ASSERT_EQ(mem.calls.size(), 3u);
+    EXPECT_EQ(mem.calls[0], (RecordingMemory::Call{false, Cycle{1}, 0}));
+    EXPECT_EQ(mem.calls[1], (RecordingMemory::Call{false, Cycle{2}, 1}));
+    EXPECT_EQ(mem.calls[2], (RecordingMemory::Call{false, Cycle{3}, 2}));
+}
+
+TEST(CoreCallOrder, WakeIsEarliestProducerCompletionWhenAllLoadsWait)
+{
+    // Loads 0 and 1 issue at cycle 1 (completing at 101 and 51);
+    // load 2 waits on 0, load 3 on 1, load 4 on the unissued 3.
+    Workload wl = makeWorkload({loadEntry(0x40000000),
+                                loadEntry(0x40000100),
+                                loadEntry(0x40000200, 0),
+                                loadEntry(0x40000300, 1),
+                                loadEntry(0x40000400, 3)});
+    RecordingMemory mem(wl);
+    mem.latencies = {Cycle{100}, Cycle{50}, Cycle{5}, Cycle{5}, Cycle{5}};
+    Core core(&wl, &mem);
+    core.tick(Cycle{0});
+    EXPECT_EQ(core.nextEventCycle(Cycle{0}), Cycle{1});
+    core.tick(Cycle{1});
+    EXPECT_EQ(core.nextEventCycle(Cycle{1}), Cycle{51});
+    core.tick(Cycle{51});
+    EXPECT_EQ(loadsAt(mem, Cycle{51}), (std::vector<std::size_t>{3}));
+    // Load 3 completes at 56 and releases load 4.
+    EXPECT_EQ(core.nextEventCycle(Cycle{51}), Cycle{56});
+    core.tick(Cycle{56});
+    EXPECT_EQ(loadsAt(mem, Cycle{56}), (std::vector<std::size_t>{4}));
+    // Only load 2 (on load 0, due at 101) and the head are left.
+    EXPECT_EQ(core.nextEventCycle(Cycle{56}), Cycle{101});
+}
+
+TEST(CoreCallOrder, LoadOnAStoreWaitsForTheStore)
+{
+    // Store 1 completes the cycle after its dispatch; load 2 on it
+    // issues then, alongside the independent load 0.
+    Workload wl = makeWorkload({loadEntry(0x40000000),
+                                storeEntry(0x40000100),
+                                loadEntry(0x40000200, 1)});
+    RecordingMemory mem(wl);
+    mem.latencies.assign(wl.trace.size(), Cycle{20});
+    Core core(&wl, &mem);
+    core.tick(Cycle{0});
+    ASSERT_EQ(mem.calls.size(), 1u);
+    EXPECT_EQ(mem.calls[0], (RecordingMemory::Call{true, Cycle{0}, 1}));
+    EXPECT_EQ(core.nextEventCycle(Cycle{0}), Cycle{1});
+    core.tick(Cycle{1});
+    EXPECT_EQ(loadsAt(mem, Cycle{1}), (std::vector<std::size_t>{0, 2}));
+}
+
+TEST(CoreCallOrder, WrapAroundDropsEveryWaiter)
+{
+    // A dependent chain longer than the LSQ: after the wrap each load
+    // waits on its producer of the new pass, so the second pass
+    // replays the first one's calls shifted by the pass length.
+    std::vector<TraceEntry> entries;
+    entries.push_back(loadEntry(0x40000000));
+    for (unsigned i = 1; i < 40; ++i)
+        entries.push_back(loadEntry(0x40000000 + 128 * i,
+                                    static_cast<TraceRef>(i - 1), 3));
+    Workload wl = makeWorkload(entries);
+    RecordingMemory mem(wl);
+    mem.latencies.assign(wl.trace.size(), Cycle{7});
+    Core core(&wl, &mem);
+    core.setWrapAround(true);
+    Cycle now{};
+    while (mem.calls.size() < 2 * wl.trace.size()) {
+        core.tick(now);
+        now = core.nextEventCycle(now);
+    }
+    ASSERT_EQ(mem.calls.size(), 2 * wl.trace.size());
+    const std::uint64_t shift = mem.calls[wl.trace.size()].cycle.raw() -
+                                mem.calls[0].cycle.raw();
+    EXPECT_GT(shift, core.finishCycle().raw());
+    for (std::size_t i = 0; i < wl.trace.size(); ++i) {
+        const RecordingMemory::Call &first = mem.calls[i];
+        const RecordingMemory::Call &second = mem.calls[i + wl.trace.size()];
+        EXPECT_EQ(second.idx, first.idx);
+        EXPECT_EQ(second.cycle.raw(), first.cycle.raw() + shift) << i;
+    }
 }
 
 } // namespace
