@@ -4,7 +4,7 @@
  * BENCH_serverbench/v1, see EXPERIMENTS.md).
  *
  * Runs an in-process Daemon (so the pool/store internals are
- * observable) but drives it over real HTTP with real forked worker
+ * observable) but drives it over real HTTP with real worker
  * processes, in two phases:
  *
  *   A  dedup storm: many grids drawn from a handful of unique cell
@@ -13,8 +13,8 @@
  *      >= 1000 cells were in flight simultaneously while the
  *      single-flight store collapsed them onto a few simulations.
  *   B  store replay: the same grids resubmitted must be served
- *      entirely from the materialized store — zero new worker
- *      processes.
+ *      entirely from the materialized store — zero new
+ *      simulations.
  *
  * Emits BENCH_serverbench.json (--out to rename, "-" for stdout):
  * sustained cell throughput, per-grid p50/p99 completion latency,

@@ -82,7 +82,7 @@ splitGridPath(const std::string &path, std::string &id,
 } // namespace
 
 Daemon::Daemon(DaemonOptions opts)
-    : opts_(std::move(opts)),
+    : opts_(std::move(opts)), workers_(opts_.workerArgv),
       server_([this](const HttpRequest &req,
                      HttpServer::Responder respond) {
           handle(req, std::move(respond));
@@ -107,13 +107,17 @@ void
 Daemon::stop()
 {
     // Teardown order matters: first the server (no new requests;
-    // late Responder calls are dropped), then the pool — running
-    // cells finish, queued ones are discarded — then every flight
-    // still open, discarded cells included, fails with "daemon
-    // shutting down"; those callbacks run through store_ into
-    // onCellReady while mutex_/grids_ are still fully alive. After
-    // this, member destruction finds everything quiesced.
+    // late Responder calls are dropped), then the workers — idle ones
+    // exit now, one mid-cell gets a short grace to reply and is then
+    // killed — then the pool: running cells return (each reaps its
+    // worker), queued ones are discarded. Last, every flight still
+    // open, discarded cells included, fails with "daemon shutting
+    // down"; those callbacks run through store_ into onCellReady
+    // while mutex_/grids_ are still fully alive. After this, no
+    // worker process is left and member destruction finds
+    // everything quiesced.
     server_.stop();
+    workers_.stop();
     pool_.stop();
     store_.failAllFlights("daemon shutting down");
     {
@@ -307,16 +311,16 @@ Daemon::runCellJob(std::uint64_t key, const std::string &cellJson)
     std::string output;
     std::string error;
     try {
-        ChildResult result = runChild(opts_.workerArgv, cellJson);
-        if (result.ok) {
-            output = std::move(result.out);
+        WorkerReply reply = workers_.run(cellJson);
+        if (reply.ok) {
+            output = std::move(reply.out);
         } else {
-            if (result.signal != 0)
+            if (reply.signal != 0)
                 crashed_.fetch_add(1);
-            error = result.describeFailure();
+            error = reply.error;
         }
     } catch (const std::exception &e) {
-        error = e.what(); // exec failure — the child never ran
+        error = e.what(); // exec failure — the worker never ran
     }
     if (error.empty())
         store_.complete(key, std::move(output));
@@ -342,6 +346,7 @@ Daemon::onCellReady(const std::string &gridId, std::size_t index,
             return; // defensive: double completion
         if (bytes) {
             cell.state = Cell::State::Done;
+            cell.bytes = bytes;
             cellsCompleted_.fetch_add(1);
         } else {
             cell.state = Cell::State::Failed;
@@ -377,7 +382,7 @@ Daemon::onCellReady(const std::string &gridId, std::size_t index,
             if (!grid.waiters.empty()) {
                 waiters = std::move(grid.waiters);
                 grid.waiters.clear();
-                resultsJson = gridResultsJsonLocked(grid);
+                resultsJson = answerGridLocked(grid);
             }
             // Last: may erase grids_ entries (including this one's
             // siblings), so no grid references survive past it.
@@ -404,21 +409,25 @@ Daemon::noteGridCompletedLocked(const std::string &gridId)
 }
 
 std::string
-Daemon::gridResultsJsonLocked(const Grid &grid)
+Daemon::answerGridLocked(Grid &grid)
 {
     std::ostringstream os;
     os << "{\"grid\":\"" << grid.id << "\",\"cells\":[";
     for (std::size_t i = 0; i < grid.cells.size(); ++i) {
-        const Cell &cell = grid.cells[i];
+        Cell &cell = grid.cells[i];
         os << (i ? "," : "") << "{\"key\":\"" << keyHex(cell.key)
            << "\"";
         switch (cell.state) {
-          case Cell::State::Done:
-            if (ResultStore::Bytes bytes = store_.lookup(cell.key))
+          case Cell::State::Done: {
+            ResultStore::Bytes bytes = std::move(cell.bytes);
+            if (!bytes)
+                bytes = store_.lookup(cell.key);
+            if (bytes)
                 os << ",\"status\":\"done\",\"stats\":" << *bytes;
             else
                 os << ",\"status\":\"done\",\"stats\":null";
             break;
+          }
           case Cell::State::Failed:
             os << ",\"status\":\"failed\",\"error\":\""
                << jsonEscape(cell.error) << "\"";
@@ -494,7 +503,7 @@ Daemon::handleGridResults(const HttpRequest &req,
             Grid &grid = it->second;
             if (grid.remaining == 0) {
                 outcome = Outcome::Done;
-                resultsJson = gridResultsJsonLocked(grid);
+                resultsJson = answerGridLocked(grid);
             } else if (req.queryParam("wait") == "1") {
                 outcome = Outcome::Parked;
                 grid.waiters.push_back(respond);
@@ -586,6 +595,9 @@ Daemon::exportMetrics(obs::MetricRegistry &registry) const
     registry.counter("ecdpd.pool.shards").set(pool_.threadCount());
     registry.counter("ecdpd.pool.spawned").set(spawned_.load());
     registry.counter("ecdpd.pool.crashed").set(crashed_.load());
+    registry.counter("ecdpd.pool.processes")
+        .set(workers_.processes());
+    registry.counter("ecdpd.pool.retired").set(workers_.retired());
 }
 
 void

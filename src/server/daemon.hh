@@ -4,7 +4,8 @@
  * together: the epoll HTTP front door (http_server), the
  * content-addressed single-flight result store (result_store) and
  * a runner::ThreadPool whose jobs each simulate one cell in a
- * crash-isolated worker process (process_util's runChild).
+ * crash-isolated, long-lived worker process (process_util's
+ * WorkerSet: one worker per pool thread, kept from cell to cell).
  *
  * Request lifecycle of one grid cell:
  *
@@ -13,8 +14,9 @@
  *        └▶ store.fetchOrAttach(key):
  *             Hit       cell completes immediately (0 simulations)
  *             Follower  rides an in-flight leader (0 simulations)
- *             Leader    one pool job runs one worker process, then
- *                       store.complete() fans out to every follower
+ *             Leader    one pool job hands the cell to a worker
+ *                       process, then store.complete() fans out to
+ *                       every follower
  *
  * so N identical concurrent submissions cost exactly one simulation
  * and everyone gets byte-identical stats JSON. Responses for
@@ -51,6 +53,7 @@
 #include "runner/thread_pool.hh"
 #include "server/cell.hh"
 #include "server/http_server.hh"
+#include "server/process_util.hh"
 #include "server/result_store.hh"
 
 namespace ecdp
@@ -67,8 +70,8 @@ struct DaemonOptions
 {
     /** Port to bind (0 = ephemeral; read back via Daemon::port()). */
     std::uint16_t port = 0;
-    /** Pool threads, each running one worker process at a time
-     *  (0 = runner::jobCountFromEnv(), as for any ThreadPool). */
+    /** Pool threads, each with at most one worker process (0 =
+     *  runner::jobCountFromEnv(), as for any ThreadPool). */
     unsigned workers = 4;
     /** Daemon-wide bound on admitted-but-incomplete cells; a grid
      *  that would exceed it is rejected whole with 429. */
@@ -122,8 +125,11 @@ class Daemon
 
     /** @{ Diagnostics for tests and serverbench. */
     const ResultStore &store() const { return store_; }
-    /** Worker processes spawned (one per simulated cell). */
+    /** Cells handed to a worker (one per simulated cell). */
     std::uint64_t spawned() const { return spawned_.load(); }
+    /** Worker processes started, and those retired before stop(). */
+    std::uint64_t processes() const { return workers_.processes(); }
+    std::uint64_t retired() const { return workers_.retired(); }
     std::uint64_t cellsInflight() const { return inflight_.load(); }
     std::uint64_t inflightPeak() const
     {
@@ -156,6 +162,9 @@ class Daemon
         enum class State { Pending, Done, Failed };
         State state = State::Pending;
         std::string error;
+        /** The bytes a Done cell completed with, held until the grid
+         *  is first answered: the store may evict them before. */
+        ResultStore::Bytes bytes;
     };
 
     struct Grid
@@ -206,9 +215,9 @@ class Daemon
     void noteGridCompletedLocked(const std::string &gridId)
         ECDP_REQUIRES(mutex_);
 
-    /** Results JSON. */
-    std::string gridResultsJsonLocked(const Grid &grid)
-        ECDP_REQUIRES(mutex_);
+    /** Results JSON, from the bytes each Done cell completed with
+     *  (a later answer reads the store again); releases them. */
+    std::string answerGridLocked(Grid &grid) ECDP_REQUIRES(mutex_);
     /** Status JSON. */
     std::string gridStatusJsonLocked(const Grid &grid) const
         ECDP_REQUIRES(mutex_);
@@ -245,9 +254,12 @@ class Daemon
     std::atomic<std::uint64_t> latencyUsSum_{0};
     std::atomic<std::uint64_t> latencyUsCount_{0};
     std::atomic<std::uint64_t> latencyUsMax_{0};
-    /** Worker processes spawned, and those that died on a signal. */
+    /** Cells handed to a worker, and workers that died on a signal. */
     std::atomic<std::uint64_t> spawned_{0};
     std::atomic<std::uint64_t> crashed_{0};
+    /** The pool jobs' worker processes; outlives pool_, whose jobs
+     *  use it. */
+    WorkerSet workers_;
 
     mutable AnnotatedMutex shutdownMutex_;
     std::condition_variable shutdownCv_;

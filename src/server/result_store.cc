@@ -213,12 +213,17 @@ ResultStore::complete(std::uint64_t key, std::string bytes)
 {
     Bytes shared = std::make_shared<const std::string>(
         std::move(bytes));
-    spillToDisk(key, *shared);
+    // With a spill directory a result is published on disk only, and
+    // memory admits it on its first read-back: a cold result nobody
+    // asks for again costs no memory. A failed spill keeps it in
+    // memory instead.
+    const bool spilled = spillToDisk(key, *shared);
 
     std::vector<Ready> waiters;
     {
         MutexLock lock(mutex_);
-        insertLocked(key, shared);
+        if (!spilled)
+            insertLocked(key, shared);
         auto it = flights_.find(key);
         if (it != flights_.end()) {
             waiters = std::move(it->second.waiters);
@@ -326,15 +331,15 @@ ResultStore::loadFromDisk(std::uint64_t key)
     return shared;
 }
 
-void
+bool
 ResultStore::spillToDisk(std::uint64_t key, const std::string &bytes)
 {
     if (dir_.empty())
-        return;
+        return false;
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec)
-        return;
+        return false;
     const std::string path = dir_ + "/" + entryFileName(key);
     std::ostringstream id;
     id << std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -342,19 +347,19 @@ ResultStore::spillToDisk(std::uint64_t key, const std::string &bytes)
     {
         std::ofstream os(tmp, std::ios::binary);
         if (!os)
-            return;
+            return false;
         os << "{\"version\":1,\"key\":\"" << hexKey(key)
            << "\",\"bytes\":" << bytes.size() << "}\n"
            << bytes;
         if (!os)
-            return;
+            return false;
     }
     // Atomic publish: concurrent daemons (or a reader mid-crash)
     // never observe a half-written entry.
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
         std::filesystem::remove(tmp, ec);
-        return;
+        return false;
     }
 
     // Bookkeep the new file and enforce the disk cap. Victims are
@@ -371,6 +376,7 @@ ResultStore::spillToDisk(std::uint64_t key, const std::string &bytes)
                                 rec);
         diskEvicted_.fetch_add(1);
     }
+    return true;
 }
 
 } // namespace server

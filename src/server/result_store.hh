@@ -27,7 +27,10 @@
  * eviction) so a long-running daemon cannot grow without limit: an
  * evicted entry reloads from the spill directory when one is
  * configured, and otherwise simply becomes a miss that re-simulates
- * under a fresh single flight.
+ * under a fresh single flight. With a spill directory, complete()
+ * publishes to disk only and memory admits an entry on its first
+ * read-back, so memory holds the results that are asked for again,
+ * not every cold one.
  *
  * The spill directory itself is bounded the same way (diskCap
  * entries, oldest-spill-first eviction): when a new spill pushes the
@@ -104,7 +107,9 @@ class ResultStore
     Role fetchOrAttach(std::uint64_t key, Ready cb)
         ECDP_EXCLUDES(mutex_);
 
-    /** Publish @p bytes under @p key and fire every attached cb. */
+    /** Publish @p bytes under @p key and fire every attached cb.
+     *  With a spill directory they go to disk only (memory too if the
+     *  spill fails); memory admits them on their first read-back. */
     void complete(std::uint64_t key, std::string bytes)
         ECDP_EXCLUDES(mutex_);
 
@@ -151,7 +156,8 @@ class ResultStore
     };
 
     Bytes loadFromDisk(std::uint64_t key) ECDP_EXCLUDES(mutex_);
-    void spillToDisk(std::uint64_t key, const std::string &bytes)
+    /** True when @p bytes are published on disk under @p key. */
+    bool spillToDisk(std::uint64_t key, const std::string &bytes)
         ECDP_EXCLUDES(mutex_);
     /** Insert under mutex_, tracking eviction order and enforcing
      *  the cap. Returns the entry actually stored (a racing inserter

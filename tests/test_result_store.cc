@@ -294,6 +294,12 @@ TEST(ResultStore, EvictedEntryReloadsFromDisk)
             key, [](ResultStore::Bytes, const std::string &) {});
         store.complete(key, "k" + std::to_string(key));
     }
+    // Read both back: 10 is admitted to memory, then displaced by 11.
+    for (std::uint64_t key : {10, 11}) {
+        EXPECT_EQ(store.fetchOrAttach(
+                      key, [](ResultStore::Bytes, const std::string &) {}),
+                  ResultStore::Role::Hit);
+    }
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.evicted(), 1u);
 
@@ -305,12 +311,62 @@ TEST(ResultStore, EvictedEntryReloadsFromDisk)
                   }),
               ResultStore::Role::Hit);
     EXPECT_EQ(got, "k10");
-    EXPECT_EQ(store.diskHits(), 1u);
+    EXPECT_EQ(store.diskHits(), 3u);
     // The reload displaced key 11 in memory (cap still holds)...
     EXPECT_EQ(store.size(), 1u);
     // ...which is itself still durable on disk.
     ASSERT_TRUE(store.lookup(11));
     EXPECT_EQ(*store.lookup(11), "k11");
+}
+
+TEST(ResultStore, SpilledResultsEnterMemoryOnlyWhenReadBack)
+{
+    // With a spill directory, complete() publishes to disk only: a
+    // cold result nobody asks for again costs no memory. The first
+    // submission of a key is a disk hit that admits it, the next a
+    // memory hit.
+    const std::string dir = freshDir("ecdp_store_disk_first");
+    ResultStore store(dir);
+    for (std::uint64_t key = 1; key <= 8; ++key) {
+        store.fetchOrAttach(
+            key, [](ResultStore::Bytes, const std::string &) {});
+        store.complete(key, "r" + std::to_string(key));
+    }
+    EXPECT_EQ(store.size(), 0u);
+
+    std::string got;
+    auto keep = [&](ResultStore::Bytes bytes, const std::string &) {
+        got = *bytes;
+    };
+    EXPECT_EQ(store.fetchOrAttach(3, keep), ResultStore::Role::Hit);
+    EXPECT_EQ(got, "r3");
+    EXPECT_EQ(store.diskHits(), 1u);
+    EXPECT_EQ(store.memoryHits(), 0u);
+    EXPECT_EQ(store.size(), 1u);
+
+    got.clear();
+    EXPECT_EQ(store.fetchOrAttach(3, keep), ResultStore::Role::Hit);
+    EXPECT_EQ(got, "r3");
+    EXPECT_EQ(store.diskHits(), 1u);
+    EXPECT_EQ(store.memoryHits(), 1u);
+}
+
+TEST(ResultStore, FailedSpillKeepsTheResultInMemory)
+{
+    // A spill directory that cannot be created (a file is in the
+    // way): the result stays served from memory.
+    const std::string dir = freshDir("ecdp_store_unwritable");
+    std::filesystem::create_directories(dir);
+    const std::string blocked = dir + "/blocked";
+    std::ofstream(blocked) << "not a directory";
+    ResultStore store(blocked + "/spill");
+    store.fetchOrAttach(5, [](ResultStore::Bytes, const std::string &) {});
+    store.complete(5, "kept");
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.fetchOrAttach(
+                  5, [](ResultStore::Bytes, const std::string &) {}),
+              ResultStore::Role::Hit);
+    EXPECT_EQ(store.memoryHits(), 1u);
 }
 
 TEST(ResultStore, DiskCapEvictsOldestSpillFirst)
@@ -402,7 +458,7 @@ TEST(ResultStore, CorruptEntryRemovalFreesItsDiskCapSlot)
                          std::ios::binary | std::ios::trunc);
         os << "garbage";
     }
-    EXPECT_FALSE(store.lookup(41)); // memory-evicted -> disk -> corrupt
+    EXPECT_FALSE(store.lookup(41)); // disk only -> corrupt
     EXPECT_EQ(store.corruptRebuilds(), 1u);
 
     store.fetchOrAttach(43,

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -241,8 +244,9 @@ TEST(ServerIntegration, CrashedChildIsIsolated)
     // grid and in later ones.
     DaemonOptions opts = workerOptions();
     opts.workerArgv = {"/bin/sh", "-c",
-                       "case $(cat) in *mst*) kill -SEGV $$;; esac; "
-                       "echo {}"};
+                       "while read -r cell; do case $cell in *mst*) "
+                       "kill -SEGV $$;; esac; printf 'ok 2\\n{}' >&3; "
+                       "done"};
     Daemon daemon(opts);
     daemon.start();
     HttpClient client(daemon.port());
@@ -486,7 +490,9 @@ TEST(ServerIntegration, PendingPollsAnswerOutsideTheDaemonLock)
     // worker.
     DaemonOptions opts = workerOptions();
     opts.workers = 1;
-    opts.workerArgv = {"/bin/sh", "-c", "sleep 0.3; echo {}"};
+    opts.workerArgv = {"/bin/sh", "-c",
+                       "while read -r cell; do sleep 0.3; "
+                       "printf 'ok 2\\n{}' >&3; done"};
     Daemon daemon(opts);
     daemon.start();
     HttpClient client(daemon.port());
@@ -523,6 +529,166 @@ TEST(ServerIntegration, ShutdownEndpointUnblocksWaiters)
     EXPECT_EQ(client.post("/v1/shutdown", "").status, 200);
     daemon.waitForShutdown(); // returns promptly
     EXPECT_TRUE(daemon.shutdownRequested());
+}
+
+TEST(ServerIntegration, CellsOnOneWorkerShareOneProcess)
+{
+    // --workers 1: every cell runs in the same long-lived worker, and
+    // each result is byte-identical to a fresh in-process run of that
+    // cell alone (what the worker memoized for earlier cells —
+    // workloads, hint tables — changes no byte).
+    const std::vector<std::string> cells = {
+        "{\"bench\":\"mst\",\"config\":\"full\",\"input\":\"train\"}",
+        "{\"bench\":\"health\",\"config\":\"ecdp\",\"input\":\"train\"}",
+        "{\"bench\":\"mst\",\"input\":\"train\"}",
+        "{\"bench\":\"health\",\"config\":\"full\",\"input\":\"train\"}",
+    };
+    DaemonOptions opts = workerOptions();
+    opts.workers = 1;
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+    std::string grid = "{\"wait\":true,\"cells\":[";
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        grid += (i ? "," : "") + cells[i];
+    ASSERT_EQ(client.post("/v1/grids", grid + "]}").status, 200);
+    EXPECT_EQ(daemon.spawned(), cells.size());
+    EXPECT_EQ(daemon.processes(), 1u);
+    EXPECT_EQ(daemon.retired(), 0u);
+
+    for (const std::string &cell : cells) {
+        const CellSpec spec = parseCellSpec(parseJson(cell));
+        ExperimentContext ctx;
+        HttpResponse raw =
+            client.get("/v1/cells/" + hex16(cellKey(spec)));
+        ASSERT_EQ(raw.status, 200) << cell;
+        EXPECT_EQ(raw.body, cellStatsJson(spec, runCell(spec, ctx)))
+            << cell;
+    }
+}
+
+TEST(ServerIntegration, FailedCellReplacesItsWorker)
+{
+    // The worker answers mst with an error frame and exits: that cell
+    // fails with the worker's text, and the next cell runs in a fresh
+    // process.
+    DaemonOptions opts = workerOptions();
+    opts.workers = 1;
+    opts.workerArgv = {
+        "/bin/sh", "-c",
+        R"(while read -r cell; do case $cell in *mst*) )"
+        R"(printf 'error 4\nnope' >&3; exit 1;; esac; )"
+        R"(printf 'ok 2\n{}' >&3; done)"};
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+
+    HttpResponse response = client.post(
+        "/v1/grids",
+        "{\"wait\":true,\"cells\":["
+        "{\"bench\":\"mst\",\"input\":\"train\"},"
+        "{\"bench\":\"health\",\"input\":\"train\"},"
+        "{\"bench\":\"perimeter\",\"input\":\"train\"}]}");
+    ASSERT_EQ(response.status, 200) << response.body;
+    const JsonValue doc = parseJson(response.body);
+    const auto &results = doc.at("cells").asArray();
+    EXPECT_EQ(results[0].at("status").asString(), "failed");
+    EXPECT_EQ(results[0].at("error").asString(), "nope");
+    EXPECT_EQ(results[1].at("status").asString(), "done");
+    EXPECT_EQ(results[2].at("status").asString(), "done");
+
+    EXPECT_EQ(daemon.spawned(), 3u);
+    const JsonValue metrics = parseJson(client.get("/metrics").body);
+    EXPECT_EQ(metrics.at("ecdpd.pool.processes").asI64(), 2);
+    EXPECT_EQ(metrics.at("ecdpd.pool.retired").asI64(), 1);
+    EXPECT_EQ(metrics.at("ecdpd.pool.crashed").asI64(), 0);
+}
+
+TEST(ServerIntegration, NoWorkerOutlivesStop)
+{
+    // Two workers at stop(): one idle after answering health with its
+    // pid, one stuck mid-cell on mst (it records its pid and never
+    // replies). stop() reaps the first, kills the second after the
+    // grace, and leaves no process behind.
+    const std::string pidFile =
+        testing::TempDir() + "/ecdpd_stuck_worker.pid";
+    std::filesystem::remove(pidFile);
+    DaemonOptions opts = workerOptions();
+    opts.workerArgv = {
+        "/bin/sh", "-c",
+        R"(while read -r cell; do case $cell in *mst*) echo $$ > )" +
+            pidFile +
+            R"(; exec sleep 30;; esac; p="{\"pid\":$$}"; )"
+            R"(printf 'ok %d\n%s' ${#p} "$p" >&3; done)"};
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+
+    ASSERT_EQ(client.post("/v1/grids",
+                          "{\"cells\":[{\"bench\":\"mst\","
+                          "\"input\":\"train\"}]}")
+                  .status,
+              202);
+    pid_t stuckPid = -1;
+    for (int i = 0; i < 500 && stuckPid <= 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::ifstream in(pidFile);
+        in >> stuckPid;
+    }
+    ASSERT_GT(stuckPid, 0);
+    HttpResponse idle = client.post(
+        "/v1/grids", "{\"wait\":true,\"cells\":[{\"bench\":"
+                     "\"health\",\"input\":\"train\"}]}");
+    ASSERT_EQ(idle.status, 200) << idle.body;
+    const pid_t idlePid = static_cast<pid_t>(parseJson(idle.body)
+                                                 .at("cells")
+                                                 .asArray()
+                                                 .at(0)
+                                                 .at("stats")
+                                                 .at("pid")
+                                                 .asI64());
+    EXPECT_NE(idlePid, stuckPid);
+    EXPECT_EQ(daemon.processes(), 2u);
+
+    const auto start = std::chrono::steady_clock::now();
+    daemon.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+    for (pid_t pid : {stuckPid, idlePid}) {
+        EXPECT_NE(::kill(pid, 0), 0) << pid;
+        EXPECT_EQ(errno, ESRCH) << pid;
+    }
+    std::filesystem::remove(pidFile);
+}
+
+TEST(ServerIntegration, DoneCellsAnswerWithTheBytesTheyCompletedWith)
+{
+    // A memory-only store of one entry: health's result evicts mst's
+    // before the grid is answered. The answer must still carry both,
+    // from the bytes each cell completed with, not "stats":null.
+    DaemonOptions opts = workerOptions();
+    opts.workers = 1;
+    opts.storeMemoryCap = 1;
+    opts.workerArgv = {
+        "/bin/sh", "-c",
+        R"(while read -r c; do printf 'ok %d\n%s' ${#c} "$c" >&3; done)"};
+    Daemon daemon(opts);
+    daemon.start();
+    HttpClient client(daemon.port());
+
+    HttpResponse response = client.post(
+        "/v1/grids",
+        "{\"wait\":true,\"cells\":["
+        "{\"bench\":\"mst\",\"input\":\"train\"},"
+        "{\"bench\":\"health\",\"input\":\"train\"}]}");
+    ASSERT_EQ(response.status, 200) << response.body;
+    const JsonValue doc = parseJson(response.body);
+    const auto &results = doc.at("cells").asArray();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].at("status").asString(), "done");
+    EXPECT_EQ(results[0].at("stats").at("bench").asString(), "mst");
+    EXPECT_EQ(results[1].at("stats").at("bench").asString(), "health");
+    EXPECT_EQ(daemon.store().evicted(), 1u);
 }
 
 } // namespace

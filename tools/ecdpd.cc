@@ -4,20 +4,25 @@
  *
  *   ecdpd [--port N] [--workers N] [--admission-limit N]
  *         [--client-limit N] [--store DIR]
- *   ecdpd --worker     # cell-spec JSON on stdin -> stats JSON on
- *                      # stdout (the daemon fork/execs this)
+ *   ecdpd --worker     # cell-spec JSON lines on stdin -> one reply
+ *                      # frame each on fd 3 (the daemon starts this)
  *
  * The daemon prints exactly one line to stdout once it is serving:
  *
  *   ecdpd: listening on 127.0.0.1:<port>
  *
  * so scripts can bind port 0 and scrape the ephemeral port. Stop it
- * with SIGINT/SIGTERM or POST /v1/shutdown.
+ * with SIGINT/SIGTERM or POST /v1/shutdown; either way every worker
+ * process is reaped before the daemon exits.
  *
  * Crash isolation is why the worker is a separate *process*: a
  * simulation that segfaults kills only its worker, and the daemon
  * reports the cell as failed (with the signal and the stderr tail)
- * instead of dying.
+ * instead of dying. A worker is long-lived: it serves the cells of
+ * one pool thread, one at a time, from one ExperimentContext that
+ * keeps the workloads and hint tables it built, and it is replaced
+ * after a failed cell or once its peak RSS passes a fixed bound
+ * (src/server/process_util.hh).
  */
 
 #include <atomic>
@@ -25,7 +30,6 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -53,19 +57,12 @@ onSignal(int)
 int
 runWorker()
 {
-    std::string input{std::istreambuf_iterator<char>(std::cin),
-                      std::istreambuf_iterator<char>()};
-    try {
-        server::CellSpec spec =
-            server::parseCellSpec(parseJson(input));
-        ExperimentContext ctx;
-        RunStats stats = server::runCell(spec, ctx);
-        std::cout << server::cellStatsJson(spec, stats);
-        return 0;
-    } catch (const std::exception &e) {
-        std::cerr << "ecdpd worker: " << e.what() << '\n';
-        return 1;
-    }
+    ExperimentContext ctx;
+    return server::serveWorkerRequests([&ctx](const std::string &line) {
+        const server::CellSpec spec =
+            server::parseCellSpec(parseJson(line));
+        return server::cellStatsJson(spec, server::runCell(spec, ctx));
+    });
 }
 
 void

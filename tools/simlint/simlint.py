@@ -47,7 +47,7 @@ classes fail CI instead of corrupting experiments:
                         posix_spawn() call anywhere in src/, tools/,
                         bench/, tests/ or examples/ outside
                         src/server/process_util.*. Process spawning
-                        must go through runChild()/spawnChild() so
+                        must go through WorkerProcess/WorkerSet so
                         exec failures, exit/signal decoding, fd
                         hygiene (CLOEXEC status pipe, non-blocking
                         stdin feed) and SIGPIPE handling live in one
@@ -416,8 +416,8 @@ def check_raw_process_spawn(root):
                 out.append(Violation(
                     rel, i + 1, "raw-process-spawn",
                     "raw process spawn '%s()' outside "
-                    "src/server/process_util; use runChild()/"
-                    "spawnChild() so exec failure reporting, exit/"
+                    "src/server/process_util; use WorkerProcess/"
+                    "WorkerSet so exec failure reporting, exit/"
                     "signal decoding and fd hygiene stay in one "
                     "audited place, or add "
                     "'simlint-allow(raw-process-spawn): <reason>'"
