@@ -36,7 +36,7 @@ constexpr unsigned kMaxThreads = 1024;
  */
 unsigned jobCountFromEnv();
 
-// ecdplint: long-lived
+// simlint: long-lived
 class ThreadPool
 {
   public:
@@ -92,7 +92,7 @@ class ThreadPool
 
     // Last member: workers touch everything above, so they must be
     // joined (and destroyed) first.
-    // ecdplint-allow(unbounded-container): written once at construction
+    // simlint-allow(unbounded-container): written once at construction
     std::vector<std::thread> workers_;
 };
 

@@ -216,7 +216,7 @@ Daemon::handleSubmitGrid(const HttpRequest &req,
     // Admission decisions are made under mutex_, but the rejection
     // response fires after it is released: respond() is a deferred
     // callback into the HTTP server, and callbacks never run under a
-    // daemon lock (ecdplint: callback-under-lock).
+    // daemon lock (simlint: callback-under-lock).
     std::string gridId;
     std::string rejectWhy;
     {
@@ -424,8 +424,8 @@ Daemon::answerGridLocked(Grid &grid)
                 bytes = store_.lookup(cell.key);
             if (bytes)
                 os << ",\"status\":\"done\",\"stats\":" << *bytes;
-            else
-                os << ",\"status\":\"done\",\"stats\":null";
+            else // a re-poll after the store dropped the result
+                os << ",\"status\":\"evicted\"";
             break;
           }
           case Cell::State::Failed:

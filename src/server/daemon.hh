@@ -94,7 +94,7 @@ struct DaemonOptions
     std::vector<std::string> workerArgv;
 };
 
-// ecdplint: long-lived
+// simlint: long-lived
 class Daemon
 {
   public:
@@ -215,8 +215,9 @@ class Daemon
     void noteGridCompletedLocked(const std::string &gridId)
         ECDP_REQUIRES(mutex_);
 
-    /** Results JSON, from the bytes each Done cell completed with
-     *  (a later answer reads the store again); releases them. */
+    /** Results JSON, from the bytes each Done cell completed with;
+     *  releases them. A later answer reads the store again and
+     *  answers a cell the store has since dropped "evicted". */
     std::string answerGridLocked(Grid &grid) ECDP_REQUIRES(mutex_);
     /** Status JSON. */
     std::string gridStatusJsonLocked(const Grid &grid) const

@@ -35,7 +35,7 @@ namespace ecdp
 namespace server
 {
 
-// ecdplint: long-lived
+// simlint: long-lived
 class HttpServer
 {
   public:
@@ -114,7 +114,7 @@ class HttpServer
     std::uint16_t port_ = 0;
     // Loop-thread-only state; no lock by design (single owner).
     std::uint64_t nextGen_ = 1;
-    // ecdplint-cap(kMaxConnections): acceptReady() closes above cap
+    // simlint-cap(kMaxConnections): acceptReady() closes above cap
     std::map<int, Connection> conns_;
     std::atomic<std::size_t> connCount_{0};
 

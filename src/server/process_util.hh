@@ -139,7 +139,7 @@ class WorkerProcess
  * The daemon's workers: one per pool thread that has run a request,
  * each kept for the next request. Thread-safe.
  */
-// ecdplint: long-lived
+// simlint: long-lived
 class WorkerSet
 {
   public:
@@ -179,7 +179,7 @@ class WorkerSet
     void release(std::unique_ptr<WorkerProcess> worker)
         ECDP_EXCLUDES(mutex_);
 
-    // ecdplint-allow(unbounded-container): written once at construction
+    // simlint-allow(unbounded-container): written once at construction
     std::vector<std::string> argv_;
     WorkerProcess::Counters counters_;
     /** Becomes readable on stop(): wakes every request in flight. */
@@ -187,7 +187,7 @@ class WorkerSet
 
     mutable AnnotatedMutex mutex_;
     bool stopping_ ECDP_GUARDED_BY(mutex_) = false;
-    // ecdplint-cap(--workers): one entry per concurrent run() caller
+    // simlint-cap(--workers): one entry per concurrent run() caller
     std::vector<std::unique_ptr<WorkerProcess>> idle_
         ECDP_GUARDED_BY(mutex_);
 };

@@ -60,7 +60,7 @@ namespace ecdp
 namespace server
 {
 
-// ecdplint: long-lived
+// simlint: long-lived
 class ResultStore
 {
   public:

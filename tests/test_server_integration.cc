@@ -689,6 +689,33 @@ TEST(ServerIntegration, DoneCellsAnswerWithTheBytesTheyCompletedWith)
     EXPECT_EQ(results[0].at("stats").at("bench").asString(), "mst");
     EXPECT_EQ(results[1].at("stats").at("bench").asString(), "health");
     EXPECT_EQ(daemon.store().evicted(), 1u);
+
+    // The bytes are released at that first answer, so a re-poll reads
+    // the store again: a cell it no longer holds answers "evicted",
+    // never "done" with null stats.
+    auto waitGrid = [&](const char *bench) {
+        HttpResponse r = client.post(
+            "/v1/grids", std::string("{\"wait\":true,\"cells\":[{"
+                                     "\"bench\":\"") +
+                             bench + "\",\"input\":\"train\"}]}");
+        EXPECT_EQ(r.status, 200) << r.body;
+        return parseJson(r.body);
+    };
+    const JsonValue g1 = waitGrid("mst");
+    const JsonValue g2 = waitGrid("health");
+    EXPECT_EQ(g1.at("cells").asArray()[0].at("stats").at("bench")
+                  .asString(),
+              "mst");
+    EXPECT_EQ(g2.at("cells").asArray()[0].at("stats").at("bench")
+                  .asString(),
+              "health");
+    HttpResponse repoll = client.get(
+        "/v1/grids/" + g1.at("grid").asString() + "/results");
+    ASSERT_EQ(repoll.status, 200) << repoll.body;
+    const JsonValue cell =
+        parseJson(repoll.body).at("cells").asArray()[0];
+    EXPECT_EQ(cell.at("status").asString(), "evicted");
+    EXPECT_EQ(cell.find("stats"), nullptr);
 }
 
 } // namespace

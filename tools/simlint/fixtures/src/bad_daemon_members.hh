@@ -5,8 +5,8 @@
 // teardown runs failure callbacks into freed maps. member-destruction-order
 // must flag every data member declared after the first worker.
 
-#ifndef ECDPLINT_FIXTURE_BAD_DAEMON_MEMBERS_HH
-#define ECDPLINT_FIXTURE_BAD_DAEMON_MEMBERS_HH
+#ifndef SIMLINT_FIXTURE_BAD_DAEMON_MEMBERS_HH
+#define SIMLINT_FIXTURE_BAD_DAEMON_MEMBERS_HH
 
 #include <atomic>
 #include <condition_variable>

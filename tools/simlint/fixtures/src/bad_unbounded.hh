@@ -2,15 +2,15 @@
 // (a growable container in a long-lived class with no erase path,
 // no cap note and no allow) and leave the controls alone.
 
-#ifndef ECDPLINT_FIXTURE_BAD_UNBOUNDED_HH
-#define ECDPLINT_FIXTURE_BAD_UNBOUNDED_HH
+#ifndef SIMLINT_FIXTURE_BAD_UNBOUNDED_HH
+#define SIMLINT_FIXTURE_BAD_UNBOUNDED_HH
 
 #include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
-// ecdplint: long-lived
+// simlint: long-lived
 class SessionRegistry
 {
   public:
@@ -30,14 +30,14 @@ class SessionRegistry
   private:
     std::map<std::string, int> sessions_; // BAD: grows forever
 
-    // ecdplint-cap(kMaxPending): admission rejects beyond the cap
+    // simlint-cap(kMaxPending): admission rejects beyond the cap
     std::deque<int> pending_; // ok: documented cap
 
     std::vector<int> finished_; // ok: drainFinished() clears it
 
     std::vector<int> staging_; // ok: swapped away in retire()
 
-    // ecdplint-allow(unbounded-container): test-only registry
+    // simlint-allow(unbounded-container): test-only registry
     std::vector<int> debugLog_; // ok: explicit allow
 
     std::string name_; // ok: std::string is not a container here

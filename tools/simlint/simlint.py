@@ -61,8 +61,7 @@ classes fail CI instead of corrupting experiments:
                         AnnotatedMutex/MutexLock from that header so
                         clang -Wthread-safety sees every lock. tests/
                         are exempt (test-local synchronization is
-                        fine), as are the lint tools' own fixture
-                        trees.
+                        fine), as is simlint's own fixture tree.
   hot-path-vector       In files tagged '// simlint: hot-path', no
                         line may construct a std::vector by value: a
                         per-event heap allocation is exactly the bug
@@ -83,6 +82,29 @@ classes fail CI instead of corrupting experiments:
                         measured from outside it (simbench, perfbench),
                         so a clock probe in the model cannot slow the
                         run it claims to explain.
+  callback-under-lock   No deferred callback (a std::function value:
+                        alias-typed or std::function member, local or
+                        parameter) may be invoked in src/ while a
+                        MutexLock/lock_guard/unique_lock/scoped_lock
+                        guard is held in an enclosing scope; the gap
+                        between guard.unlock() and guard.lock() is not
+                        held. Callbacks re-enter subsystems: decide
+                        under the lock, invoke after the guard closes.
+  member-destruction-order
+                        No data member may be declared after a
+                        thread/pool/server member (std::thread,
+                        jthread, HttpServer, ThreadPool, ResultStore,
+                        ExperimentRunner; pointers excepted). Members
+                        destroy in reverse declaration order, so state
+                        a worker's callbacks touch is declared first.
+  unbounded-container   A growable container member of a class tagged
+                        '// simlint: long-lived' (on the class line or
+                        in the comment lines right above it) needs an
+                        erase path somewhere in src/ (x.erase/pop_front/
+                        pop_back/clear/swap(, or swap(x), matched by
+                        name) or a '// simlint-cap(<bound>)' note on
+                        its line or the two above. Every admission
+                        needs a matching eviction.
 
 Suppress a finding by putting, on the offending line (or the line
 above it):
@@ -100,6 +122,7 @@ Exit status: 0 clean, 1 violations found, 2 usage/environment error.
 """
 
 import argparse
+import collections
 import os
 import re
 import subprocess
@@ -116,6 +139,9 @@ RULES = (
     "raw-mutex",
     "hot-path-vector",
     "sim-clock",
+    "callback-under-lock",
+    "member-destruction-order",
+    "unbounded-container",
 )
 
 ALLOW_RE = re.compile(r"simlint-allow\(([a-z-]+)\)")
@@ -390,7 +416,7 @@ SPAWN_EXEMPT_PREFIX = os.path.join("src", "server", "process_util")
 SPAWN_SUBDIRS = ("src", "tools", "bench", "tests", "examples")
 # The seeded-violation fixture tree lives under tools/; the clean run
 # over the real repository must not trip on it.
-SPAWN_SKIP_PREFIX = os.path.join("tools", "simlint")
+FIXTURE_PREFIX = os.path.join("tools", "simlint")
 
 
 def check_raw_process_spawn(root):
@@ -399,7 +425,7 @@ def check_raw_process_spawn(root):
         for path in iter_source_files(root, subdir):
             rel = relpath(root, path)
             if rel.startswith(SPAWN_EXEMPT_PREFIX) or \
-                    rel.startswith(SPAWN_SKIP_PREFIX):
+                    rel.startswith(FIXTURE_PREFIX):
                 continue
             with open(path, encoding="utf-8") as f:
                 lines = f.read().splitlines()
@@ -436,10 +462,6 @@ RAW_MUTEX_RE = re.compile(
     r"recursive_timed_mutex)\s+\w+")
 MUTEX_EXEMPT = os.path.join("src", "memsim", "thread_annotations.hh")
 MUTEX_SUBDIRS = ("src", "tools", "bench", "examples")
-MUTEX_SKIP_PREFIXES = (
-    os.path.join("tools", "simlint"),
-    os.path.join("tools", "ecdplint"),
-)
 
 
 def check_raw_mutex(root):
@@ -447,8 +469,7 @@ def check_raw_mutex(root):
     for subdir in MUTEX_SUBDIRS:
         for path in iter_source_files(root, subdir):
             rel = relpath(root, path)
-            if rel == MUTEX_EXEMPT or \
-                    rel.startswith(MUTEX_SKIP_PREFIXES):
+            if rel == MUTEX_EXEMPT or rel.startswith(FIXTURE_PREFIX):
                 continue
             with open(path, encoding="utf-8") as f:
                 lines = f.read().splitlines()
@@ -575,6 +596,447 @@ def check_sim_clock(root):
     return out
 
 
+# --- scope-aware concurrency rules ------------------------------------
+
+# callback-under-lock, member-destruction-order and unbounded-container
+# need scopes, classes and members, which a line regex cannot see. They
+# share one token stream per src/ file and one structural pass over it
+# (CppTree). Comments, string/char/raw-string literals and preprocessor
+# lines (continuations included) yield no token, so a brace or a name
+# inside them never reaches a rule; numbers stay whole, digit
+# separators included.
+TOKEN_RE = re.compile(r"""
+    (?P<nl>\n)
+  | (?P<ws>[ \t\r\v\f]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<block>/\*.*?(?:\*/|\Z))
+  | (?P<pp>\#(?:\\\r*\n|[^\n])*)
+  | (?P<raw>R"(?P<delim>[^(\n]*)\((?:.*?\)(?P=delim)"|.*\Z))
+  | (?P<lit>"(?:\\.|[^"\\])*(?:"|\Z)|'(?:\\.|[^'\\])*(?:'|\Z))
+  | (?P<id>[A-Za-z_]\w*)
+  | (?P<num>\d(?:[eEpP][+-]|[\w.'])*)
+  | (?P<punct>::|->|.)
+""", re.VERBOSE | re.DOTALL | re.ASCII)
+
+Token = collections.namedtuple("Token", "text line ident")
+Member = collections.namedtuple("Member", "name type line")
+
+GUARDS = ("MutexLock", "lock_guard", "unique_lock", "scoped_lock")
+WORKER_TYPES = frozenset(("thread", "jthread", "HttpServer", "ThreadPool",
+                          "ResultStore", "ExperimentRunner"))
+CONTAINER_TYPES = frozenset((
+    "vector", "deque", "list", "map", "unordered_map", "set",
+    "unordered_set", "multimap", "multiset", "unordered_multimap",
+    "unordered_multiset"))
+SHRINKERS = frozenset(("erase", "pop_front", "pop_back", "clear", "swap"))
+LONG_LIVED_TAG = "simlint: long-lived"
+CAP_TAG = "simlint-cap("
+
+
+def tokenize(text):
+    """(tokens, comments) of C++ @p text.
+
+    comments maps a line to its comment text. A block comment records
+    its text on its first line and an empty entry on every further
+    line, so "is this line inside a comment block" stays answerable.
+    A '#' opens a preprocessor line only when nothing but blanks and
+    comments precede it on its line.
+    """
+    tokens = []
+    comments = {}
+    line = 1
+    line_start = True
+    pos = 0
+    while pos < len(text):
+        m = TOKEN_RE.match(text, pos)
+        kind, chunk = m.lastgroup, m.group()
+        if kind == "pp" and not line_start:
+            kind, chunk = "punct", "#"
+        if kind in ("comment", "block"):
+            comments[line] = comments.get(line, "") + " " + chunk
+            for k in range(1, chunk.count("\n") + 1):
+                comments.setdefault(line + k, "")
+        elif kind in ("id", "num", "punct"):
+            tokens.append(Token(chunk, line, kind == "id"))
+        line_start = kind == "nl" or \
+            (line_start and kind in ("ws", "comment", "block"))
+        line += chunk.count("\n")
+        pos += len(chunk)
+    return tokens, comments
+
+
+def skip_balanced(toks, i, open_, close):
+    """Index just past the @p close matching the @p open_ at @p i."""
+    depth = 0
+    while i < len(toks):
+        if toks[i].text == open_:
+            depth += 1
+        elif toks[i].text == close:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return i
+
+
+class CppClass:
+    def __init__(self, name, path, long_lived):
+        self.name = name
+        self.path = path
+        self.long_lived = long_lived
+        self.members = []
+
+
+class StructureParser:
+    """Classes, data members and std::function aliases of one file.
+
+    Function bodies and member initializers are skipped by balanced
+    brace matching, so statements inside them never register as
+    members (a lambda's braces included); nested classes register on
+    their own.
+    """
+
+    def __init__(self, path, toks, comments, classes, aliases):
+        self.path = path
+        self.toks = toks
+        self.comments = comments
+        self.classes = classes
+        self.aliases = aliases
+        self.i = 0
+
+    def at(self, text):
+        return self.i < len(self.toks) and self.toks[self.i].text == text
+
+    def skip(self, open_, close):
+        self.i = skip_balanced(self.toks, self.i, open_, close)
+
+    def parse_region(self, cls):
+        while self.i < len(self.toks):
+            if self.at("}"):
+                self.i += 1
+                return
+            if self.at("{"):  # a stray block
+                self.skip("{", "}")
+                continue
+            t = self.toks[self.i].text
+            if t == "namespace":
+                while self.i < len(self.toks) and not self.at("{") \
+                        and not self.at(";"):
+                    self.i += 1
+                opened = self.at("{")
+                self.i += 1
+                if opened:
+                    self.parse_region(None)
+            elif t == "template":
+                self.i += 1
+                if self.at("<"):
+                    self.skip("<", ">")
+            elif t in ("class", "struct"):
+                self.parse_class()
+            elif t == "enum":
+                self.skip_to_semicolon()
+            elif t == "using":
+                self.parse_using()
+            elif t in ("public", "private", "protected"):
+                self.i += 1
+                if self.at(":"):
+                    self.i += 1
+            else:
+                self.parse_statement(cls)
+
+    def skip_to_semicolon(self):
+        """Past the next ';' outside braces."""
+        while self.i < len(self.toks) and not self.at(";"):
+            if self.at("{"):
+                self.skip("{", "}")
+            else:
+                self.i += 1
+        self.i += 1
+
+    def parse_class(self):
+        line = self.toks[self.i].line
+        self.i += 1
+        name = ""
+        stops = ("{", ";", ":")
+        while self.i < len(self.toks) and self.toks[self.i].text \
+                not in stops:
+            if self.toks[self.i].ident:
+                name = self.toks[self.i].text
+            elif self.at("("):  # an attribute macro's arguments
+                self.skip("(", ")")
+            if self.i < len(self.toks) and self.toks[self.i].text \
+                    not in stops:
+                self.i += 1
+        if self.at(";"):  # a forward declaration
+            self.i += 1
+            return
+        while self.i < len(self.toks) and not self.at("{"):
+            self.i += 1  # the base clause
+        if self.at("{"):
+            self.i += 1
+            cls = CppClass(name, self.path, self.long_lived(line))
+            self.parse_region(cls)
+            self.classes.append(cls)
+        self.skip_to_semicolon()  # "} instance;" or just ";"
+
+    def long_lived(self, line):
+        """The tag sits on the class line or in the comment lines
+        directly above it (a blank line ends the search)."""
+        for at in range(line, 0, -1):
+            text = self.comments.get(at)
+            if text is None and at != line:
+                return False
+            if text is not None and LONG_LIVED_TAG in text:
+                return True
+        return False
+
+    def parse_using(self):
+        start = self.i
+        while self.i < len(self.toks) and not self.at(";"):
+            self.i += 1
+        stmt = self.toks[start:self.i]
+        self.i += 1
+        # using NAME = ... std::function<...> ...;
+        if len(stmt) >= 3 and stmt[1].ident and \
+                stmt[1].text != "namespace" and stmt[2].text == "=" and \
+                any(t.text == "function" for t in stmt):
+            self.aliases.add(stmt[1].text)
+
+    def parse_statement(self, cls):
+        stmt = []
+        while self.i < len(self.toks):
+            if self.at(";"):
+                self.i += 1
+                break
+            if self.at("}"):
+                break  # parse_region's
+            if self.at("{"):
+                # After ')' or a specifier the brace opens a function
+                # body; after a name or '=' it is an initializer.
+                body = not stmt or stmt[-1].text in (
+                    ")", "const", "override", "final", "noexcept", "try")
+                self.skip("{", "}")
+                if body:
+                    if self.at(";"):
+                        self.i += 1
+                    return
+                continue
+            stmt.append(self.toks[self.i])
+            self.i += 1
+        if cls is not None and stmt:
+            member = parse_member(stmt)
+            if member:
+                cls.members.append(member)
+
+
+def parse_member(stmt):
+    """The data member @p stmt declares, or None."""
+    begin = 0
+    while begin < len(stmt) and stmt[begin].text in (
+            "mutable", "constexpr", "inline", "volatile"):
+        begin += 1
+    if begin >= len(stmt) or stmt[begin].text in (
+            "using", "typedef", "friend", "static", "static_assert",
+            "template", "operator", "extern", "return", "~"):
+        return None
+    if any(t.text == "operator" for t in stmt):
+        return None
+    angle = 0
+    name = None
+    k = begin
+    while k < len(stmt):
+        t = stmt[k]
+        nxt = stmt[k + 1] if k + 1 < len(stmt) else None
+        k += 1
+        if t.text == "<":
+            angle += 1
+        elif t.text == ">":
+            angle = max(angle - 1, 0)
+        elif t.text == "=" and angle == 0:
+            break  # an initializer follows
+        elif not t.ident:
+            pass
+        elif t.text.startswith("ECDP_") and nxt and nxt.text == "(":
+            k = skip_balanced(stmt, k, "(", ")")  # an attribute
+        elif angle != 0:
+            pass
+        elif nxt and nxt.text == "(":
+            return None  # a function declaration
+        elif not nxt or nxt.text in ("=", "[") or \
+                (nxt.ident and nxt.text.startswith("ECDP_")):
+            name = t
+            type_end = k - 1
+    if name is None:
+        return None
+    return Member(name.text, [t.text for t in stmt[begin:type_end]],
+                  name.line)
+
+
+class CppTree:
+    """Every src/ file's tokens, classes and callback names."""
+
+    def __init__(self, root):
+        self.files = []  # (rel, lines, tokens, comments)
+        self.classes = []
+        self.aliases = set()
+        for path in iter_source_files(root, "src"):
+            rel = relpath(root, path)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            tokens, comments = tokenize(text)
+            self.files.append((rel, text.split("\n"), tokens, comments))
+            StructureParser(rel, tokens, comments, self.classes,
+                            self.aliases).parse_region(None)
+        self.callback_members = {
+            m.name for c in self.classes for m in c.members
+            if self.is_callback(m.type)}
+        self.shrunk = set()
+        for _rel, _lines, tokens, _comments in self.files:
+            self.shrunk |= shrunk_names(tokens)
+        self.by_path = {f[0]: f for f in self.files}
+
+    def is_callback(self, type_):
+        return any(t == "function" or t in self.aliases for t in type_)
+
+    def local_callbacks(self, toks):
+        """Locals and parameters declared with a callback type:
+        `Done done`, `const Responder &respond`,
+        `std::function<...> job`, `Responder &r : waiters`."""
+        names = set()
+        for i, t in enumerate(toks):
+            if not t.ident or (t.text != "function" and
+                               t.text not in self.aliases):
+                continue
+            j = i + 1
+            if j < len(toks) and toks[j].text == "<":
+                j = skip_balanced(toks, j, "<", ">")
+            while j < len(toks) and toks[j].text in ("&", "*", "const"):
+                j += 1
+            # A '(' next declares a function returning the type.
+            if j < len(toks) and toks[j].ident and \
+                    (j + 1 >= len(toks) or toks[j + 1].text != "("):
+                names.add(toks[j].text)
+        return names
+
+
+def shrunk_names(toks):
+    """Names a statement shrinks: `x.erase(`, `x[i]->pop_back(`, and
+    `swap(x` (the `other.swap(x)` and `swap(x, y)` forms)."""
+    out = set()
+    for i, t in enumerate(toks):
+        if i >= 2 and toks[i - 1].text == "(" and \
+                toks[i - 2].text == "swap":
+            out.add(t.text)
+        j = i + 1
+        if j < len(toks) and toks[j].text == "[":
+            j = skip_balanced(toks, j, "[", "]")
+        if j + 2 < len(toks) and toks[j].text in (".", "->") and \
+                toks[j + 1].text in SHRINKERS and toks[j + 2].text == "(":
+            out.add(t.text)
+    return out
+
+
+def check_callback_under_lock(tree):
+    out = []
+    for rel, lines, toks, _comments in tree.files:
+        names = tree.callback_members | tree.local_callbacks(toks)
+        depth = 0
+        locks = []  # [brace depth, guard name, held]
+        for i, t in enumerate(toks):
+            if t.text == "{":
+                depth += 1
+                continue
+            if t.text == "}":
+                depth -= 1
+                while locks and locks[-1][0] > depth:
+                    locks.pop()
+                continue
+            if not t.ident:
+                continue
+            nxt = toks[i + 1].text if i + 1 < len(toks) else None
+            if t.text in GUARDS:
+                j = i + 1
+                if nxt == "<":
+                    j = skip_balanced(toks, j, "<", ">")
+                if j + 1 < len(toks) and toks[j].ident and \
+                        toks[j + 1].text == "(":
+                    locks.append([depth, toks[j].text, True])
+                continue
+            # guard.unlock() ... guard.lock(): the relockable guard
+            # around running a job.
+            if nxt == "." and i + 3 < len(toks) and \
+                    toks[i + 2].text in ("unlock", "lock") and \
+                    toks[i + 3].text == "(":
+                for lock in locks:
+                    if lock[1] == t.text:
+                        lock[2] = toks[i + 2].text == "lock"
+                continue
+            if t.text not in names or nxt != "(" or \
+                    (i > 0 and toks[i - 1].text == "::"):
+                continue
+            if not any(lock[2] for lock in locks):
+                continue
+            if allowed(lines, t.line - 1, "callback-under-lock"):
+                continue
+            out.append(Violation(
+                rel, t.line, "callback-under-lock",
+                "callback '%s' invoked while a lock guard is live; "
+                "collect it under the lock and invoke it after the "
+                "guard's scope closes" % t.text))
+    return out
+
+
+def check_member_destruction_order(tree):
+    out = []
+    for c in tree.classes:
+        lines = tree.by_path[c.path][1]
+        worker = None
+        for m in c.members:
+            if "*" not in m.type and WORKER_TYPES.intersection(m.type):
+                worker = worker or m
+                continue
+            if worker is None or \
+                    allowed(lines, m.line - 1, "member-destruction-order"):
+                continue
+            out.append(Violation(
+                c.path, m.line, "member-destruction-order",
+                "member '%s' of class '%s' is declared after worker "
+                "member '%s'; members destroy in reverse declaration "
+                "order, so the worker's callbacks could touch '%s' "
+                "after it is gone — declare state first, threads and "
+                "pools last" % (m.name, c.name, worker.name, m.name)))
+    return out
+
+
+def check_unbounded_container(tree):
+    out = []
+    for c in tree.classes:
+        if not c.long_lived:
+            continue
+        _rel, lines, _toks, comments = tree.by_path[c.path]
+        for m in c.members:
+            if not CONTAINER_TYPES.intersection(m.type) or \
+                    m.name in tree.shrunk or \
+                    allowed(lines, m.line - 1, "unbounded-container") or \
+                    any(CAP_TAG in comments.get(l, "")
+                        for l in range(m.line - 2, m.line + 1)):
+                continue
+            out.append(Violation(
+                c.path, m.line, "unbounded-container",
+                "container member '%s' of long-lived class '%s' never "
+                "shrinks: no erase/pop/clear/swap path, no "
+                "// simlint-cap(...) note — every admission needs a "
+                "matching eviction" % (m.name, c.name)))
+    return out
+
+
+SCOPED_RULES = {
+    "callback-under-lock": check_callback_under_lock,
+    "member-destruction-order": check_member_destruction_order,
+    "unbounded-container": check_unbounded_container,
+}
+
+
 # --- driver -----------------------------------------------------------
 
 def main(argv):
@@ -638,6 +1100,12 @@ def main(argv):
         violations += check_hot_path_vector(root)
     if "sim-clock" in rules:
         violations += check_sim_clock(root)
+    scoped = [r for r in SCOPED_RULES if r in rules]
+    if scoped:
+        tree = CppTree(root)
+        for rule in scoped:
+            violations += sorted(SCOPED_RULES[rule](tree),
+                                 key=lambda v: (v.path, v.line))
 
     for v in violations:
         print(v)
