@@ -5,14 +5,18 @@
  * comparison predictors' lookup costs. These bound the simulation
  * overhead of each mechanism (and, loosely, its hardware complexity).
  * BM_CoreTick times the core's per-visit cost on a pointer-chain
- * trace, apart from the memory hierarchy.
+ * trace, apart from the memory hierarchy. BM_CacheInsert and
+ * BM_SimMemoryAccess time the memory side's per-access tables: the
+ * L2 fill and the simulated memory image.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "cache/cache.hh"
 #include "core/core.hh"
+#include "memsim/sim_memory.hh"
 #include "prefetch/cdp.hh"
 #include "prefetch/dbp.hh"
 #include "prefetch/ghb_prefetcher.hh"
@@ -62,6 +66,100 @@ BM_StreamTrigger(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StreamTrigger);
+
+/**
+ * The stream table under a mixed miss sequence: 40 interleaved
+ * streams (more than the 32 entries, so replacement runs), each
+ * stepping one block up or down, and one far random miss in eight,
+ * so monitor hits, training hits and allocations all occur.
+ */
+void
+BM_StreamTriggerMixed(benchmark::State &state)
+{
+    constexpr unsigned kStreams = 40;
+    std::mt19937 rng(7);
+    std::uint32_t pos[kStreams];
+    int dir[kStreams];
+    for (unsigned s = 0; s < kStreams; ++s) {
+        pos[s] = 0x40000000u +
+                 static_cast<std::uint32_t>(rng() % 65536) * 4096;
+        dir[s] = s % 2 ? 128 : -128;
+    }
+    std::vector<Addr> seq;
+    for (unsigned i = 0; i < 65536; ++i) {
+        if (rng() % 8 == 0) {
+            seq.push_back(Addr{0x40000000u +
+                               static_cast<std::uint32_t>(rng() % (1u << 22)) * 128});
+            continue;
+        }
+        const unsigned s = rng() % kStreams;
+        pos[s] += dir[s];
+        seq.push_back(Addr{pos[s]});
+    }
+    StreamPrefetcher stream;
+    std::vector<PrefetchRequest> out;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        out.clear();
+        stream.trigger(seq[i], out);
+        i = (i + 1) & (seq.size() - 1);
+        benchmark::DoNotOptimize(out.data());
+    }
+}
+BENCHMARK(BM_StreamTriggerMixed);
+
+/**
+ * One L2 fill (1 MiB, 8 ways, 128 B blocks, as in Table 5) of a
+ * random block from a 64 MiB footprint, so nearly every insert
+ * misses and evicts the LRU way.
+ */
+void
+BM_CacheInsert(benchmark::State &state)
+{
+    Cache l2("L2", 1024 * 1024, 8, 128);
+    std::mt19937 rng(7);
+    std::vector<Addr> seq;
+    for (unsigned i = 0; i < 65536; ++i)
+        seq.push_back(Addr{0x40000000u +
+                           static_cast<std::uint32_t>(rng() % (1u << 19)) * 128});
+    std::size_t i = 0;
+    for (auto _ : state) {
+        Cache::Victim victim = l2.insert(seq[i]);
+        i = (i + 1) & (seq.size() - 1);
+        benchmark::DoNotOptimize(victim);
+    }
+}
+BENCHMARK(BM_CacheInsert);
+
+/**
+ * A 4-byte write, a 4- and an 8-byte read and a 128-byte block read
+ * of the simulated memory image, at random aligned addresses over a
+ * 16 MiB heap.
+ */
+void
+BM_SimMemoryAccess(benchmark::State &state)
+{
+    SimMemory mem;
+    for (std::uint32_t a = 0; a < (1u << 24); a += 4096)
+        mem.write(Addr{0x40000000u + a}, 4, a);
+    std::mt19937 rng(7);
+    std::vector<Addr> seq;
+    for (unsigned i = 0; i < 65536; ++i)
+        seq.push_back(Addr{0x40000000u +
+                           static_cast<std::uint32_t>(rng() % (1u << 21)) * 8});
+    std::uint8_t block[128];
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Addr addr = seq[i];
+        i = (i + 1) & (seq.size() - 1);
+        mem.write(addr, 4, i);
+        std::uint64_t sum = mem.read(addr, 4) + mem.read(addr + 8, 8);
+        mem.readBlock(Addr{addr.raw() & ~127u}, block, sizeof(block));
+        benchmark::DoNotOptimize(sum);
+        benchmark::DoNotOptimize(block);
+    }
+}
+BENCHMARK(BM_SimMemoryAccess);
 
 void
 BM_GhbMiss(benchmark::State &state)

@@ -29,31 +29,31 @@ Cache::insert(Addr addr, std::uint8_t owner)
     const std::uint64_t tag = tagOf(addr).raw();
     std::uint64_t *tags = tags_.data() + base;
 
-    // Victim priority: matching tag (refresh) > invalid way > true LRU
-    // (earliest way wins ties, as before the SoA layout).
+    // Victim priority in one pass: matching tag (refresh) > first
+    // empty way > true LRU (earliest way wins ties). The LRU way only
+    // counts when no way is empty, so it may compare empty ways too.
+    const std::uint64_t *last_use = lastUse_.data() + base;
     std::uint32_t victim_way = assoc_;
-    for (std::uint32_t way = 0; way < assoc_ && victim_way == assoc_;
-         ++way) {
-        if (tags[way] == tag)
+    std::uint32_t empty_way = assoc_;
+    std::uint32_t lru_way = 0;
+    for (std::uint32_t way = 0; way < assoc_; ++way) {
+        if (tags[way] == tag) {
             victim_way = way;
-    }
-    for (std::uint32_t way = 0; way < assoc_ && victim_way == assoc_;
-         ++way) {
-        if (tags[way] == kEmptyWay)
-            victim_way = way;
-    }
-    if (victim_way == assoc_) {
-        victim_way = 0;
-        for (std::uint32_t way = 1; way < assoc_; ++way) {
-            if (lastUse_[base + way] < lastUse_[base + victim_way])
-                victim_way = way;
+            break;
         }
+        if (tags[way] == kEmptyWay && empty_way == assoc_)
+            empty_way = way;
+        if (last_use[way] < last_use[lru_way])
+            lru_way = way;
     }
+    if (victim_way == assoc_)
+        victim_way = empty_way != assoc_ ? empty_way : lru_way;
 
     const std::uint64_t old_tag = tags[victim_way];
     CacheBlock &block = payload_[base + victim_way];
 
     Victim victim;
+    victim.block = &block;
     if (old_tag != kEmptyWay && old_tag != tag) {
         victim.valid = true;
         victim.dirty = block.dirty;

@@ -158,6 +158,9 @@ class Cache
         /** Engine that had prefetched the victim (kNoPrefetchOwner if
          *  it was demand-fetched or already consumed). */
         std::uint8_t prefetchOwner = kNoPrefetchOwner;
+        /** Payload of the block just inserted (what lookup() would
+         *  return for it), so a caller need not probe again. */
+        CacheBlock *block = nullptr;
     };
 
     /**
@@ -165,7 +168,8 @@ class Cache
      *
      * @param owner Engine-stack index of the prefetcher that fetched
      *        the block (kNoPrefetchOwner = demand fill).
-     * @return Description of the victim (valid = a block was evicted).
+     * @return Description of the victim (valid = a block was evicted)
+     *         and the inserted block's payload.
      */
     Victim insert(Addr addr, std::uint8_t owner = kNoPrefetchOwner);
 

@@ -112,8 +112,8 @@ ProfilingCompiler::profileStats(const Workload &train,
             ++expanded;
             if (req.pgValid)
                 ++stats[req.pg].issued;
-            l2.insert(req.blockAddr, 1); // the paper's LDS slot
-            CacheBlock *block = l2.lookup(req.blockAddr, false);
+            // The paper's LDS slot.
+            CacheBlock *block = l2.insert(req.blockAddr, 1).block;
             block->pgValid = req.pgValid;
             block->pg = req.pg;
             block->cdpDepth = req.depth;

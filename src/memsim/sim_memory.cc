@@ -1,33 +1,71 @@
+// simlint: hot-path
 #include "memsim/sim_memory.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace ecdp
 {
 
+// A whole-word access copies the page's bytes into the value as they
+// lie, which is the little-endian order read() and write() define.
+static_assert(std::endian::native == std::endian::little);
+
 const SimMemory::Page *
 SimMemory::findPage(Addr addr) const
 {
-    auto it = pages_.find(pageIndex(addr));
-    return it == pages_.end() ? nullptr : it->second.get();
+    const Leaf *leaf = root_[addr.raw() >> (kPageShift + kLeafShift)].get();
+    if (!leaf)
+        return nullptr;
+    return (*leaf)[(addr.raw() >> kPageShift) & (kLeafPages - 1)].get();
 }
 
 SimMemory::Page &
 SimMemory::touchPage(Addr addr)
 {
-    auto &slot = pages_[pageIndex(addr)];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
+    std::unique_ptr<Leaf> &leaf =
+        root_[addr.raw() >> (kPageShift + kLeafShift)];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    std::unique_ptr<Page> &page =
+        (*leaf)[(addr.raw() >> kPageShift) & (kLeafPages - 1)];
+    if (!page) {
+        page = std::make_unique<Page>(); // value-initialized: zeros
+        ++pages_;
     }
-    return *slot;
+    return *page;
 }
 
 void
 SimMemory::write(Addr addr, unsigned size, std::uint64_t value)
 {
     assert(size == 1 || size == 2 || size == 4 || size == 8);
+    const std::size_t offset = offsetInPage(addr);
+    if (offset + size > kPageBytes) {
+        writeBytes(addr, size, value);
+        return;
+    }
+    std::memcpy(touchPage(addr).data() + offset, &value, size);
+}
+
+std::uint64_t
+SimMemory::read(Addr addr, unsigned size) const
+{
+    assert(size == 1 || size == 2 || size == 4 || size == 8);
+    const std::size_t offset = offsetInPage(addr);
+    if (offset + size > kPageBytes)
+        return readBytes(addr, size);
+    std::uint64_t value = 0;
+    if (const Page *page = findPage(addr))
+        std::memcpy(&value, page->data() + offset, size);
+    return value;
+}
+
+void
+SimMemory::writeBytes(Addr addr, unsigned size, std::uint64_t value)
+{
     for (unsigned i = 0; i < size; ++i) {
         Addr byte_addr = addr + i;
         Page &page = touchPage(byte_addr);
@@ -37,9 +75,8 @@ SimMemory::write(Addr addr, unsigned size, std::uint64_t value)
 }
 
 std::uint64_t
-SimMemory::read(Addr addr, unsigned size) const
+SimMemory::readBytes(Addr addr, unsigned size) const
 {
-    assert(size == 1 || size == 2 || size == 4 || size == 8);
     std::uint64_t value = 0;
     for (unsigned i = 0; i < size; ++i) {
         Addr byte_addr = addr + i;
@@ -51,12 +88,28 @@ SimMemory::read(Addr addr, unsigned size) const
     return value;
 }
 
+void
+SimMemory::clear()
+{
+    for (std::unique_ptr<Leaf> &leaf : root_)
+        leaf.reset();
+    pages_ = 0;
+}
+
 SimMemory
 SimMemory::clone() const
 {
     SimMemory copy;
-    for (const auto &[key, page] : pages_)
-        copy.pages_.emplace(key, std::make_unique<Page>(*page));
+    for (std::size_t i = 0; i < kRootLeaves; ++i) {
+        if (!root_[i])
+            continue;
+        copy.root_[i] = std::make_unique<Leaf>();
+        for (std::size_t j = 0; j < kLeafPages; ++j) {
+            if (const Page *page = (*root_[i])[j].get())
+                (*copy.root_[i])[j] = std::make_unique<Page>(*page);
+        }
+    }
+    copy.pages_ = pages_;
     return copy;
 }
 

@@ -5,7 +5,10 @@
  * Content-directed prefetching scans the *contents* of fetched cache
  * blocks for pointer values, so the simulator must hold a faithful image
  * of the simulated heap. SimMemory stores that image sparsely in 4 KB
- * pages allocated on first touch.
+ * pages allocated on first touch, found through a two-level page
+ * table indexed directly by address bits (1024 leaves of 1024 pages,
+ * each leaf allocated on first touch of its 4 MiB region), so an
+ * access costs one page lookup, not one hash lookup per byte.
  */
 
 #ifndef ECDP_MEMSIM_SIM_MEMORY_HH
@@ -15,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "memsim/types.hh"
 
@@ -34,6 +35,11 @@ class SimMemory
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr std::size_t kPageBytes = std::size_t{1} << kPageShift;
+    /** Address bits that index a leaf's pages (4 MiB per leaf). */
+    static constexpr unsigned kLeafShift = 10;
+    static constexpr std::size_t kLeafPages = std::size_t{1} << kLeafShift;
+    static constexpr std::size_t kRootLeaves =
+        std::size_t{1} << (32 - kPageShift - kLeafShift);
 
     SimMemory() = default;
 
@@ -62,28 +68,20 @@ class SimMemory
     void readBlock(Addr addr, std::uint8_t *out, std::size_t len) const;
 
     /** Number of distinct pages touched so far (footprint / 4 KB). */
-    std::size_t pagesTouched() const { return pages_.size(); }
+    std::size_t pagesTouched() const { return pages_; }
 
     /** Footprint in bytes (pages touched times the page size). */
-    std::size_t footprintBytes() const
-    {
-        return pages_.size() * kPageBytes;
-    }
+    std::size_t footprintBytes() const { return pages_ * kPageBytes; }
 
     /** Drop all contents, returning the image to the all-zero state. */
-    void clear() { pages_.clear(); }
+    void clear();
 
     /** Deep-copy the image (SimMemory itself is move-only). */
     SimMemory clone() const;
 
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
-
-    /** Sparse-map key of the page containing @p addr. */
-    static std::uint32_t pageIndex(Addr addr)
-    {
-        return addr.raw() >> kPageShift;
-    }
+    using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
 
     /** Byte offset of @p addr within its page. */
     static std::size_t offsetInPage(Addr addr)
@@ -97,7 +95,13 @@ class SimMemory
     /** Find or allocate the page containing @p addr. */
     Page &touchPage(Addr addr);
 
-    std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+    /** Byte-by-byte accesses, for one that crosses a page boundary. */
+    void writeBytes(Addr addr, unsigned size, std::uint64_t value);
+    std::uint64_t readBytes(Addr addr, unsigned size) const;
+
+    /** Root of the page table: leaf i maps the 4 MiB at i << 22. */
+    std::array<std::unique_ptr<Leaf>, kRootLeaves> root_;
+    std::size_t pages_ = 0;
 };
 
 } // namespace ecdp

@@ -16,6 +16,8 @@
 #ifndef ECDP_PREFETCH_STREAM_PREFETCHER_HH
 #define ECDP_PREFETCH_STREAM_PREFETCHER_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,7 +35,7 @@ class StreamPrefetcher final : public PrefetchEngine
 {
   public:
     /**
-     * @param streams Tracking entries (32 in the baseline).
+     * @param streams Tracking entries (32 in the baseline, 1 to 64).
      * @param block_bytes L2 block size (frontier unit).
      */
     explicit StreamPrefetcher(unsigned streams = 32,
@@ -84,24 +86,23 @@ class StreamPrefetcher final : public PrefetchEngine
     std::uint64_t storageBits() const override;
 
   private:
-    enum class State : std::uint8_t { Invalid, Training, Monitor };
-
-    struct Stream
-    {
-        State state = State::Invalid;
-        std::uint64_t lastUse = 0;
-        /** First miss block of the (training) stream. */
-        std::int64_t firstBlock = 0;
-        /** +1 or -1 once direction is known. */
-        int dir = 0;
-        /** Trailing edge of the monitored region. */
-        std::int64_t monitorStart = 0;
-        /** Prefetch frontier (last block prefetched). */
-        std::int64_t frontier = 0;
-    };
+    /** Entries the table holds at most: one bit each in a mask. */
+    static constexpr unsigned kMaxStreams = 64;
 
     /** Window (blocks) within which a second miss trains a stream. */
     static constexpr std::int64_t kTrainWindow = 16;
+
+    /** Pull entry @p i's frontier toward `distance` blocks ahead of
+     *  @p block, at most `degree` prefetches. */
+    void advance(unsigned i, std::int64_t block,
+                 std::vector<PrefetchRequest> &out);
+
+    /** Set entry @p i's claimed blocks to those between @p a and @p b. */
+    void claim(unsigned i, std::int64_t a, std::int64_t b)
+    {
+        lo_[i] = std::min(a, b);
+        span_[i] = static_cast<std::uint64_t>(std::max(a, b) - lo_[i]);
+    }
 
     void emit(std::int64_t block, std::vector<PrefetchRequest> &out);
 
@@ -110,7 +111,25 @@ class StreamPrefetcher final : public PrefetchEngine
     unsigned degree_ = 4;
     AggLevel level_ = AggLevel::Aggressive;
     std::uint64_t useClock_ = 0;
-    std::vector<Stream> streams_;
+    unsigned entries_;
+    /** @{ Entry state, one bit per entry; an entry in neither mask
+     *  is invalid. */
+    std::uint64_t monitor_ = 0;
+    std::uint64_t training_ = 0;
+    /** @} */
+    /** @{ Structure-of-arrays entry state, indexed by entry. Each
+     *  valid entry claims the blocks [lo, lo + span]: a monitor entry
+     *  the region between its last trigger and its frontier, a
+     *  training entry the blocks within kTrainWindow of its first
+     *  miss (which is lo + kTrainWindow). */
+    std::array<std::int64_t, kMaxStreams> lo_{};
+    std::array<std::uint64_t, kMaxStreams> span_{};
+    std::array<std::uint64_t, kMaxStreams> lastUse_{};
+    /** Prefetch frontier (last block prefetched). */
+    std::array<std::int64_t, kMaxStreams> frontier_{};
+    /** +1 or -1 once direction is known. */
+    std::array<std::int8_t, kMaxStreams> dir_{};
+    /** @} */
 };
 
 } // namespace ecdp

@@ -239,8 +239,7 @@ void
 MemorySystem::l1Fill(Addr addr, bool dirty, Cycle now)
 {
     Cache::Victim victim = l1_.insert(addr);
-    if (CacheBlock *block = l1_.lookup(addr, false))
-        block->dirty = block->dirty || dirty;
+    victim.block->dirty = victim.block->dirty || dirty;
     if (victim.valid && victim.dirty) {
         // Dirty L1 victim folds into the L2 copy; if the L2 block is
         // already gone, the data goes straight to memory.
@@ -510,8 +509,7 @@ MemorySystem::store(const TraceEntry &entry, Cycle now)
     recordDemandMiss(block_addr, entry.isLds, true, now);
     dram_->writeback(coreId_, block_addr, now);
     Cache::Victim victim = l2_.insert(block_addr);
-    if (CacheBlock *block = l2_.lookup(entry.vaddr, false))
-        block->dirty = true;
+    victim.block->dirty = true;
     handleVictim(victim, kNoPrefetchOwner, now);
     l1Fill(entry.vaddr, true, now);
     scratch_.clear();
@@ -603,8 +601,7 @@ MemorySystem::installFill(Mshr &mshr, Cycle now)
         sideBuffer_[block_addr] = side;
     } else {
         Cache::Victim victim = l2_.insert(block_addr, owner);
-        CacheBlock *block = l2_.lookup(block_addr, false);
-        assert(block);
+        CacheBlock *block = victim.block;
         if (mshr.dirty)
             block->dirty = true;
         if (owner != kNoPrefetchOwner) {

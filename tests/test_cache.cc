@@ -78,6 +78,52 @@ TEST(Cache, ReinsertSameBlockIsRefreshNotEviction)
     EXPECT_TRUE(cache.lookup(0x40000000)->dirty);
 }
 
+TEST(Cache, InsertVictimPriority)
+{
+    Cache cache = smallCache();
+    // Blocks i * 1 KB all map to set 0 (8 sets x 128 B).
+    auto way = [](unsigned i) { return Addr{0x40000000u + i * 1024}; };
+    CacheBlock *slot[3];
+    for (unsigned i = 0; i < 3; ++i)
+        slot[i] = cache.insert(way(i)).block;
+    // An empty set fills from its first way; payloads lie in way order.
+    EXPECT_LT(slot[0], slot[1]);
+    EXPECT_LT(slot[1], slot[2]);
+    // Ways 0-2 hold blocks 0-2; way 3 is empty. Empty way 1 as well,
+    // so the set has two empty ways and block 0 is its LRU block.
+    cache.invalidate(way(1));
+
+    // A matching tag beats an empty way: block 2 is refreshed in place.
+    Cache::Victim victim = cache.insert(way(2));
+    EXPECT_FALSE(victim.valid);
+    EXPECT_EQ(victim.block, slot[2]);
+    EXPECT_EQ(victim.block, cache.lookup(way(2), false));
+
+    // An empty way beats the LRU way, and the first empty way wins.
+    victim = cache.insert(way(4));
+    EXPECT_FALSE(victim.valid);
+    EXPECT_EQ(victim.block, slot[1]);
+    EXPECT_EQ(victim.block, cache.lookup(way(4), false));
+    victim = cache.insert(way(5));
+    EXPECT_FALSE(victim.valid);
+    EXPECT_EQ(victim.block, cache.lookup(way(5), false));
+    EXPECT_GT(victim.block, slot[2]);
+
+    // Full set: the least recently used block goes, whichever way
+    // holds it. Touch order is now 0, 2, 4, 5; touch 0 so 2 is LRU.
+    cache.lookup(way(0));
+    victim = cache.insert(way(6));
+    EXPECT_TRUE(victim.valid);
+    EXPECT_EQ(victim.addr, way(2));
+    EXPECT_EQ(victim.block, slot[2]);
+    EXPECT_EQ(victim.block, cache.lookup(way(6), false));
+    // Every touch takes a fresh LRU stamp, so two filled ways never
+    // tie and the earliest-way tie rule cannot show through insert().
+    victim = cache.insert(way(7));
+    EXPECT_EQ(victim.addr, way(4));
+    EXPECT_EQ(victim.block, slot[1]);
+}
+
 TEST(Cache, VictimCarriesDirtyAndPrefetchState)
 {
     Cache cache = smallCache();

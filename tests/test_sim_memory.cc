@@ -135,6 +135,89 @@ TEST(SimMemory, FootprintTracksDistinctPages)
     EXPECT_EQ(mem.footprintBytes(), 2 * SimMemory::kPageBytes);
 }
 
+TEST(SimMemory, AccessesAtBothEndsOfTheAddressSpace)
+{
+    SimMemory mem;
+    mem.write(0x0, 8, 0x0102030405060708ull);
+    mem.write(0xfffffff8, 8, 0x8877665544332211ull);
+    EXPECT_EQ(mem.read(0x0, 8), 0x0102030405060708ull);
+    EXPECT_EQ(mem.read(0xfffffff8, 8), 0x8877665544332211ull);
+    EXPECT_EQ(mem.read(0xffffffff, 1), 0x88u);
+    EXPECT_EQ(mem.read(0xfffffffc, 4), 0x88776655u);
+    EXPECT_EQ(mem.pagesTouched(), 2u);
+    std::uint8_t buf[8];
+    mem.readBlock(0xfffffff8, buf, sizeof(buf));
+    EXPECT_EQ(buf[0], 0x11);
+    EXPECT_EQ(buf[7], 0x88);
+}
+
+TEST(SimMemory, AccessWrapsPastTheTopOfTheAddressSpace)
+{
+    // Byte addresses wrap at 32 bits, so the last two bytes of this
+    // write land at 0x0 and 0x1.
+    SimMemory mem;
+    mem.write(0xfffffffe, 4, 0xaabbccddu);
+    EXPECT_EQ(mem.read(0xfffffffe, 4), 0xaabbccddu);
+    EXPECT_EQ(mem.read(0x0, 2), 0xaabbu);
+    EXPECT_EQ(mem.pagesTouched(), 2u);
+}
+
+TEST(SimMemory, AccessAcrossA4MiBRegionBoundary)
+{
+    // 0x40400000 starts a new 4 MiB region of the page table.
+    SimMemory mem;
+    const Addr edge = 0x40400000;
+    mem.write(edge - 4, 8, 0x1122334455667788ull);
+    EXPECT_EQ(mem.read(edge - 4, 8), 0x1122334455667788ull);
+    EXPECT_EQ(mem.read(edge - 4, 4), 0x55667788u);
+    EXPECT_EQ(mem.read(edge, 4), 0x11223344u);
+    EXPECT_EQ(mem.pagesTouched(), 2u);
+    std::uint8_t buf[16];
+    mem.readBlock(edge - 8, buf, sizeof(buf));
+    EXPECT_EQ(buf[3], 0x00);
+    EXPECT_EQ(buf[4], 0x88);
+    EXPECT_EQ(buf[11], 0x11);
+    EXPECT_EQ(buf[12], 0x00);
+}
+
+TEST(SimMemory, CloneIsIndependentOfItsSource)
+{
+    SimMemory mem;
+    mem.write(0x40000000, 4, 1u);
+    mem.write(0x80000000, 4, 2u);
+    SimMemory copy = mem.clone();
+    EXPECT_EQ(copy.pagesTouched(), 2u);
+    // New pages and overwrites on either side stay on that side.
+    mem.write(0x40000000, 4, 3u);
+    mem.write(0x40400000, 4, 4u);
+    copy.write(0x80000000, 4, 5u);
+    copy.write(0xc0000000, 4, 6u);
+    EXPECT_EQ(mem.read(0x40000000, 4), 3u);
+    EXPECT_EQ(mem.read(0x80000000, 4), 2u);
+    EXPECT_EQ(mem.read(0xc0000000, 4), 0u);
+    EXPECT_EQ(copy.read(0x40000000, 4), 1u);
+    EXPECT_EQ(copy.read(0x80000000, 4), 5u);
+    EXPECT_EQ(copy.read(0x40400000, 4), 0u);
+    EXPECT_EQ(mem.pagesTouched(), 3u);
+    EXPECT_EQ(copy.pagesTouched(), 3u);
+}
+
+TEST(SimMemory, PagesTouchedRestartsAfterClear)
+{
+    SimMemory mem;
+    for (std::uint32_t region = 0; region < 4; ++region)
+        mem.write(0x40000000 + region * 0x00400000, 4, region + 1);
+    EXPECT_EQ(mem.pagesTouched(), 4u);
+    mem.clear();
+    EXPECT_EQ(mem.pagesTouched(), 0u);
+    EXPECT_EQ(mem.footprintBytes(), 0u);
+    for (std::uint32_t region = 0; region < 4; ++region)
+        EXPECT_EQ(mem.read(0x40000000 + region * 0x00400000, 4), 0u);
+    mem.write(0x40400000, 4, 9u);
+    EXPECT_EQ(mem.pagesTouched(), 1u);
+    EXPECT_EQ(mem.read(0x40400000, 4), 9u);
+}
+
 /** Property: every supported access size round-trips at any offset. */
 class SimMemorySizeTest : public ::testing::TestWithParam<unsigned>
 {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+
 #include "prefetch/stream_prefetcher.hh"
 
 namespace ecdp
@@ -136,6 +139,98 @@ TEST(StreamPrefetcher, StorageIsSmall)
 {
     StreamPrefetcher pf;
     EXPECT_LT(pf.storageBits(), 8u * 1024 * 8); // well under 8 KB
+}
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void add(std::uint64_t v)
+    {
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Digests every request a seeded random trigger sequence emits, and
+ * each trigger's request count. The sequence mixes walkers that step
+ * 1-3 blocks up or down (more of them than entries, so replacement
+ * runs), jumps up to 20 blocks from a walker (the edge of the
+ * training window), far misses, repeats of a recent block, and two
+ * walkers that run off either end of the 32-bit address space.
+ */
+std::uint64_t
+streamDigest(unsigned entries, AggLevel level)
+{
+    constexpr std::uint32_t kBlocks = std::uint32_t{1} << 25;
+    StreamPrefetcher pf(entries);
+    pf.setAggressiveness(level);
+    std::mt19937 rng(entries * 4 + static_cast<unsigned>(level));
+    auto draw = [&rng](std::uint32_t n) {
+        return static_cast<std::uint32_t>(rng() % n);
+    };
+    struct Walker
+    {
+        std::uint32_t block;
+        int dir;
+    };
+    std::vector<Walker> walkers;
+    walkers.push_back({3, -1});
+    walkers.push_back({kBlocks - 4, 1});
+    while (walkers.size() < entries + 8)
+        walkers.push_back({draw(kBlocks), draw(2) ? 1 : -1});
+    std::uint32_t recent[8] = {};
+    Fnv digest;
+    std::vector<PrefetchRequest> out;
+    for (unsigned i = 0; i < 20000; ++i) {
+        Walker &w = walkers[draw(static_cast<std::uint32_t>(walkers.size()))];
+        std::uint32_t block = 0;
+        const unsigned kind = draw(20);
+        if (kind < 12) {
+            w.block = (w.block + w.dir * static_cast<int>(1 + draw(3))) %
+                      kBlocks;
+            block = w.block;
+        } else if (kind < 15) {
+            block = (w.block + static_cast<int>(draw(41)) - 20) % kBlocks;
+        } else if (kind < 18) {
+            block = draw(kBlocks);
+        } else {
+            block = recent[draw(8)];
+        }
+        recent[i % 8] = block;
+        out.clear();
+        pf.trigger(Addr{block * 128 + draw(128)}, out);
+        digest.add(out.size());
+        for (const PrefetchRequest &req : out)
+            digest.add(req.blockAddr.raw());
+    }
+    return digest.h;
+}
+
+TEST(StreamPrefetcherOrder, DigestsArePinned)
+{
+    // Recorded on the array-of-records stream table; the lane layout
+    // must pick the same entry for every trigger at every table size.
+    constexpr std::uint64_t kPinned[3][kNumAggLevels] = {
+        {0x744c7157a799d5f8ull, 0x3d604eecc8aa618full,
+         0x9af471604858ac89ull, 0xb65479c5b31db733ull},
+        {0xbb0ffeb42c6abf00ull, 0x9839a9c047502380ull,
+         0xead3833a645cb650ull, 0x941ddf7bfbb01e95ull},
+        {0xc18e00c3f086a339ull, 0xdca65c494f22c405ull,
+         0xd698a2ecce34e302ull, 0x3133233eba97213full},
+    };
+    constexpr unsigned kEntries[3] = {2, 32, 64};
+    for (unsigned e = 0; e < 3; ++e) {
+        for (unsigned level = 0; level < kNumAggLevels; ++level) {
+            const std::uint64_t got =
+                streamDigest(kEntries[e], static_cast<AggLevel>(level));
+            EXPECT_EQ(got, kPinned[e][level])
+                << kEntries[e] << " entries, level " << level;
+        }
+    }
 }
 
 /** Property: streams train for any block stride within the window. */

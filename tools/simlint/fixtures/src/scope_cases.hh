@@ -172,4 +172,12 @@ runJob(AnnotatedMutex &m, Notify job)
     job("held"); // BAD: held again
 }
 
+// An attribute macro between 'class' and the name is not the name:
+// the finding below names AttributedWorker.
+class ECDP_CAPABILITY("worker") AttributedWorker
+{
+    ThreadPool pool_;
+    int afterPool_ = 0; // BAD: after pool_
+};
+
 #endif // SIMLINT_FIXTURE_SCOPE_CASES_HH

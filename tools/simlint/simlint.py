@@ -760,13 +760,12 @@ class StructureParser:
         stops = ("{", ";", ":")
         while self.i < len(self.toks) and self.toks[self.i].text \
                 not in stops:
+            if self.at("("):  # an attribute macro's arguments
+                self.skip("(", ")")
+                continue
             if self.toks[self.i].ident:
                 name = self.toks[self.i].text
-            elif self.at("("):  # an attribute macro's arguments
-                self.skip("(", ")")
-            if self.i < len(self.toks) and self.toks[self.i].text \
-                    not in stops:
-                self.i += 1
+            self.i += 1
         if self.at(";"):  # a forward declaration
             self.i += 1
             return
