@@ -12,11 +12,14 @@
  * warm-up rep (allocator pools, page faults, branch predictors), then
  * records min/median/max over the timed reps; derived rates use the
  * min. The event-driven warm-up rep runs with a metric registry
- * attached and reports its loop visits (the sim.loop_visits counter):
- * simulated cycles the event-driven loop actually ticked, a
- * deterministic figure independent of the machine. The output is
- * machine-readable JSON (schema BENCH_simbench/v5, see
- * EXPERIMENTS.md).
+ * attached and reports its loop visits (the sim.loop_visits counter:
+ * simulated cycles the event-driven loop actually visited) and its
+ * memory ticks (sim.memory_ticks: the visits at which the memory
+ * system ticked), deterministic figures independent of the machine.
+ * A fixed calibration loop, timed in the same process, puts every
+ * cycles/sec on a host-relative scale (relCyclesPerSec: simulated
+ * cycles per calibration iteration). The output is machine-readable
+ * JSON (schema BENCH_simbench/v6, see EXPERIMENTS.md).
  *
  * Besides the paper's two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
@@ -30,14 +33,16 @@
  * process). The CI perf-smoke job compares, against a committed
  * baseline with `--check`:
  *   - the geometric-mean speedup (machine-independent), and
- *   - `mst` event-driven cycles/sec (machine-class-sensitive, hence
+ *   - `mst` event-driven cycles/sec relative to the calibration loop
+ *     (the ratio tracks the host's speed, but not perfectly, hence
  *     the generous tolerance): mst floods its prefetch queue, so its
  *     cycles/sec is the canary for per-event-cost regressions that
  *     the speedup ratio is blind to — a slowdown hitting both modes
  *     equally leaves the ratio unchanged — and the hybrid's
- *     cycles/sec likewise, and
- *   - every workload's and the hybrid's loop visits, exactly: more
- *     visits than the baseline means the wakeup bounds got looser.
+ *     likewise, and
+ *   - every workload's and the hybrid's loop visits and memory
+ *     ticks, exactly: more than the baseline means the wakeup bounds
+ *     got looser.
  *
  * Usage:
  *   simbench [--quick] [--reps N] [--out FILE]
@@ -48,9 +53,10 @@
  *   --check F    exit non-zero if any workload's stats diverge
  *                between modes, if the geometric-mean speedup drops
  *                below baseline * (1 - tolerance), if mst or hybrid
- *                event-driven cycles/sec drops below its baseline
- *                * (1 - tolerance), or if any workload or the hybrid
- *                visits more cycles than its baseline entry.
+ *                event-driven relCyclesPerSec drops below its
+ *                baseline * (1 - tolerance), or if any workload or
+ *                the hybrid visits more cycles, or ticks its memory
+ *                system more often, than its baseline entry.
  *   --tolerance  slack fraction in [0, 1) for --check (default
  *                0.25).
  *
@@ -95,6 +101,42 @@ flooredWall(double secs)
     return std::max(secs, kMinWallSeconds);
 }
 
+/** Iterations of the calibration loop. */
+constexpr std::uint64_t kCalibrationIters = std::uint64_t{1} << 24;
+
+/**
+ * The host-speed reference: the fastest of @p reps timings (after
+ * one untimed warm-up) of a fixed loop of dependent loads from a
+ * 64 KiB table and integer mixing, the kind of work a simulated
+ * cycle does. Returns its iterations per second.
+ */
+double
+calibrationItersPerSec(int reps)
+{
+    std::vector<std::uint32_t> table(std::size_t{1} << 14);
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i] = static_cast<std::uint32_t>(i * 2654435761u);
+    const std::uint64_t mask = table.size() - 1;
+    double best = 0.0;
+    for (int rep = 0; rep <= reps; ++rep) {
+        std::uint64_t x = 1;
+        auto t0 = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < kCalibrationIters; ++i) {
+            x ^= table[x & mask];
+            x *= 0x9e3779b97f4a7c15ull;
+            x ^= x >> 29;
+        }
+        auto t1 = std::chrono::steady_clock::now();
+        // Keep the chain's result alive so the loop is not elided.
+        volatile std::uint64_t sink = x;
+        (void)sink;
+        const double secs = std::chrono::duration<double>(t1 - t0).count();
+        if (rep > 0 && (best == 0.0 || secs < best))
+            best = secs;
+    }
+    return static_cast<double>(kCalibrationIters) / flooredWall(best);
+}
+
 struct ModeTiming
 {
     /** Minimum over the timed reps (after one untimed warm-up). */
@@ -102,6 +144,8 @@ struct ModeTiming
     double wallMedian = 0.0;
     double wallMax = 0.0;
     double cyclesPerSec = 0.0;
+    /** cyclesPerSec over the calibration loop's iterations/sec. */
+    double relCyclesPerSec = 0.0;
 };
 
 struct WorkloadResult
@@ -111,6 +155,8 @@ struct WorkloadResult
     std::uint64_t instructions = 0;
     /** Event-driven loop iterations (sim.loop_visits). */
     std::uint64_t visits = 0;
+    /** Event-driven visits that ticked memory (sim.memory_ticks). */
+    std::uint64_t memoryTicks = 0;
     ModeTiming percycle;
     ModeTiming eventDriven;
     double speedup = 0.0;
@@ -132,8 +178,8 @@ statsJson(const RunStats &stats)
  */
 ModeTiming
 timeMode(const SystemConfig &base, const Workload &workload,
-         bool skipping, int reps, RunStats &stats_out,
-         const Observability &warmup_obs = {})
+         bool skipping, int reps, double calib_iters_per_sec,
+         RunStats &stats_out, const Observability &warmup_obs = {})
 {
     SystemConfig cfg = base;
     cfg.cycleSkipping = skipping;
@@ -153,22 +199,26 @@ timeMode(const SystemConfig &base, const Workload &workload,
     t.wallMax = secs.back();
     t.cyclesPerSec = static_cast<double>(stats_out.cycles.raw()) /
                      flooredWall(t.wallSeconds);
+    t.relCyclesPerSec = t.cyclesPerSec / calib_iters_per_sec;
     return t;
 }
 
 WorkloadResult
 benchWorkload(const SystemConfig &cfg, const std::string &name,
-              int reps)
+              int reps, double calib_iters_per_sec)
 {
     const Workload workload = buildWorkload(name, InputSet::Train);
     WorkloadResult r;
     r.name = name;
     RunStats polled, skipped;
     obs::MetricRegistry registry;
-    r.percycle = timeMode(cfg, workload, false, reps, polled);
-    r.eventDriven = timeMode(cfg, workload, true, reps, skipped,
+    r.percycle =
+        timeMode(cfg, workload, false, reps, calib_iters_per_sec, polled);
+    r.eventDriven = timeMode(cfg, workload, true, reps,
+                             calib_iters_per_sec, skipped,
                              Observability{&registry});
     r.visits = registry.value("sim.loop_visits");
+    r.memoryTicks = registry.value("sim.memory_ticks");
     r.cycles = skipped.cycles.raw();
     r.instructions = skipped.instructions;
     // The oracle: a speedup only counts if the results are the same.
@@ -184,24 +234,29 @@ writeModeJson(std::ostream &os, const char *key, const ModeTiming &t)
     os << "\"" << key << "\": {\"wallSeconds\": " << t.wallSeconds
        << ", \"wallMedian\": " << t.wallMedian
        << ", \"wallMax\": " << t.wallMax
-       << ", \"cyclesPerSec\": " << t.cyclesPerSec << "}";
+       << ", \"cyclesPerSec\": " << t.cyclesPerSec
+       << ", \"relCyclesPerSec\": " << t.relCyclesPerSec << "}";
 }
 
 void
 writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
             const std::string &config_label, int reps,
-            double gmean_speedup)
+            double calib_iters_per_sec, double gmean_speedup)
 {
     os.precision(6);
-    os << "{\n  \"schema\": \"BENCH_simbench/v5\",\n"
+    os << "{\n  \"schema\": \"BENCH_simbench/v6\",\n"
        << "  \"config\": \"" << jsonEscape(config_label) << "\",\n"
-       << "  \"reps\": " << reps << ",\n  \"workloads\": [\n";
+       << "  \"reps\": " << reps << ",\n"
+       << "  \"calibration\": {\"iters\": " << kCalibrationIters
+       << ", \"itersPerSec\": " << calib_iters_per_sec << "},\n"
+       << "  \"workloads\": [\n";
     for (std::size_t i = 0; i < rs.size(); ++i) {
         const WorkloadResult &r = rs[i];
         os << "    {\"name\": \"" << jsonEscape(r.name)
            << "\", \"cycles\": " << r.cycles
            << ", \"instructions\": " << r.instructions
-           << ", \"visits\": " << r.visits << ",\n     ";
+           << ", \"visits\": " << r.visits
+           << ", \"memoryTicks\": " << r.memoryTicks << ",\n     ";
         writeModeJson(os, "percycle", r.percycle);
         os << ",\n     ";
         writeModeJson(os, "eventDriven", r.eventDriven);
@@ -222,7 +277,8 @@ writeHybridJson(std::ostream &os, const WorkloadResult &r,
        << "\", \"name\": \"" << jsonEscape(r.name)
        << "\", \"cycles\": " << r.cycles
        << ", \"instructions\": " << r.instructions
-       << ", \"visits\": " << r.visits << ",\n   ";
+       << ", \"visits\": " << r.visits
+       << ", \"memoryTicks\": " << r.memoryTicks << ",\n   ";
     writeModeJson(os, "percycle", r.percycle);
     os << ",\n   ";
     writeModeJson(os, "eventDriven", r.eventDriven);
@@ -234,17 +290,20 @@ writeHybridJson(std::ostream &os, const WorkloadResult &r,
 struct Baseline
 {
     double gmeanSpeedup = 0.0;
-    /** mst event-driven cycles/sec; 0 when the baseline has no mst. */
-    double mstEventCyclesPerSec = 0.0;
-    /** Hybrid-stack event-driven cycles/sec (v3); 0 when absent. */
-    double hybridEventCyclesPerSec = 0.0;
-    /** Event-driven loop visits by workload name (v4). */
+    /** mst event-driven relCyclesPerSec; 0 when the baseline has no
+     *  mst. */
+    double mstEventRel = 0.0;
+    /** Hybrid-stack event-driven relCyclesPerSec; 0 disables. */
+    double hybridEventRel = 0.0;
+    /** Event-driven loop visits and memory ticks by workload name. */
     std::map<std::string, std::uint64_t> visits;
-    /** The hybrid's event-driven loop visits. */
+    std::map<std::string, std::uint64_t> memoryTicks;
+    /** The hybrid's event-driven loop visits and memory ticks. */
     std::uint64_t hybridVisits = 0;
+    std::uint64_t hybridMemoryTicks = 0;
 };
 
-/** Baseline figures from a committed BENCH_simbench.json (v5). */
+/** Baseline figures from a committed BENCH_simbench.json (v6). */
 Baseline
 readBaseline(const std::string &path)
 {
@@ -256,38 +315,62 @@ readBaseline(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     JsonValue doc = parseJson(buf.str());
-    if (doc.at("schema").asString() != "BENCH_simbench/v5") {
+    if (doc.at("schema").asString() != "BENCH_simbench/v6") {
         throw std::runtime_error(
             "simbench: unexpected baseline schema (want "
-            "BENCH_simbench/v5)");
+            "BENCH_simbench/v6)");
     }
+    auto count = [](const JsonValue &entry, const char *key) {
+        return static_cast<std::uint64_t>(entry.at(key).asDouble());
+    };
     Baseline base;
     base.gmeanSpeedup = doc.at("gmeanSpeedup").asDouble();
     for (const JsonValue &w : doc.at("workloads").asArray()) {
-        base.visits[w.at("name").asString()] =
-            static_cast<std::uint64_t>(w.at("visits").asDouble());
-        if (w.at("name").asString() == "mst") {
-            base.mstEventCyclesPerSec =
-                w.at("eventDriven").at("cyclesPerSec").asDouble();
+        const std::string &name = w.at("name").asString();
+        base.visits[name] = count(w, "visits");
+        base.memoryTicks[name] = count(w, "memoryTicks");
+        if (name == "mst") {
+            base.mstEventRel =
+                w.at("eventDriven").at("relCyclesPerSec").asDouble();
         }
     }
     const JsonValue &hybrid = doc.at("hybrid");
-    base.hybridEventCyclesPerSec =
-        hybrid.at("eventDriven").at("cyclesPerSec").asDouble();
-    base.hybridVisits =
-        static_cast<std::uint64_t>(hybrid.at("visits").asDouble());
+    base.hybridEventRel =
+        hybrid.at("eventDriven").at("relCyclesPerSec").asDouble();
+    base.hybridVisits = count(hybrid, "visits");
+    base.hybridMemoryTicks = count(hybrid, "memoryTicks");
     return base;
 }
 
-/** A loop-visit gate: deterministic, so any growth fails. */
+/** A scheduler-count gate (@p what is "visits" or "memory ticks"):
+ *  deterministic, so any growth fails. */
 bool
-visitsRegressed(const std::string &label, std::uint64_t visits,
-                std::uint64_t baseline)
+countRegressed(const std::string &label, const char *what,
+               std::uint64_t count, std::uint64_t baseline)
 {
-    if (visits <= baseline)
+    if (count <= baseline)
         return false;
-    std::cerr << "simbench: FAIL — " << label << " visits " << visits
-              << " cycles, baseline " << baseline << "\n";
+    std::cerr << "simbench: FAIL — " << label << " " << what << " "
+              << count << " cycles, baseline " << baseline << "\n";
+    return true;
+}
+
+/** A host-relative cycles/sec floor; a zero baseline disables it. */
+bool
+rateRegressed(const std::string &label, double rel, double baseline,
+              double tolerance)
+{
+    if (baseline <= 0.0)
+        return false;
+    const double floor = baseline * (1.0 - tolerance);
+    std::cerr << "simbench: " << label << " " << rel
+              << " cycles per calibration iteration vs baseline "
+              << baseline << " (floor " << floor << ")\n";
+    if (rel >= floor)
+        return false;
+    std::cerr << "simbench: FAIL — " << label
+              << " per-event cost regressed beyond "
+              << tolerance * 100.0 << "% tolerance\n";
     return true;
 }
 
@@ -351,6 +434,9 @@ main(int argc, char **argv)
         reps = 1;
     }
 
+    const double calib = calibrationItersPerSec(reps);
+    std::cerr << "simbench: calibration " << calib << " iterations/s\n";
+
     // A representative hybrid config: stream + CDP under coordinated
     // throttling exercises the feedback-interval machinery too.
     const SystemConfig cfg = configs::byName("cdp+throttle");
@@ -360,13 +446,14 @@ main(int argc, char **argv)
     std::vector<double> ratios;
     bool all_identical = true;
     for (const std::string &name : names) {
-        WorkloadResult r = benchWorkload(cfg, name, reps);
+        WorkloadResult r = benchWorkload(cfg, name, reps, calib);
         std::cerr << "simbench: " << r.name << " speedup " << r.speedup
                   << "x (" << r.percycle.wallSeconds << "s -> "
                   << r.eventDriven.wallSeconds << "s), "
                   << r.eventDriven.cyclesPerSec
                   << " cyc/s event-driven, " << r.visits
-                  << " of " << r.cycles << " cycles visited, identical="
+                  << " of " << r.cycles << " cycles visited, "
+                  << r.memoryTicks << " memory ticks, identical="
                   << (r.identical ? "yes" : "NO") << "\n";
         all_identical = all_identical && r.identical;
         ratios.push_back(r.speedup);
@@ -380,17 +467,19 @@ main(int argc, char **argv)
     SystemConfig hybridCfg = configs::byName("cdp+throttle");
     hybridCfg.engines = {"stream", "cdp", "isb"};
     const std::string hybrid_label = "stream+cdp+isb+coordinated";
-    WorkloadResult hybrid = benchWorkload(hybridCfg, "health", reps);
+    WorkloadResult hybrid =
+        benchWorkload(hybridCfg, "health", reps, calib);
     std::cerr << "simbench: hybrid(" << hybrid_label << ") "
               << hybrid.name << " speedup " << hybrid.speedup << "x, "
               << hybrid.eventDriven.cyclesPerSec
               << " cyc/s event-driven, " << hybrid.visits << " of "
-              << hybrid.cycles << " cycles visited, identical="
+              << hybrid.cycles << " cycles visited, "
+              << hybrid.memoryTicks << " memory ticks, identical="
               << (hybrid.identical ? "yes" : "NO") << "\n";
     all_identical = all_identical && hybrid.identical;
 
     std::ostringstream report;
-    writeReport(report, results, config_label, reps, gmean_speedup);
+    writeReport(report, results, config_label, reps, calib, gmean_speedup);
     writeHybridJson(report, hybrid, hybrid_label);
     if (!out_path.empty()) {
         std::ofstream out(out_path);
@@ -424,55 +513,36 @@ main(int argc, char **argv)
             failed = true;
         }
 
-        // Per-event-cost canary: compare mst event-driven cycles/sec
-        // when both this run and the baseline have it.
-        const WorkloadResult *mst = nullptr;
+        // Per-event-cost canaries, host-relative: mst's flood, and
+        // the three-engine hybrid stack, whose N-engine dispatch path
+        // neither the gmean ratio nor the mst floor sees.
         for (const WorkloadResult &r : results) {
-            if (r.name == "mst")
-                mst = &r;
-        }
-        if (mst && base.mstEventCyclesPerSec > 0.0) {
-            const double mst_floor =
-                base.mstEventCyclesPerSec * (1.0 - tolerance);
-            std::cerr << "simbench: mst "
-                      << mst->eventDriven.cyclesPerSec
-                      << " cyc/s vs baseline "
-                      << base.mstEventCyclesPerSec << " (floor "
-                      << mst_floor << ")\n";
-            if (mst->eventDriven.cyclesPerSec < mst_floor) {
-                std::cerr << "simbench: FAIL — mst per-event cost "
-                             "regressed beyond "
-                          << tolerance * 100.0 << "% tolerance\n";
+            if (r.name == "mst" &&
+                rateRegressed("mst", r.eventDriven.relCyclesPerSec,
+                              base.mstEventRel, tolerance))
                 failed = true;
-            }
         }
-        // Same canary for the three-engine hybrid stack: a slowdown
-        // confined to the N-engine dispatch path would be invisible
-        // to both the gmean ratio and the mst floor.
-        if (base.hybridEventCyclesPerSec > 0.0) {
-            const double hybrid_floor =
-                base.hybridEventCyclesPerSec * (1.0 - tolerance);
-            std::cerr << "simbench: hybrid "
-                      << hybrid.eventDriven.cyclesPerSec
-                      << " cyc/s vs baseline "
-                      << base.hybridEventCyclesPerSec << " (floor "
-                      << hybrid_floor << ")\n";
-            if (hybrid.eventDriven.cyclesPerSec < hybrid_floor) {
-                std::cerr << "simbench: FAIL — hybrid per-event "
-                             "cost regressed beyond "
-                          << tolerance * 100.0 << "% tolerance\n";
-                failed = true;
-            }
-        }
-        // Loop visits are deterministic: any growth is a scheduler
-        // bound that stopped skipping idle cycles, on any machine.
+        if (rateRegressed("hybrid", hybrid.eventDriven.relCyclesPerSec,
+                          base.hybridEventRel, tolerance))
+            failed = true;
+        // Loop visits and memory ticks are deterministic: any growth
+        // is a scheduler bound that stopped skipping, on any machine.
         for (const WorkloadResult &r : results) {
-            auto it = base.visits.find(r.name);
-            if (it != base.visits.end() &&
-                visitsRegressed(r.name, r.visits, it->second))
+            auto v = base.visits.find(r.name);
+            if (v != base.visits.end() &&
+                countRegressed(r.name, "visits", r.visits, v->second))
+                failed = true;
+            auto m = base.memoryTicks.find(r.name);
+            if (m != base.memoryTicks.end() &&
+                countRegressed(r.name, "memory ticks", r.memoryTicks,
+                               m->second))
                 failed = true;
         }
-        if (visitsRegressed("hybrid", hybrid.visits, base.hybridVisits))
+        if (countRegressed("hybrid", "visits", hybrid.visits,
+                           base.hybridVisits))
+            failed = true;
+        if (countRegressed("hybrid", "memory ticks", hybrid.memoryTicks,
+                           base.hybridMemoryTicks))
             failed = true;
         if (failed)
             return 1;

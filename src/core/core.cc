@@ -11,11 +11,12 @@ namespace ecdp
 
 Core::Core(const Workload *workload, CoreMemoryInterface *memory,
            const CoreParams &params)
-    : workload_(workload), memory_(memory), params_(params),
+    : trace_(workload->trace.data()), traceLen_(workload->trace.size()),
+      memory_(memory), params_(params),
       slotMask_(std::bit_ceil(std::size_t{params.lsqEntries}) - 1)
 {
-    assert(workload_ && memory_);
-    completion_.assign(workload_->trace.size(), kPending);
+    assert(memory_);
+    completion_.assign(traceLen_, kPending);
     fillersAhead_.assign(slotMask_ + 1, 0);
     waitHead_.assign(slotMask_ + 1, kNoLoad);
     waitNext_.assign(slotMask_ + 1, kNoLoad);
@@ -30,116 +31,155 @@ Core::wakeAt(Cycle ready, std::size_t idx)
     std::push_heap(wakeHeap_.begin(), wakeHeap_.end(), std::greater<>{});
 }
 
-void
-Core::retire(Cycle now)
+inline bool
+Core::step(Cycle now)
 {
-    unsigned budget = params_.width;
-    while (budget > 0 && robCount_ > 0) {
-        const std::size_t head = cursor_ - lsqCount_;
-        std::uint32_t &fillers =
-            lsqCount_ > 0 ? fillersAhead_[slot(head)] : tailFillers_;
-        if (fillers > 0) {
-            std::uint32_t take = std::min<std::uint32_t>(budget, fillers);
-            fillers -= take;
-            robCount_ -= take;
-            retired_ += take;
-            budget -= take;
-            continue;
-        }
-        Cycle done = completion_[head];
-        if (done == kPending || done > now)
-            break;
-        --robCount_;
-        --lsqCount_;
-        ++retired_;
-        --budget;
-    }
-}
+    ++ticks_;
+    bool called = false;
 
-void
-Core::issueLoads(Cycle now)
-{
-    // Loads whose producer has completed by now join the ready list
-    // at their trace position.
-    while (!wakeHeap_.empty() && wakeHeap_.front().at <= now) {
-        std::pop_heap(wakeHeap_.begin(), wakeHeap_.end(), std::greater<>{});
-        const std::size_t idx = wakeHeap_.back().idx;
-        wakeHeap_.pop_back();
-        ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), idx),
-                      idx);
-    }
-    unsigned issued = 0;
-    while (issued < params_.issuePerCycle && issued < ready_.size()) {
-        const std::size_t idx = ready_[issued];
-        std::optional<Cycle> done = memory_->load(workload_->trace[idx], now);
-        // The memory system is out of buffers; no point trying the
-        // remaining loads this cycle.
-        if (!done)
-            break;
-        const Cycle ready = std::max(*done, now + 1);
-        completion_[idx] = ready;
-        // Hand the waiters to the heap; this leaves the list empty.
-        std::size_t &waiter = waitHead_[slot(idx)];
-        for (; waiter != kNoLoad; waiter = waitNext_[slot(waiter)])
-            wakeAt(ready, waiter);
-        ++issued;
-    }
-    ready_.erase(ready_.begin(), ready_.begin() + issued);
-}
-
-void
-Core::dispatch(Cycle now)
-{
-    unsigned budget = params_.width;
-    const auto &trace = workload_->trace;
-    while (budget > 0 && cursor_ < trace.size()) {
-        const TraceEntry &entry = trace[cursor_];
-        if (!fillersPrimed_) {
-            fillersLeft_ = entry.nonMemBefore;
-            fillersPrimed_ = true;
-        }
-        unsigned rob_space = params_.robEntries - robCount_;
-        if (rob_space == 0)
-            break;
-        if (fillersLeft_ > 0) {
-            std::uint32_t take = std::min<std::uint32_t>(
-                {budget, fillersLeft_, rob_space});
-            tailFillers_ += take;
-            robCount_ += take;
-            budget -= take;
-            fillersLeft_ -= take;
-            continue;
-        }
-        if (lsqCount_ >= params_.lsqEntries)
-            break;
-        fillersAhead_[slot(cursor_)] = tailFillers_;
-        tailFillers_ = 0;
-        ++robCount_;
-        ++lsqCount_;
-        if (entry.kind == AccessKind::Store) {
-            memory_->store(entry, now);
-            completion_[cursor_] = now + 1;
-        } else if (entry.dep == kNoDep) {
-            ready_.push_back(cursor_);
-        } else {
-            const auto producer = static_cast<std::size_t>(entry.dep);
-            assert(producer < cursor_);
-            const Cycle ready = completion_[producer];
-            if (ready == kPending) {
-                // An unissued load, so still in the LSQ: its slot is
-                // live until it issues and hands over its waiters.
-                waitNext_[slot(cursor_)] = waitHead_[slot(producer)];
-                waitHead_[slot(producer)] = cursor_;
-            } else if (ready <= now) {
-                ready_.push_back(cursor_);
-            } else {
-                wakeAt(ready, cursor_);
+    // Retire: in order, up to width a cycle. Fillers ahead of the
+    // head op always retire; the op itself once its data is due.
+    // The ROB counts live in locals: the ring's uint32_t stores
+    // would otherwise force them to be reloaded.
+    {
+        unsigned budget = params_.width;
+        unsigned rob = robCount_;
+        unsigned lsq = lsqCount_;
+        const unsigned rob0 = rob;
+        while (budget > 0 && rob > 0) {
+            const std::size_t head = cursor_ - lsq;
+            std::uint32_t &fillers =
+                lsq > 0 ? fillersAhead_[slot(head)] : tailFillers_;
+            const std::uint32_t ahead = fillers;
+            if (ahead > 0) {
+                const std::uint32_t take = std::min(budget, ahead);
+                fillers = ahead - take;
+                rob -= take;
+                budget -= take;
+                continue;
             }
+            const Cycle done = completion_[head];
+            if (done == kPending || done > now)
+                break;
+            --rob;
+            --lsq;
+            --budget;
         }
-        --budget;
-        ++cursor_;
-        fillersPrimed_ = false;
+        retired_ += rob0 - rob;
+        robCount_ = rob;
+        lsqCount_ = lsq;
     }
+
+    // Issue, unless nothing is ready and nothing wakes this cycle.
+    if (!ready_.empty() ||
+        (!wakeHeap_.empty() && wakeHeap_.front().at <= now)) {
+        // Loads whose producer has completed by now join the ready
+        // list at their trace position.
+        while (!wakeHeap_.empty() && wakeHeap_.front().at <= now) {
+            std::pop_heap(wakeHeap_.begin(), wakeHeap_.end(),
+                          std::greater<>{});
+            const std::size_t idx = wakeHeap_.back().idx;
+            wakeHeap_.pop_back();
+            ready_.insert(
+                std::upper_bound(ready_.begin(), ready_.end(), idx), idx);
+        }
+        unsigned issued = 0;
+        while (issued < params_.issuePerCycle && issued < ready_.size()) {
+            const std::size_t idx = ready_[issued];
+            called = true;
+            std::optional<Cycle> done = memory_->load(trace_[idx], now);
+            // The memory system is out of buffers; no point trying
+            // the remaining loads this cycle.
+            if (!done)
+                break;
+            const Cycle ready = std::max(*done, now + 1);
+            completion_[idx] = ready;
+            // Hand the waiters to the heap; this leaves the list
+            // empty.
+            std::size_t &waiter = waitHead_[slot(idx)];
+            for (; waiter != kNoLoad; waiter = waitNext_[slot(waiter)])
+                wakeAt(ready, waiter);
+            ++issued;
+        }
+        ready_.erase(ready_.begin(), ready_.begin() + issued);
+    }
+
+    // Dispatch: up to width a cycle, fillers first, then the memory
+    // op they precede, while the ROB and the LSQ have room.
+    {
+        unsigned budget = params_.width;
+        unsigned rob = robCount_;
+        unsigned lsq = lsqCount_;
+        std::size_t cursor = cursor_;
+        std::uint32_t tail = tailFillers_;
+        std::uint32_t left = fillersLeft_;
+        bool primed = fillersPrimed_;
+        while (budget > 0 && cursor < traceLen_ && rob < params_.robEntries) {
+            const TraceEntry &entry = trace_[cursor];
+            if (!primed) {
+                left = entry.nonMemBefore;
+                primed = true;
+            }
+            if (left > 0) {
+                const std::uint32_t take =
+                    std::min({budget, left, params_.robEntries - rob});
+                tail += take;
+                rob += take;
+                budget -= take;
+                left -= take;
+                continue;
+            }
+            if (lsq >= params_.lsqEntries)
+                break;
+            fillersAhead_[slot(cursor)] = tail;
+            tail = 0;
+            ++rob;
+            ++lsq;
+            if (entry.kind == AccessKind::Store) {
+                called = true;
+                memory_->store(entry, now);
+                completion_[cursor] = now + 1;
+            } else if (entry.dep == kNoDep) {
+                ready_.push_back(cursor);
+            } else {
+                const auto producer = static_cast<std::size_t>(entry.dep);
+                assert(producer < cursor);
+                const Cycle ready = completion_[producer];
+                if (ready == kPending) {
+                    // An unissued load, so still in the LSQ: its slot
+                    // is live until it issues and hands over its
+                    // waiters.
+                    waitNext_[slot(cursor)] = waitHead_[slot(producer)];
+                    waitHead_[slot(producer)] = cursor;
+                } else if (ready <= now) {
+                    ready_.push_back(cursor);
+                } else {
+                    wakeAt(ready, cursor);
+                }
+            }
+            --budget;
+            ++cursor;
+            primed = false;
+        }
+        robCount_ = rob;
+        lsqCount_ = lsq;
+        cursor_ = cursor;
+        tailFillers_ = tail;
+        fillersLeft_ = left;
+        fillersPrimed_ = primed;
+    }
+
+    if (cursor_ == traceLen_ && robCount_ == 0) {
+        if (!finishedOnce_) {
+            finishedOnce_ = true;
+            finishCycle_ = now;
+            retiredFirstPass_ = retired_;
+        }
+        if (wrapAround_)
+            resetPass();
+        return true;
+    }
+    return called;
 }
 
 void
@@ -153,10 +193,10 @@ Core::resetPass()
     std::fill(completion_.begin(), completion_.end(), kPending);
 }
 
-Cycle
-Core::nextEventCycle(Cycle now) const
+inline Cycle
+Core::wake(Cycle now) const
 {
-    Cycle wake = kNoEventCycle;
+    Cycle bound = kNoEventCycle;
 
     // Retire: non-memory fillers at the head always retire next
     // cycle; a memory head with a known completion blocks everything
@@ -170,7 +210,7 @@ Core::nextEventCycle(Cycle now) const
             return now + 1;
         Cycle done = completion_[head];
         if (done != kPending)
-            wake = std::max(done, now + 1);
+            bound = std::max(done, now + 1);
     }
 
     // Issue: a ready load was held back only by the per-cycle issue
@@ -184,41 +224,50 @@ Core::nextEventCycle(Cycle now) const
         return now + 1;
     if (!wakeHeap_.empty()) {
         assert(wakeHeap_.front().at > now);
-        wake = std::min(wake, wakeHeap_.front().at);
+        bound = std::min(bound, wakeHeap_.front().at);
     }
 
     // Dispatch: possible next cycle whenever there is ROB space and
     // the next entry is a filler batch or a memory op with LSQ space.
     // A full ROB or LSQ only drains through retirement, which the
     // retire bound above already covers.
-    if (cursor_ < workload_->trace.size() &&
-        robCount_ < params_.robEntries) {
-        const TraceEntry &entry = workload_->trace[cursor_];
+    if (cursor_ < traceLen_ && robCount_ < params_.robEntries) {
+        const TraceEntry &entry = trace_[cursor_];
         std::uint32_t fillers =
             fillersPrimed_ ? fillersLeft_ : entry.nonMemBefore;
         if (fillers > 0 || lsqCount_ < params_.lsqEntries)
             return now + 1;
     }
 
-    return wake;
+    return bound;
+}
+
+Cycle
+Core::nextEventCycle(Cycle now) const
+{
+    return wake(now);
+}
+
+bool
+Core::runUntil(Cycle &now, Cycle horizon)
+{
+    for (;;) {
+        if (step(now))
+            return true;
+        // Every wake is after now, so none can fall before now + 1.
+        if (now + 1 >= horizon)
+            return false;
+        const Cycle next = wake(now);
+        if (next >= horizon)
+            return false;
+        now = next;
+    }
 }
 
 void
 Core::tick(Cycle now)
 {
-    retire(now);
-    issueLoads(now);
-    dispatch(now);
-
-    if (cursor_ == workload_->trace.size() && robCount_ == 0) {
-        if (!finishedOnce_) {
-            finishedOnce_ = true;
-            finishCycle_ = now;
-            retiredFirstPass_ = retired_;
-        }
-        if (wrapAround_)
-            resetPass();
-    }
+    runUntil(now, now + 1);
 }
 
 } // namespace ecdp

@@ -79,6 +79,23 @@ class Core
     void tick(Cycle now);
 
     /**
+     * Run the core alone: tick at @p now, then at each of its own
+     * wakes (nextEventCycle) that falls before @p horizon, and stop
+     * after the first tick that called the memory system (a load,
+     * accepted or refused, or a store) or ended a pass of the trace.
+     * On return @p now is the cycle of the last tick. Returns true
+     * when that tick called the memory system or ended a pass (the
+     * caller must then recompute its bounds), false when the core's
+     * next wake is at or after @p horizon.
+     *
+     * The ticks are exactly the ones a tick-then-nextEventCycle loop
+     * would make up to @p horizon, so a caller that hands in the
+     * earliest cycle anything else in the system can act on visits
+     * the same cycles as one that polls every bound after every tick.
+     */
+    bool runUntil(Cycle &now, Cycle horizon);
+
+    /**
      * Earliest cycle after @p now at which tick() could do anything —
      * the event-driven scheduler's wakeup bound. Must be called after
      * tick(now); every cycle in (now, nextEventCycle(now)) is
@@ -120,10 +137,17 @@ class Core
     /** Total retired instructions (all passes). */
     std::uint64_t retired() const { return retired_; }
 
+    /** Cycles ticked so far (tick() and runUntil() alike). */
+    std::uint64_t ticks() const { return ticks_; }
+
   private:
-    void retire(Cycle now);
-    void issueLoads(Cycle now);
-    void dispatch(Cycle now);
+    /** One tick: retire, issue ready loads, dispatch. Returns true
+     *  when it called the memory system or ended a pass. */
+    bool step(Cycle now);
+    /** nextEventCycle()'s body, inlined into runUntil(): an
+     *  out-of-line call there costs 3 % of filtered-serial's
+     *  simulate() time. */
+    Cycle wake(Cycle now) const;
     void resetPass();
 
     /** Ring slot of an LSQ resident (see fillersAhead_). */
@@ -134,7 +158,9 @@ class Core
     /** Queue load @p idx to issue once cycle @p ready is reached. */
     void wakeAt(Cycle ready, std::size_t idx);
 
-    const Workload *workload_;
+    /** The workload's trace (not owned). */
+    const TraceEntry *trace_;
+    std::size_t traceLen_;
     CoreMemoryInterface *memory_;
     CoreParams params_;
     /** The rings below have lsqEntries slots rounded up to a power of
@@ -192,6 +218,7 @@ class Core
 
     std::uint64_t retired_ = 0;
     std::uint64_t retiredFirstPass_ = 0;
+    std::uint64_t ticks_ = 0;
     bool finishedOnce_ = false;
     Cycle finishCycle_{};
     bool wrapAround_ = false;

@@ -37,8 +37,8 @@ DramSystem::bankIndex(unsigned core, Addr block_addr) const
 unsigned
 DramSystem::bufferOccupancy(Cycle now)
 {
-    while (!inFlight_.empty() && inFlight_.top() <= now)
-        inFlight_.pop();
+    while (!inFlight_.empty() && inFlight_.front() <= now)
+        inFlight_.pop_front();
     return static_cast<unsigned>(inFlight_.size());
 }
 
@@ -50,7 +50,7 @@ DramSystem::nextEventCycle(Cycle now)
     bufferOccupancy(now);
     if (inFlight_.empty())
         return kNoEventCycle;
-    return std::max(inFlight_.top(), now + 1);
+    return std::max(inFlight_.front(), now + 1);
 }
 
 void
@@ -99,6 +99,10 @@ DramSystem::reserve(unsigned core, Addr block_addr, Cycle now)
     Cycle bus_start = std::max(bank_done, busFree_);
     Cycle bus_done = bus_start + params_.busTransfer;
     busFree_ = bus_done;
+    // Each completion is the new busFree_, so the buffer fills in
+    // completion order and drains from its front.
+    assert(inFlight_.empty() || inFlight_.back() <= bus_done);
+    inFlight_.push_back(bus_done);
 
     ++busTransactions_;
     ++perCoreBus_[core];
@@ -119,9 +123,7 @@ DramSystem::read(unsigned core, Addr block_addr, Cycle now,
     }
     if (readsCtr_)
         readsCtr_->inc();
-    Cycle done = reserve(core, block_addr, now);
-    inFlight_.push(done);
-    return done;
+    return reserve(core, block_addr, now);
 }
 
 void
@@ -135,7 +137,7 @@ DramSystem::writeback(unsigned core, Addr block_addr, Cycle now)
     // bandwidth contention is underestimated. Unlike reads it is
     // never refused: the evicting cache has no write buffer to stall
     // into, so the entry is posted even when the buffer is full.
-    inFlight_.push(reserve(core, block_addr, now));
+    reserve(core, block_addr, now);
 }
 
 } // namespace ecdp

@@ -16,8 +16,8 @@
 #define ECDP_DRAM_DRAM_HH
 
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "memsim/block_geometry.hh"
@@ -112,8 +112,8 @@ class DramSystem
      * pin the clock themselves — so this is a belt-and-braces bound
      * for the cycle-skipping scheduler, never the binding one.
      * Non-const: it pops already-completed entries (the same lazy
-     * drain bufferOccupancy() performs) so a stale heap top cannot
-     * pin the clock to now + 1.
+     * drain bufferOccupancy() performs) so a completed entry at the
+     * front cannot pin the clock to now + 1.
      */
     Cycle nextEventCycle(Cycle now);
 
@@ -127,7 +127,8 @@ class DramSystem
     void attachObservability(const Observability &obs);
 
   private:
-    /** Reserve bank + bus resources; returns the bus-done cycle. */
+    /** Reserve bank + bus resources and a request-buffer entry;
+     *  returns the bus-done cycle. */
     Cycle reserve(unsigned core, Addr block_addr, Cycle now);
 
     unsigned bankIndex(unsigned core, Addr block_addr) const;
@@ -139,9 +140,10 @@ class DramSystem
     std::vector<Cycle> bankFree_;
     Cycle busFree_{};
     /** Completion times of in-flight reads and writebacks (request
-     *  buffer occupancy). */
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>>
-        inFlight_;
+     *  buffer occupancy), oldest first. Each is the bus-done cycle
+     *  reserve() returned, which is also the new busFree_, so they
+     *  only increase and the front is the earliest. */
+    std::deque<Cycle> inFlight_;
     std::uint64_t busTransactions_ = 0;
     std::vector<std::uint64_t> perCoreBus_;
 

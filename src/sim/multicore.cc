@@ -78,9 +78,12 @@ simulateMultiCore(const SystemConfig &cfg,
         }
         cycle = next;
     }
-    // Registry only (see simulate()).
-    if (obs.metrics)
+    // Registry only (see simulate()). Every visit ticks every memory
+    // system, so each is a memory tick.
+    if (obs.metrics) {
         obs.metrics->counter("sim.loop_visits").add(visits);
+        obs.metrics->counter("sim.memory_ticks").add(visits);
+    }
 
     MultiCoreResult result;
     // Unconditional watchdog check; an assert here disappears under

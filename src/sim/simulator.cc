@@ -21,41 +21,79 @@ simulate(const SystemConfig &cfg, const Workload &workload,
     // (pure observation; rule policies ignore it).
     memory.attachCore(&core);
 
-    // Event-driven main loop: every iteration ticks exactly as the
-    // per-cycle loop would, but the clock then jumps straight to the
-    // earliest cycle any component can act on. The skipped cycles are
-    // provably no-op ticks (see nextEventCycle contracts and
-    // DESIGN.md), so results are bit-identical with skipping on or
-    // off — only wall-clock differs.
     Cycle cycle{};
-    std::uint64_t visits = 0;
-    while (!core.finishedOnce() && cycle < cfg.maxCycles) {
-        ++visits;
-        memory.tick(cycle);
-        core.tick(cycle);
-        Cycle next = cycle + 1;
-        if (cfg.cycleSkipping && !core.finishedOnce()) {
-            // Cheapest bound first, and stop as soon as one pins the
-            // clock to the very next cycle: on busy cycles (prefetch
-            // queues draining, ROB retiring) the remaining bounds
-            // cannot raise the minimum, and computing them would make
-            // skipping a net loss on workloads that rarely idle.
-            Cycle wake = memory.nextEventCycle(cycle);
+    std::uint64_t memoryTicks = 0;
+    if (!cfg.cycleSkipping) {
+        // Per-cycle polling, the exactness oracle: every component
+        // ticks on every cycle.
+        for (; !core.finishedOnce() && cycle < cfg.maxCycles;
+             cycle = cycle + 1) {
+            memory.tick(cycle);
+            core.tick(cycle);
+            ++memoryTicks;
+        }
+    } else {
+        // Event-driven: the clock jumps straight to the earliest
+        // cycle any component can act on, and each component ticks
+        // only when it can act. The skipped cycles and ticks are
+        // provably no-ops (see the nextEventCycle contracts and
+        // DESIGN.md §9), so results are bit-identical with skipping
+        // on or off — only wall-clock differs.
+        //
+        // The memory system's bound holds until it ticks or the core
+        // calls into it, and DRAM's until the memory system reaches
+        // it (or its earliest completion passes), so both are kept
+        // here rather than polled each visit. A DRAM bound at or
+        // before the current cycle is stale. Between those events the
+        // core runs alone through its own wakes.
+        Cycle memoryWake{};
+        Cycle dramWake{};
+        while (!core.finishedOnce() && cycle < cfg.maxCycles) {
+            if (cycle >= memoryWake) {
+                memory.tick(cycle);
+                ++memoryTicks;
+                memoryWake = memory.nextEventCycle(cycle);
+                dramWake = cycle;
+            }
+            // Every bound is after the current cycle, so a horizon of
+            // the next cycle needs no DRAM bound.
+            Cycle horizon = std::min(memoryWake, cfg.maxCycles);
+            if (horizon > cycle + 1) {
+                if (dramWake <= cycle)
+                    dramWake = dram.nextEventCycle(cycle);
+                horizon = std::min(horizon, dramWake);
+            }
+            if (!core.runUntil(cycle, horizon)) {
+                cycle = horizon;
+                continue;
+            }
+            if (core.finishedOnce())
+                break;
+            // The core called into the memory system at this cycle:
+            // recompute the bounds it may have moved, cheapest first,
+            // stopping as soon as one pins the next cycle.
+            memoryWake = memory.nextEventCycle(cycle);
+            dramWake = cycle;
+            Cycle wake = memoryWake;
             if (wake > cycle + 1)
                 wake = std::min(wake, core.nextEventCycle(cycle));
-            if (wake > cycle + 1)
-                wake = std::min(wake, dram.nextEventCycle(cycle));
+            if (wake > cycle + 1) {
+                dramWake = dram.nextEventCycle(cycle);
+                wake = std::min(wake, dramWake);
+            }
             // All-idle with no scheduled event is a hang; jump to the
             // watchdog so the loop exits at the same cycle count the
             // polling loop would have spun to.
-            next = std::max(next, std::min(wake, cfg.maxCycles));
+            cycle = std::min(wake, cfg.maxCycles);
         }
-        cycle = next;
     }
     // Registry only, never RunStats: the stats JSON must stay
-    // byte-identical with skipping on or off.
-    if (obs.metrics)
-        obs.metrics->counter("sim.loop_visits").add(visits);
+    // byte-identical with skipping on or off. Every visit ticks the
+    // core once.
+    if (obs.metrics) {
+        obs.metrics->counter("sim.loop_visits").add(core.ticks());
+        obs.metrics->counter("sim.memory_ticks").add(memoryTicks);
+    }
 
     return coreRunStats(workload.name, core, memory, dram, 0, cycle);
 }

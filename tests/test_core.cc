@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 
 #include "core/core.hh"
 #include "workloads/workload.hh"
@@ -328,35 +330,83 @@ struct Fnv
     }
 };
 
+/** One tick of a tick-by-tick run. */
+struct TickRecord
+{
+    Cycle cycle;
+    /** nextEventCycle() after the tick. */
+    Cycle wake;
+    /** The tick called the memory system or ended a pass. */
+    bool acted;
+};
+
+/** A run's ticks, memory calls and retired count. */
+struct CoreRunLog
+{
+    std::vector<TickRecord> ticks;
+    std::vector<RecordingMemory::Call> calls;
+    std::uint64_t retired = 0;
+};
+
+/** Instructions in one pass of @p wl (fillers and memory ops). */
+std::uint64_t
+passInstructions(const Workload &wl)
+{
+    std::uint64_t n = wl.trace.size();
+    for (const TraceEntry &entry : wl.trace)
+        n += entry.nonMemBefore;
+    return n;
+}
+
 /**
  * Runs @p bench's train trace event-driven (tick, then jump to
  * nextEventCycle) through a recording memory that refuses every 7th
- * load, for the first pass and a wrapped second one, and digests
- * every memory call and every wake bound.
+ * load, for the first pass and a wrapped second one, logging every
+ * tick and every memory call.
  */
-std::uint64_t
-coreCallDigest(const std::string &bench, const CoreParams &params = {})
+CoreRunLog
+tickByTick(const std::string &bench, const CoreParams &params = {})
 {
     Workload wl = buildWorkload(bench, InputSet::Train);
+    const std::uint64_t pass = passInstructions(wl);
     RecordingMemory mem(wl);
     mem.refuse = [](std::uint64_t n) { return n % 7 == 0; };
     Core core(&wl, &mem, params);
     core.setWrapAround(true);
-    Fnv digest;
+    CoreRunLog log;
     Cycle now{};
     while (!core.finishedOnce() ||
            now.raw() < 2 * core.finishCycle().raw()) {
+        const std::size_t calls = mem.calls.size();
+        const std::uint64_t retired = core.retired();
         core.tick(now);
-        Cycle next = core.nextEventCycle(now);
-        digest.add(next.raw());
+        // A pass ends at the tick that retires its last instruction.
+        const bool ended =
+            core.retired() != retired && core.retired() % pass == 0;
+        const Cycle next = core.nextEventCycle(now);
+        log.ticks.push_back({now, next, mem.calls.size() != calls || ended});
         now = next;
     }
-    for (const RecordingMemory::Call &call : mem.calls) {
+    log.calls = std::move(mem.calls);
+    log.retired = core.retired();
+    return log;
+}
+
+/** Digest of every wake bound, every memory call and the retired
+ *  count of tickByTick(@p bench, @p params). */
+std::uint64_t
+coreCallDigest(const std::string &bench, const CoreParams &params = {})
+{
+    const CoreRunLog log = tickByTick(bench, params);
+    Fnv digest;
+    for (const TickRecord &tick : log.ticks)
+        digest.add(tick.wake.raw());
+    for (const RecordingMemory::Call &call : log.calls) {
         digest.add(call.store);
         digest.add(call.cycle.raw());
         digest.add(call.idx);
     }
-    digest.add(core.retired());
+    digest.add(log.retired);
     return digest.h;
 }
 
@@ -375,6 +425,91 @@ TEST(CoreCallOrder, TrainDigestsArePinned)
     odd.lsqEntries = 13;
     odd.issuePerCycle = 3;
     EXPECT_EQ(coreCallDigest("health", odd), 0x32c3eacb0438fa0bull);
+}
+
+/**
+ * Drives @p bench through runUntil with seeded horizons (the next
+ * cycle, no horizon, and near and far ones), resuming each time at
+ * the core's own wake, and requires exactly the ticks, wakes and
+ * memory calls of tickByTick(): each return lands on a tick-by-tick
+ * tick with the same tick count behind it, returns true exactly
+ * when that tick called the memory system (refused loads included)
+ * or ended a pass, and returns false only when the next wake is at
+ * or after the horizon.
+ */
+void
+expectRunUntilMatchesTickByTick(const std::string &bench,
+                                std::uint64_t seed)
+{
+    SCOPED_TRACE(bench);
+    const CoreRunLog ref = tickByTick(bench);
+    Workload wl = buildWorkload(bench, InputSet::Train);
+    RecordingMemory mem(wl);
+    mem.refuse = [](std::uint64_t n) { return n % 7 == 0; };
+    Core core(&wl, &mem);
+    core.setWrapAround(true);
+    std::mt19937_64 rng(seed);
+    auto drawHorizon = [&rng](Cycle now) {
+        switch (rng() % 4) {
+        case 0:
+            return now + 1;
+        case 1:
+            return kNoEventCycle;
+        case 2:
+            return now + 1 + rng() % 64;
+        default:
+            return now + 1 + rng() % 4096;
+        }
+    };
+    std::size_t returns = 0;
+    // The first tick of the next runUntil call, in ref.ticks.
+    std::size_t callStart = 0;
+    Cycle now{};
+    for (;;) {
+        Cycle horizon = drawHorizon(now);
+        // tickByTick stops before twice the first pass's length.
+        if (core.finishedOnce()) {
+            horizon = std::min(horizon,
+                               Cycle{2 * core.finishCycle().raw()});
+        }
+        const bool acted = core.runUntil(now, horizon);
+        ++returns;
+        auto it = std::lower_bound(
+            ref.ticks.begin(), ref.ticks.end(), now,
+            [](const TickRecord &t, Cycle c) { return t.cycle < c; });
+        ASSERT_TRUE(it != ref.ticks.end() && it->cycle == now)
+            << "return " << returns << " at cycle " << now.raw();
+        ASSERT_LT(now, horizon);
+        ASSERT_EQ(core.ticks(),
+                  static_cast<std::uint64_t>(it - ref.ticks.begin()) + 1)
+            << "cycle " << now.raw();
+        ASSERT_EQ(acted, it->acted) << "cycle " << now.raw();
+        // No earlier tick of this call touched the memory system.
+        for (auto t = ref.ticks.begin() + callStart; t != it; ++t)
+            ASSERT_FALSE(t->acted) << "cycle " << t->cycle.raw();
+        callStart = static_cast<std::size_t>(it - ref.ticks.begin()) + 1;
+        if (!acted) {
+            ASSERT_GE(it->wake, horizon) << "cycle " << now.raw();
+        }
+        const Cycle next = core.nextEventCycle(now);
+        ASSERT_EQ(next, it->wake) << "cycle " << now.raw();
+        if (core.finishedOnce() &&
+            next.raw() >= 2 * core.finishCycle().raw())
+            break;
+        now = next;
+    }
+    EXPECT_EQ(core.ticks(), ref.ticks.size());
+    EXPECT_EQ(mem.calls, ref.calls);
+    EXPECT_EQ(core.retired(), ref.retired);
+    // runUntil really ran the core alone for stretches.
+    EXPECT_LT(returns, ref.ticks.size());
+}
+
+TEST(CoreCallOrder, RunUntilMakesTheTickByTickCallsAndWakes)
+{
+    expectRunUntilMatchesTickByTick("mst", 1);
+    expectRunUntilMatchesTickByTick("health", 2);
+    expectRunUntilMatchesTickByTick("mcf", 3);
 }
 
 /** Load 0 is a producer; loads 1..6 all depend on it. */
