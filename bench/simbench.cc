@@ -13,20 +13,24 @@
  * records min/median/max over the timed reps; derived rates use the
  * min. The event-driven warm-up rep runs with a metric registry
  * attached and reports its loop visits (the sim.loop_visits counter:
- * simulated cycles the event-driven loop actually visited) and its
- * memory ticks (sim.memory_ticks: the visits at which the memory
- * system ticked), deterministic figures independent of the machine.
- * A fixed calibration loop, timed in the same process, puts every
- * cycles/sec on a host-relative scale (relCyclesPerSec: simulated
- * cycles per calibration iteration). The output is machine-readable
- * JSON (schema BENCH_simbench/v6, see EXPERIMENTS.md).
+ * simulated cycles the event-driven loop actually visited), its
+ * memory ticks and its core ticks (sim.memory_ticks, sim.core_ticks:
+ * the ticks of the memory systems and of the cores), deterministic
+ * figures independent of the machine. A fixed calibration loop,
+ * timed in the same process, puts every cycles/sec on a
+ * host-relative scale (relCyclesPerSec: simulated cycles per
+ * calibration iteration). The output is machine-readable JSON
+ * (schema BENCH_simbench/v7, see EXPERIMENTS.md).
  *
  * Besides the paper's two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
  * on `health`: the N-engine stack walks more per-event state (one
  * feedback lane and counter scope per slot), so its event-driven
  * cycles/sec is the canary for regressions in the engine-stack
- * generalization that the two-slot numbers cannot see.
+ * generalization that the two-slot numbers cannot see. One more runs
+ * a four-core mix over the shared DRAM (the paper's Section 6.6
+ * setup), whose counts show how often the scheduler wakes each core
+ * and memory system; its cycles are the slowest core's.
  *
  * Wall-clock seconds are machine-dependent; the on/off *speedup
  * ratio* is not (both modes run on the same machine in the same
@@ -40,23 +44,25 @@
  *     the speedup ratio is blind to — a slowdown hitting both modes
  *     equally leaves the ratio unchanged — and the hybrid's
  *     likewise, and
- *   - every workload's and the hybrid's loop visits and memory
- *     ticks, exactly: more than the baseline means the wakeup bounds
- *     got looser.
+ *   - every workload's, the hybrid's and the mix's loop visits,
+ *     memory ticks and core ticks, exactly: more than the baseline
+ *     means the wakeup bounds got looser.
  *
  * Usage:
  *   simbench [--quick] [--reps N] [--out FILE]
  *            [--check BASELINE.json] [--tolerance FRAC]
  *
- *   --quick      two workloads, one rep: a ctest smoke that the
- *                harness and the identity oracle work at all.
+ *   --quick      two workloads (and the hybrid and the mix), one
+ *                rep: a ctest smoke that the harness and the identity
+ *                oracle work at all.
  *   --check F    exit non-zero if any workload's stats diverge
  *                between modes, if the geometric-mean speedup drops
  *                below baseline * (1 - tolerance), if mst or hybrid
  *                event-driven relCyclesPerSec drops below its
- *                baseline * (1 - tolerance), or if any workload or
- *                the hybrid visits more cycles, or ticks its memory
- *                system more often, than its baseline entry.
+ *                baseline * (1 - tolerance), or if any workload, the
+ *                hybrid or the mix visits more cycles, or ticks its
+ *                memory systems or cores more often, than its
+ *                baseline entry.
  *   --tolerance  slack fraction in [0, 1) for --check (default
  *                0.25).
  *
@@ -148,47 +154,62 @@ struct ModeTiming
     double relCyclesPerSec = 0.0;
 };
 
+/** The scheduler's deterministic counts of one event-driven run. */
+struct Counts
+{
+    /** Cycles the event-driven loop visited (sim.loop_visits). */
+    std::uint64_t visits = 0;
+    /** Memory-system ticks, summed over cores (sim.memory_ticks). */
+    std::uint64_t memoryTicks = 0;
+    /** Core ticks, summed over cores (sim.core_ticks). */
+    std::uint64_t coreTicks = 0;
+};
+
 struct WorkloadResult
 {
+    /** The workload, or a mix's members joined by '+'. */
     std::string name;
+    /** The slowest core's cycles. */
     std::uint64_t cycles = 0;
+    /** First-pass instructions, summed over cores. */
     std::uint64_t instructions = 0;
-    /** Event-driven loop iterations (sim.loop_visits). */
-    std::uint64_t visits = 0;
-    /** Event-driven visits that ticked memory (sim.memory_ticks). */
-    std::uint64_t memoryTicks = 0;
+    Counts counts;
     ModeTiming percycle;
     ModeTiming eventDriven;
     double speedup = 0.0;
     bool identical = false;
 };
 
+/** Every core's stats JSON, concatenated. */
 std::string
-statsJson(const RunStats &stats)
+statsJson(const std::vector<RunStats> &perCore)
 {
     std::ostringstream os;
-    writeRunStatsJson(os, stats, "simbench");
+    for (const RunStats &stats : perCore)
+        writeRunStatsJson(os, stats, "simbench");
     return os.str();
 }
 
 /**
- * Time one (workload, mode) pair: one untimed warm-up rep, observed
+ * Time one (workloads, mode) pair: one untimed warm-up rep, observed
  * through @p warmup_obs, then @p reps timed reps summarized as
  * min/median/max.
  */
 ModeTiming
-timeMode(const SystemConfig &base, const Workload &workload,
-         bool skipping, int reps, double calib_iters_per_sec,
-         RunStats &stats_out, const Observability &warmup_obs = {})
+timeMode(const SystemConfig &base,
+         const std::vector<const Workload *> &workloads, bool skipping,
+         int reps, double calib_iters_per_sec,
+         std::vector<RunStats> &stats_out,
+         const Observability &warmup_obs = {})
 {
     SystemConfig cfg = base;
     cfg.cycleSkipping = skipping;
     // Warm-up, never timed.
-    stats_out = simulate(cfg, workload, warmup_obs);
+    stats_out = simulateCores(cfg, workloads, warmup_obs);
     std::vector<double> secs(static_cast<std::size_t>(reps));
     for (double &s : secs) {
         auto t0 = std::chrono::steady_clock::now();
-        RunStats stats = simulate(cfg, workload);
+        std::vector<RunStats> stats = simulateCores(cfg, workloads);
         auto t1 = std::chrono::steady_clock::now();
         s = std::chrono::duration<double>(t1 - t0).count();
     }
@@ -197,30 +218,45 @@ timeMode(const SystemConfig &base, const Workload &workload,
     t.wallSeconds = secs.front();
     t.wallMedian = secs[secs.size() / 2];
     t.wallMax = secs.back();
-    t.cyclesPerSec = static_cast<double>(stats_out.cycles.raw()) /
-                     flooredWall(t.wallSeconds);
+    Cycle cycles{};
+    for (const RunStats &stats : stats_out)
+        cycles = std::max(cycles, stats.cycles);
+    t.cyclesPerSec =
+        static_cast<double>(cycles.raw()) / flooredWall(t.wallSeconds);
     t.relCyclesPerSec = t.cyclesPerSec / calib_iters_per_sec;
     return t;
 }
 
+/** Benchmark @p names run together, one per core (one name: a
+ *  single-core run). */
 WorkloadResult
-benchWorkload(const SystemConfig &cfg, const std::string &name,
-              int reps, double calib_iters_per_sec)
+benchWorkloads(const SystemConfig &cfg,
+               const std::vector<std::string> &names, int reps,
+               double calib_iters_per_sec)
 {
-    const Workload workload = buildWorkload(name, InputSet::Train);
+    std::vector<Workload> built;
+    for (const std::string &name : names)
+        built.push_back(buildWorkload(name, InputSet::Train));
+    std::vector<const Workload *> workloads;
+    for (const Workload &workload : built)
+        workloads.push_back(&workload);
     WorkloadResult r;
-    r.name = name;
-    RunStats polled, skipped;
+    for (const std::string &name : names)
+        r.name += (r.name.empty() ? "" : "+") + name;
+    std::vector<RunStats> polled, skipped;
     obs::MetricRegistry registry;
-    r.percycle =
-        timeMode(cfg, workload, false, reps, calib_iters_per_sec, polled);
-    r.eventDriven = timeMode(cfg, workload, true, reps,
+    r.percycle = timeMode(cfg, workloads, false, reps,
+                          calib_iters_per_sec, polled);
+    r.eventDriven = timeMode(cfg, workloads, true, reps,
                              calib_iters_per_sec, skipped,
                              Observability{&registry});
-    r.visits = registry.value("sim.loop_visits");
-    r.memoryTicks = registry.value("sim.memory_ticks");
-    r.cycles = skipped.cycles.raw();
-    r.instructions = skipped.instructions;
+    r.counts.visits = registry.value("sim.loop_visits");
+    r.counts.memoryTicks = registry.value("sim.memory_ticks");
+    r.counts.coreTicks = registry.value("sim.core_ticks");
+    for (const RunStats &stats : skipped) {
+        r.cycles = std::max(r.cycles, stats.cycles.raw());
+        r.instructions += stats.instructions;
+    }
     // The oracle: a speedup only counts if the results are the same.
     r.identical = statsJson(polled) == statsJson(skipped);
     r.speedup = r.percycle.wallSeconds /
@@ -238,53 +274,53 @@ writeModeJson(std::ostream &os, const char *key, const ModeTiming &t)
        << ", \"relCyclesPerSec\": " << t.relCyclesPerSec << "}";
 }
 
+/** One result object's fields after its opening brace, through its
+ *  closing one; @p indent leads its continuation lines. */
+void
+writeResultJson(std::ostream &os, const WorkloadResult &r,
+                const char *indent)
+{
+    os << "\"name\": \"" << jsonEscape(r.name)
+       << "\", \"cycles\": " << r.cycles
+       << ", \"instructions\": " << r.instructions
+       << ", \"visits\": " << r.counts.visits
+       << ", \"memoryTicks\": " << r.counts.memoryTicks
+       << ", \"coreTicks\": " << r.counts.coreTicks << ",\n" << indent;
+    writeModeJson(os, "percycle", r.percycle);
+    os << ",\n" << indent;
+    writeModeJson(os, "eventDriven", r.eventDriven);
+    os << ",\n" << indent << "\"speedup\": " << r.speedup
+       << ", \"identical\": " << (r.identical ? "true" : "false") << "}";
+}
+
 void
 writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
             const std::string &config_label, int reps,
-            double calib_iters_per_sec, double gmean_speedup)
+            double calib_iters_per_sec, double gmean_speedup,
+            const WorkloadResult &hybrid, const std::string &hybrid_label,
+            const WorkloadResult &mix, const std::string &mix_label)
 {
     os.precision(6);
-    os << "{\n  \"schema\": \"BENCH_simbench/v6\",\n"
+    os << "{\n  \"schema\": \"BENCH_simbench/v7\",\n"
        << "  \"config\": \"" << jsonEscape(config_label) << "\",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"calibration\": {\"iters\": " << kCalibrationIters
        << ", \"itersPerSec\": " << calib_iters_per_sec << "},\n"
        << "  \"workloads\": [\n";
     for (std::size_t i = 0; i < rs.size(); ++i) {
-        const WorkloadResult &r = rs[i];
-        os << "    {\"name\": \"" << jsonEscape(r.name)
-           << "\", \"cycles\": " << r.cycles
-           << ", \"instructions\": " << r.instructions
-           << ", \"visits\": " << r.visits
-           << ", \"memoryTicks\": " << r.memoryTicks << ",\n     ";
-        writeModeJson(os, "percycle", r.percycle);
-        os << ",\n     ";
-        writeModeJson(os, "eventDriven", r.eventDriven);
-        os << ",\n     \"speedup\": " << r.speedup
-           << ", \"identical\": " << (r.identical ? "true" : "false")
-           << "}" << (i + 1 < rs.size() ? "," : "") << "\n";
+        os << "    {";
+        writeResultJson(os, rs[i], "     ");
+        os << (i + 1 < rs.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"gmeanSpeedup\": " << gmean_speedup << ",\n";
-}
-
-/** v3 addition: the three-engine hybrid entry (same shape as a
- *  workloads[] element, plus its own config label). */
-void
-writeHybridJson(std::ostream &os, const WorkloadResult &r,
-                const std::string &config_label)
-{
-    os << "  \"hybrid\": {\"config\": \"" << jsonEscape(config_label)
-       << "\", \"name\": \"" << jsonEscape(r.name)
-       << "\", \"cycles\": " << r.cycles
-       << ", \"instructions\": " << r.instructions
-       << ", \"visits\": " << r.visits
-       << ", \"memoryTicks\": " << r.memoryTicks << ",\n   ";
-    writeModeJson(os, "percycle", r.percycle);
-    os << ",\n   ";
-    writeModeJson(os, "eventDriven", r.eventDriven);
-    os << ",\n   \"speedup\": " << r.speedup
-       << ", \"identical\": " << (r.identical ? "true" : "false")
-       << "}\n}\n";
+    // v3: the three-engine hybrid; v7: the four-core mix.
+    os << "  \"hybrid\": {\"config\": \"" << jsonEscape(hybrid_label)
+       << "\", ";
+    writeResultJson(os, hybrid, "   ");
+    os << ",\n  \"mix\": {\"config\": \"" << jsonEscape(mix_label)
+       << "\", ";
+    writeResultJson(os, mix, "   ");
+    os << "\n}\n";
 }
 
 struct Baseline
@@ -295,15 +331,11 @@ struct Baseline
     double mstEventRel = 0.0;
     /** Hybrid-stack event-driven relCyclesPerSec; 0 disables. */
     double hybridEventRel = 0.0;
-    /** Event-driven loop visits and memory ticks by workload name. */
-    std::map<std::string, std::uint64_t> visits;
-    std::map<std::string, std::uint64_t> memoryTicks;
-    /** The hybrid's event-driven loop visits and memory ticks. */
-    std::uint64_t hybridVisits = 0;
-    std::uint64_t hybridMemoryTicks = 0;
+    /** Event-driven counts by workload name, "hybrid" and "mix". */
+    std::map<std::string, Counts> counts;
 };
 
-/** Baseline figures from a committed BENCH_simbench.json (v6). */
+/** Baseline figures from a committed BENCH_simbench.json (v7). */
 Baseline
 readBaseline(const std::string &path)
 {
@@ -315,20 +347,23 @@ readBaseline(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     JsonValue doc = parseJson(buf.str());
-    if (doc.at("schema").asString() != "BENCH_simbench/v6") {
+    if (doc.at("schema").asString() != "BENCH_simbench/v7") {
         throw std::runtime_error(
             "simbench: unexpected baseline schema (want "
-            "BENCH_simbench/v6)");
+            "BENCH_simbench/v7)");
     }
-    auto count = [](const JsonValue &entry, const char *key) {
-        return static_cast<std::uint64_t>(entry.at(key).asDouble());
+    auto counts = [](const JsonValue &entry) {
+        auto count = [&entry](const char *key) {
+            return static_cast<std::uint64_t>(entry.at(key).asDouble());
+        };
+        return Counts{count("visits"), count("memoryTicks"),
+                      count("coreTicks")};
     };
     Baseline base;
     base.gmeanSpeedup = doc.at("gmeanSpeedup").asDouble();
     for (const JsonValue &w : doc.at("workloads").asArray()) {
         const std::string &name = w.at("name").asString();
-        base.visits[name] = count(w, "visits");
-        base.memoryTicks[name] = count(w, "memoryTicks");
+        base.counts[name] = counts(w);
         if (name == "mst") {
             base.mstEventRel =
                 w.at("eventDriven").at("relCyclesPerSec").asDouble();
@@ -337,22 +372,33 @@ readBaseline(const std::string &path)
     const JsonValue &hybrid = doc.at("hybrid");
     base.hybridEventRel =
         hybrid.at("eventDriven").at("relCyclesPerSec").asDouble();
-    base.hybridVisits = count(hybrid, "visits");
-    base.hybridMemoryTicks = count(hybrid, "memoryTicks");
+    base.counts["hybrid"] = counts(hybrid);
+    base.counts["mix"] = counts(doc.at("mix"));
     return base;
 }
 
-/** A scheduler-count gate (@p what is "visits" or "memory ticks"):
- *  deterministic, so any growth fails. */
+/** The scheduler-count gates of @p label: deterministic, so any
+ *  growth over its baseline entry (if any) fails. */
 bool
-countRegressed(const std::string &label, const char *what,
-               std::uint64_t count, std::uint64_t baseline)
+countsRegressed(const std::string &label, const Counts &counts,
+                const Baseline &base)
 {
-    if (count <= baseline)
+    auto it = base.counts.find(label);
+    if (it == base.counts.end())
         return false;
-    std::cerr << "simbench: FAIL — " << label << " " << what << " "
-              << count << " cycles, baseline " << baseline << "\n";
-    return true;
+    bool failed = false;
+    auto gate = [&](const char *what, std::uint64_t count,
+                    std::uint64_t baseline) {
+        if (count <= baseline)
+            return;
+        std::cerr << "simbench: FAIL — " << label << " " << what << " "
+                  << count << ", baseline " << baseline << "\n";
+        failed = true;
+    };
+    gate("visits", counts.visits, it->second.visits);
+    gate("memory ticks", counts.memoryTicks, it->second.memoryTicks);
+    gate("core ticks", counts.coreTicks, it->second.coreTicks);
+    return failed;
 }
 
 /** A host-relative cycles/sec floor; a zero baseline disables it. */
@@ -442,22 +488,28 @@ main(int argc, char **argv)
     const SystemConfig cfg = configs::byName("cdp+throttle");
     const std::string config_label = "stream+cdp+throttle";
 
-    std::vector<WorkloadResult> results;
-    std::vector<double> ratios;
     bool all_identical = true;
-    for (const std::string &name : names) {
-        WorkloadResult r = benchWorkload(cfg, name, reps, calib);
-        std::cerr << "simbench: " << r.name << " speedup " << r.speedup
+    auto bench = [&](const std::string &label, const SystemConfig &c,
+                     const std::vector<std::string> &members) {
+        WorkloadResult r = benchWorkloads(c, members, reps, calib);
+        std::cerr << "simbench: " << label << " speedup " << r.speedup
                   << "x (" << r.percycle.wallSeconds << "s -> "
                   << r.eventDriven.wallSeconds << "s), "
                   << r.eventDriven.cyclesPerSec
-                  << " cyc/s event-driven, " << r.visits
-                  << " of " << r.cycles << " cycles visited, "
-                  << r.memoryTicks << " memory ticks, identical="
+                  << " cyc/s event-driven, " << r.counts.visits << " of "
+                  << r.cycles << " cycles visited, "
+                  << r.counts.memoryTicks << " memory ticks, "
+                  << r.counts.coreTicks << " core ticks, identical="
                   << (r.identical ? "yes" : "NO") << "\n";
         all_identical = all_identical && r.identical;
-        ratios.push_back(r.speedup);
-        results.push_back(std::move(r));
+        return r;
+    };
+
+    std::vector<WorkloadResult> results;
+    std::vector<double> ratios;
+    for (const std::string &name : names) {
+        results.push_back(bench(name, cfg, {name}));
+        ratios.push_back(results.back().speedup);
     }
     const double gmean_speedup = gmean(ratios);
 
@@ -467,20 +519,18 @@ main(int argc, char **argv)
     SystemConfig hybridCfg = configs::byName("cdp+throttle");
     hybridCfg.engines = {"stream", "cdp", "isb"};
     const std::string hybrid_label = "stream+cdp+isb+coordinated";
-    WorkloadResult hybrid =
-        benchWorkload(hybridCfg, "health", reps, calib);
-    std::cerr << "simbench: hybrid(" << hybrid_label << ") "
-              << hybrid.name << " speedup " << hybrid.speedup << "x, "
-              << hybrid.eventDriven.cyclesPerSec
-              << " cyc/s event-driven, " << hybrid.visits << " of "
-              << hybrid.cycles << " cycles visited, "
-              << hybrid.memoryTicks << " memory ticks, identical="
-              << (hybrid.identical ? "yes" : "NO") << "\n";
-    all_identical = all_identical && hybrid.identical;
+    const WorkloadResult hybrid =
+        bench("hybrid(" + hybrid_label + ") health", hybridCfg, {"health"});
+
+    // v7 mix: four Olden cores on one DRAM, early finishers wrapping
+    // around, so --check also gates how often the scheduler wakes
+    // each core and memory system of a multi-core run.
+    const WorkloadResult mix =
+        bench("mix", cfg, {"bisort", "health", "perimeter", "voronoi"});
 
     std::ostringstream report;
-    writeReport(report, results, config_label, reps, calib, gmean_speedup);
-    writeHybridJson(report, hybrid, hybrid_label);
+    writeReport(report, results, config_label, reps, calib, gmean_speedup,
+                hybrid, hybrid_label, mix, config_label);
     if (!out_path.empty()) {
         std::ofstream out(out_path);
         out << report.str();
@@ -525,24 +575,15 @@ main(int argc, char **argv)
         if (rateRegressed("hybrid", hybrid.eventDriven.relCyclesPerSec,
                           base.hybridEventRel, tolerance))
             failed = true;
-        // Loop visits and memory ticks are deterministic: any growth
-        // is a scheduler bound that stopped skipping, on any machine.
+        // The scheduler's counts are deterministic: any growth is a
+        // wakeup bound that stopped skipping, on any machine.
         for (const WorkloadResult &r : results) {
-            auto v = base.visits.find(r.name);
-            if (v != base.visits.end() &&
-                countRegressed(r.name, "visits", r.visits, v->second))
-                failed = true;
-            auto m = base.memoryTicks.find(r.name);
-            if (m != base.memoryTicks.end() &&
-                countRegressed(r.name, "memory ticks", r.memoryTicks,
-                               m->second))
+            if (countsRegressed(r.name, r.counts, base))
                 failed = true;
         }
-        if (countRegressed("hybrid", "visits", hybrid.visits,
-                           base.hybridVisits))
+        if (countsRegressed("hybrid", hybrid.counts, base))
             failed = true;
-        if (countRegressed("hybrid", "memory ticks", hybrid.memoryTicks,
-                           base.hybridMemoryTicks))
+        if (countsRegressed("mix", mix.counts, base))
             failed = true;
         if (failed)
             return 1;

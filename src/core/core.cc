@@ -248,18 +248,14 @@ Core::nextEventCycle(Cycle now) const
     return wake(now);
 }
 
-bool
+Core::Run
 Core::runUntil(Cycle &now, Cycle horizon)
 {
     for (;;) {
-        if (step(now))
-            return true;
-        // Every wake is after now, so none can fall before now + 1.
-        if (now + 1 >= horizon)
-            return false;
+        const bool called = step(now);
         const Cycle next = wake(now);
-        if (next >= horizon)
-            return false;
+        if (called || next >= horizon)
+            return {next, called};
         now = next;
     }
 }
@@ -267,7 +263,7 @@ Core::runUntil(Cycle &now, Cycle horizon)
 void
 Core::tick(Cycle now)
 {
-    runUntil(now, now + 1);
+    step(now);
 }
 
 } // namespace ecdp

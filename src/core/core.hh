@@ -78,22 +78,30 @@ class Core
     /** Advance one cycle: retire, issue ready loads, dispatch. */
     void tick(Cycle now);
 
+    /** Where runUntil() stopped: the core's next wake, and whether
+     *  its last tick called the memory system or ended a pass. */
+    struct Run
+    {
+        Cycle wake;
+        bool called;
+    };
+
     /**
      * Run the core alone: tick at @p now, then at each of its own
      * wakes (nextEventCycle) that falls before @p horizon, and stop
      * after the first tick that called the memory system (a load,
      * accepted or refused, or a store) or ended a pass of the trace.
-     * On return @p now is the cycle of the last tick. Returns true
-     * when that tick called the memory system or ended a pass (the
-     * caller must then recompute its bounds), false when the core's
-     * next wake is at or after @p horizon.
+     * On return @p now is the cycle of the last tick. When that tick
+     * did not call the memory system or end a pass (after which the
+     * caller must recompute its bounds), the wake is at or after
+     * @p horizon.
      *
      * The ticks are exactly the ones a tick-then-nextEventCycle loop
      * would make up to @p horizon, so a caller that hands in the
      * earliest cycle anything else in the system can act on visits
      * the same cycles as one that polls every bound after every tick.
      */
-    bool runUntil(Cycle &now, Cycle horizon);
+    Run runUntil(Cycle &now, Cycle horizon);
 
     /**
      * Earliest cycle after @p now at which tick() could do anything —

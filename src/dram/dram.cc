@@ -42,17 +42,6 @@ DramSystem::bufferOccupancy(Cycle now)
     return static_cast<unsigned>(inFlight_.size());
 }
 
-Cycle
-DramSystem::nextEventCycle(Cycle now)
-{
-    // Drain entries that already completed; their timestamps are in
-    // the past and would otherwise pin the bound to now + 1 forever.
-    bufferOccupancy(now);
-    if (inFlight_.empty())
-        return kNoEventCycle;
-    return std::max(inFlight_.front(), now + 1);
-}
-
 void
 DramSystem::attachObservability(const Observability &obs)
 {
@@ -113,6 +102,10 @@ std::optional<Cycle>
 DramSystem::read(unsigned core, Addr block_addr, Cycle now,
                  unsigned reserved)
 {
+    // The buffer drains lazily by now: a call from the past would
+    // miss entries still in flight at its cycle.
+    assert(now >= lastCall_);
+    lastCall_ = now;
     unsigned usable = bufferCapacity_ > reserved
         ? bufferCapacity_ - reserved
         : 0;
@@ -129,6 +122,8 @@ DramSystem::read(unsigned core, Addr block_addr, Cycle now,
 void
 DramSystem::writeback(unsigned core, Addr block_addr, Cycle now)
 {
+    assert(now >= lastCall_);
+    lastCall_ = now;
     if (writebacksCtr_)
         writebacksCtr_->inc();
     // A writeback occupies a request-buffer entry until its bus

@@ -48,7 +48,9 @@ struct DramParams
  *
  * Completion times are computed at acceptance: the caller learns
  * immediately when its fill will arrive, and the reserved bank/bus
- * windows delay later requests.
+ * windows delay later requests. It never acts unasked (a refused
+ * caller retries every cycle), so it has no wakeup bound; its buffer
+ * drains by the callers' clock, which must never go back.
  */
 class DramSystem
 {
@@ -105,19 +107,6 @@ class DramSystem
     unsigned bufferCapacity() const { return bufferCapacity_; }
 
     /**
-     * Earliest cycle after @p now at which the request buffer drains
-     * an entry (the next in-flight completion), or kNoEventCycle when
-     * nothing is in flight. Purely passive state cannot wake anyone
-     * on its own — callers that were refused retry every cycle and
-     * pin the clock themselves — so this is a belt-and-braces bound
-     * for the cycle-skipping scheduler, never the binding one.
-     * Non-const: it pops already-completed entries (the same lazy
-     * drain bufferOccupancy() performs) so a completed entry at the
-     * front cannot pin the clock to now + 1.
-     */
-    Cycle nextEventCycle(Cycle now);
-
-    /**
      * Attach the run's observability bundle. Registers the "dram.*"
      * counters (reads, writebacks, bank_conflicts, buffer_rejects)
      * and emits DramBankConflict events for requests that arrive
@@ -144,6 +133,8 @@ class DramSystem
      *  reserve() returned, which is also the new busFree_, so they
      *  only increase and the front is the earliest. */
     std::deque<Cycle> inFlight_;
+    /** The latest read()/writeback() cycle: calls never go back. */
+    Cycle lastCall_{};
     std::uint64_t busTransactions_ = 0;
     std::vector<std::uint64_t> perCoreBus_;
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Multi-core simulation driver (Section 6.6 of the paper): private
- * L1/L2 and prefetchers per core, shared DRAM controller and bus,
- * memory request buffer scaled as 32 x core count.
+ * Multi-core runs (Section 6.6 of the paper): private L1/L2 and
+ * prefetchers per core, shared DRAM controller and bus, memory
+ * request buffer scaled as 32 x core count. The run itself is
+ * simulateCores() (simulator.hh); this adds the speedup metrics.
  */
 
 #ifndef ECDP_SIM_MULTICORE_HH
@@ -28,7 +29,7 @@ struct MultiCoreResult
     double weightedSpeedup = 0.0;
     /** Harmonic mean of per-core IPC_shared / IPC_alone. */
     double hmeanSpeedup = 0.0;
-    /** Total bus transactions over the measured window. */
+    /** Total bus transactions over the run, summed over cores. */
     std::uint64_t busTransactions = 0;
     /** True when the maxCycles watchdog fired before every core
      *  finished its first pass (also flagged on the stuck cores'

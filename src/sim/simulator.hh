@@ -1,13 +1,17 @@
 /**
  * @file
- * Single-core simulation driver, and the per-core stats assembly the
- * multi-core driver shares with it.
+ * The simulation run: one to four cores, each with its private
+ * memory system, sharing one DRAM, run by one scheduler (an
+ * event-driven loop, or the per-cycle loop that is its exactness
+ * oracle). simulate() is its one-core case; simulateMultiCore()
+ * (multicore.hh) adds the speedup metrics.
  */
 
 #ifndef ECDP_SIM_SIMULATOR_HH
 #define ECDP_SIM_SIMULATOR_HH
 
-#include <string>
+#include <span>
+#include <vector>
 
 #include "obs/observability.hh"
 #include "sim/config.hh"
@@ -16,31 +20,24 @@
 namespace ecdp
 {
 
-class Core;
-class DramSystem;
-class MemorySystem;
-
 /**
- * Runs one Workload on one core under a SystemConfig and returns the
- * run statistics. The workload's image is cloned, so a Workload can be
- * reused across runs and configurations. @p obs is wired through the
- * memory system and DRAM; observability never changes simulated
- * behaviour — only what is recorded about it — so an observed and an
- * unobserved run produce identical stats for the same (cfg, workload).
+ * Runs @p workloads together, one per core, until every core has
+ * finished its first pass or the maxCycles watchdog fires, and
+ * returns each core's RunStats: its first pass, or on a timeout the
+ * maxCycles cycle count and what it retired (a zero cycle count
+ * reads as 1). With more than one core, early finishers wrap around
+ * and keep contending for the shared DRAM. Workload images are
+ * cloned, so a Workload can be reused. @p obs is wired through every
+ * memory system (counters prefixed "core<N>.") and the DRAM; it
+ * never changes simulated behaviour.
  */
+std::vector<RunStats> simulateCores(const SystemConfig &cfg,
+                                    std::span<const Workload *const> workloads,
+                                    const Observability &obs = {});
+
+/** simulateCores() of one workload: its RunStats. */
 RunStats simulate(const SystemConfig &cfg, const Workload &workload,
                   const Observability &obs = {});
-
-/**
- * The RunStats of core @p core_id when its run loop stopped at cycle
- * @p end: the watchdog flag, cycles, instructions, IPC, bus traffic,
- * and the memory system's counters. A core that finished reports its
- * first pass; one that timed out reports @p end and what it retired.
- * A zero cycle count reads as 1, so IPC is always defined.
- */
-RunStats coreRunStats(const std::string &workload, const Core &core,
-                      MemorySystem &memory, const DramSystem &dram,
-                      unsigned core_id, Cycle end);
 
 } // namespace ecdp
 

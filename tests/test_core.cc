@@ -432,10 +432,10 @@ TEST(CoreCallOrder, TrainDigestsArePinned)
  * cycle, no horizon, and near and far ones), resuming each time at
  * the core's own wake, and requires exactly the ticks, wakes and
  * memory calls of tickByTick(): each return lands on a tick-by-tick
- * tick with the same tick count behind it, returns true exactly
+ * tick with the same tick count behind it, flags `called` exactly
  * when that tick called the memory system (refused loads included)
- * or ended a pass, and returns false only when the next wake is at
- * or after the horizon.
+ * or ended a pass, stops at any other tick only when the next wake
+ * is at or after the horizon, and hands back the core's next wake.
  */
 void
 expectRunUntilMatchesTickByTick(const std::string &bench,
@@ -472,7 +472,8 @@ expectRunUntilMatchesTickByTick(const std::string &bench,
             horizon = std::min(horizon,
                                Cycle{2 * core.finishCycle().raw()});
         }
-        const bool acted = core.runUntil(now, horizon);
+        const Core::Run run = core.runUntil(now, horizon);
+        const bool acted = run.called;
         ++returns;
         auto it = std::lower_bound(
             ref.ticks.begin(), ref.ticks.end(), now,
@@ -493,6 +494,7 @@ expectRunUntilMatchesTickByTick(const std::string &bench,
         }
         const Cycle next = core.nextEventCycle(now);
         ASSERT_EQ(next, it->wake) << "cycle " << now.raw();
+        ASSERT_EQ(run.wake, next) << "cycle " << now.raw();
         if (core.finishedOnce() &&
             next.raw() >= 2 * core.finishCycle().raw())
             break;

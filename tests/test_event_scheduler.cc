@@ -10,12 +10,12 @@
  * byte-identical with skipping on and off, across the prefetcher /
  * throttler / oracle configuration matrix, in single- and multi-core
  * runs, and through the maxCycles watchdog. Every registry counter
- * but sim.loop_visits and sim.memory_ticks must match as well; those
- * count the loop visits and memory ticks skipping saves.
+ * but sim.loop_visits, sim.memory_ticks and sim.core_ticks must match
+ * as well; those count the loop visits and ticks skipping saves.
  *
- * Besides the hand-picked matrix, a fixed list of seeds draws random
- * single-core cells (engine stacks, policies, knobs, block sizes) and
- * holds each to the same oracle.
+ * Besides the hand-picked matrix, fixed lists of seeds draw random
+ * single-core cells and 2-4-core mixes (engine stacks, policies,
+ * knobs, block sizes) and hold each to the same oracle.
  *
  * Also covers the trailing-partial-interval flush: a run that ends
  * mid-feedback-interval emits one final sample at its end cycle
@@ -55,28 +55,37 @@ statsJson(const RunStats &stats)
     return os.str();
 }
 
-/** The scheduler's own counters: how often the loop visited a cycle
- *  and how often it ticked a memory system there. */
+/** The scheduler's own counters: the distinct cycles at which
+ *  anything ticked, and the memory-system and core ticks, summed
+ *  over the cores. */
 constexpr const char *kLoopVisits = "sim.loop_visits";
 constexpr const char *kMemoryTicks = "sim.memory_ticks";
+constexpr const char *kCoreTicks = "sim.core_ticks";
 
 /** Require equal registries except for the scheduler's counters,
- *  which skipping may only lower. */
+ *  which skipping may only lower, and which count at most one tick
+ *  per core (or memory system) per visit, for any of @p cores. */
 void
 expectSameCounters(const obs::MetricRegistry &polled,
-                   const obs::MetricRegistry &skipped)
+                   const obs::MetricRegistry &skipped, std::uint64_t cores)
 {
     auto withoutScheduler = [](const obs::MetricRegistry &registry) {
         auto all = registry.sorted();
         std::erase_if(all, [](const auto &kv) {
-            return kv.first == kLoopVisits || kv.first == kMemoryTicks;
+            return kv.first == kLoopVisits || kv.first == kMemoryTicks ||
+                   kv.first == kCoreTicks;
         });
         return all;
     };
     EXPECT_EQ(withoutScheduler(polled), withoutScheduler(skipped));
-    EXPECT_LE(skipped.value(kLoopVisits), polled.value(kLoopVisits));
-    EXPECT_LE(skipped.value(kMemoryTicks), polled.value(kMemoryTicks));
-    EXPECT_LE(skipped.value(kMemoryTicks), skipped.value(kLoopVisits));
+    for (const obs::MetricRegistry *registry : {&polled, &skipped}) {
+        const std::uint64_t visits = registry->value(kLoopVisits);
+        EXPECT_GT(visits, 0u);
+        EXPECT_LE(registry->value(kMemoryTicks), cores * visits);
+        EXPECT_LE(registry->value(kCoreTicks), cores * visits);
+    }
+    for (const char *name : {kLoopVisits, kMemoryTicks, kCoreTicks})
+        EXPECT_LE(skipped.value(name), polled.value(name)) << name;
 }
 
 /** Run @p bench under @p cfg with skipping forced on and off and
@@ -93,14 +102,16 @@ expectExact(const std::string &bench, SystemConfig cfg)
     RunStats skipped =
         simulate(cfg, workload, Observability{&skippedCounters});
     EXPECT_EQ(statsJson(polled), statsJson(skipped)) << bench;
-    expectSameCounters(polledCounters, skippedCounters);
+    expectSameCounters(polledCounters, skippedCounters, 1);
     return skipped;
 }
 
-/** The multi-core counterpart of expectExact over one mix. */
-void
+/** The multi-core counterpart of expectExact over one mix. Returns
+ *  the skipping run; its counters land in @p counters when given. */
+MultiCoreResult
 expectMultiCoreExact(const std::vector<std::string> &benches,
-                     SystemConfig cfg)
+                     SystemConfig cfg,
+                     obs::MetricRegistry *counters = nullptr)
 {
     std::vector<Workload> workloads;
     for (const std::string &bench : benches)
@@ -110,7 +121,9 @@ expectMultiCoreExact(const std::vector<std::string> &benches,
         mix.push_back(&workload);
     const std::vector<double> alone(mix.size(), 1.0);
 
-    obs::MetricRegistry polledCounters, skippedCounters;
+    obs::MetricRegistry polledCounters, ownCounters;
+    obs::MetricRegistry &skippedCounters =
+        counters ? *counters : ownCounters;
     cfg.cycleSkipping = false;
     MultiCoreResult polled = simulateMultiCore(
         cfg, mix, alone, Observability{&polledCounters});
@@ -122,13 +135,15 @@ expectMultiCoreExact(const std::vector<std::string> &benches,
     EXPECT_EQ(polled.busTransactions, skipped.busTransactions);
     EXPECT_DOUBLE_EQ(polled.weightedSpeedup, skipped.weightedSpeedup);
     EXPECT_DOUBLE_EQ(polled.hmeanSpeedup, skipped.hmeanSpeedup);
-    ASSERT_EQ(polled.perCore.size(), skipped.perCore.size());
-    for (std::size_t i = 0; i < polled.perCore.size(); ++i) {
+    EXPECT_EQ(polled.perCore.size(), skipped.perCore.size());
+    for (std::size_t i = 0;
+         i < std::min(polled.perCore.size(), skipped.perCore.size()); ++i) {
         EXPECT_EQ(statsJson(polled.perCore[i]),
                   statsJson(skipped.perCore[i]))
             << "core " << i;
     }
-    expectSameCounters(polledCounters, skippedCounters);
+    expectSameCounters(polledCounters, skippedCounters, mix.size());
+    return skipped;
 }
 
 using cells::NamedCell;
@@ -201,8 +216,50 @@ TEST(SkippingIsExactEdge, MultiCoreCdpFlood)
     expectMultiCoreExact({"mst", "xalancbmk"}, configs::byName("cdp"));
 }
 
+TEST(SkippingIsExactEdge, MultiCoreFullSharedBuffer)
+{
+    // Four CDP cores behind a two-entry-per-core request buffer:
+    // cores stall on refusals while others run ahead of them.
+    SystemConfig cfg = configs::byName("cdp");
+    cfg.dram.requestBufferPerCore = 2;
+    obs::MetricRegistry counters;
+    expectMultiCoreExact({"gemsfdtd", "libquantum", "h264ref", "parser"},
+                         cfg, &counters);
+    EXPECT_GT(counters.value("dram.buffer_rejects"), 0u);
+}
+
+TEST(SkippingIsExactEdge, MultiCoreMaxCyclesWatchdog)
+{
+    SystemConfig cfg = configs::byName("cdp+throttle");
+    cfg.maxCycles = Cycle{30'000};
+    const MultiCoreResult result =
+        expectMultiCoreExact({"health", "mst", "bisort"}, cfg);
+    EXPECT_TRUE(result.timedOut);
+    for (const RunStats &stats : result.perCore) {
+        if (stats.timedOut) {
+            EXPECT_EQ(stats.cycles, Cycle{30'000});
+        }
+    }
+}
+
+TEST(SkippingIsExactEdge, OneCoreMixIsTheSingleCoreRun)
+{
+    // simulate() is simulateMultiCore's one-core case, in both modes.
+    const Workload workload = buildWorkload("health", InputSet::Train);
+    SystemConfig cfg = configs::byName("cdp+throttle");
+    for (const bool skipping : {false, true}) {
+        cfg.cycleSkipping = skipping;
+        const MultiCoreResult mix =
+            simulateMultiCore(cfg, {&workload}, {1.0});
+        ASSERT_EQ(mix.perCore.size(), 1u);
+        EXPECT_EQ(statsJson(mix.perCore[0]),
+                  statsJson(simulate(cfg, workload)))
+            << "skipping " << skipping;
+    }
+}
+
 // ---------------------------------------------------------------
-// Seeded random single-core cells.
+// Seeded random single-core cells and multi-core mixes.
 // ---------------------------------------------------------------
 
 /** A drawn cell: an ecdpd cell spec plus the block size of both
@@ -219,20 +276,17 @@ constexpr const char *kShortBenches[] = {
     "gcc",    "mcf",       "milc",      "pfast",    "bzip2",   "health"};
 
 /**
- * The cell seed @p seed draws: a short train bench, a named config,
- * a stack of 1-3 distinct engine-table rows, a throttle policy, the
- * coverage threshold, the interval, an RL seed and the block size.
+ * Draws the knobs of @p cell from @p rng: a named config, a stack of
+ * 1-3 distinct engine-table rows, a throttle policy, the coverage
+ * threshold, the interval, an RL seed and the block size.
  */
-RandomCell
-drawCell(std::uint64_t seed)
+void
+drawKnobs(std::mt19937_64 &rng, RandomCell &cell)
 {
-    std::mt19937_64 rng(seed);
     auto pick = [&rng](std::size_t n) {
         return static_cast<std::size_t>(rng() % n);
     };
-    RandomCell cell;
     server::CellSpec &spec = cell.spec;
-    spec.bench = kShortBenches[pick(std::size(kShortBenches))];
     spec.input = "train";
     const std::vector<std::string> &configNames = configs::knownNames();
     spec.config = configNames[pick(configNames.size())];
@@ -250,7 +304,28 @@ drawCell(std::uint64_t seed)
     spec.interval = 64L << pick(7);
     spec.rlSeed = static_cast<long>(pick(1000));
     cell.blockBytes = 64u << pick(3);
+}
+
+/** The cell seed @p seed draws: a short train bench and its knobs. */
+RandomCell
+drawCell(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    RandomCell cell;
+    cell.spec.bench = kShortBenches[rng() % std::size(kShortBenches)];
+    drawKnobs(rng, cell);
     return cell;
+}
+
+/** The SystemConfig of @p cell with @p hints (which must outlive it)
+ *  and the drawn block size at both cache levels. */
+SystemConfig
+randomCellConfig(const RandomCell &cell, const HintTable *hints)
+{
+    SystemConfig cfg = server::makeCellConfig(cell.spec, hints);
+    cfg.l1BlockBytes = cell.blockBytes;
+    cfg.l2BlockBytes = cell.blockBytes;
+    return cfg;
 }
 
 /** The fixed seed list, seeds 1 to 48: its draws reach every engine
@@ -269,18 +344,86 @@ TEST_P(RandomCellIsExact, StatsJsonIsByteIdentical)
     // same fields as flags; the block size needs a SystemConfig.
     SCOPED_TRACE("cell " + server::canonicalCellJson(cell.spec) + " with " +
                  std::to_string(cell.blockBytes) + " B blocks");
-    SystemConfig cfg = server::makeCellConfig(
-        cell.spec, server::cellNeedsHints(cell.spec)
-                       ? &cells::trainHints(cell.spec.bench)
-                       : nullptr);
-    cfg.l1BlockBytes = cell.blockBytes;
-    cfg.l2BlockBytes = cell.blockBytes;
-    RunStats stats = expectExact(cell.spec.bench, cfg);
+    const HintTable *hints = server::cellNeedsHints(cell.spec)
+        ? &cells::trainHints(cell.spec.bench)
+        : nullptr;
+    RunStats stats =
+        expectExact(cell.spec.bench, randomCellConfig(cell, hints));
     EXPECT_FALSE(stats.timedOut);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCellIsExact,
                          ::testing::Range<std::uint64_t>(1, kSeedEnd),
+                         [](const ::testing::TestParamInfo<std::uint64_t> &p) {
+                             return "seed_" + std::to_string(p.param);
+                         });
+
+/** The short benches whose per-cycle train run takes about 10 ms:
+ *  a four-core mix that wraps its early finishers runs several times
+ *  its slowest member's cycles in both modes. */
+constexpr const char *kMixBenches[] = {"parser",   "art",     "perimeter",
+                                       "gemsfdtd", "h264ref", "libquantum",
+                                       "milc"};
+
+/** A drawn mix: 2-4 distinct kMixBenches, one per core, all under
+ *  one drawn cell's knobs (its bench is the first core's). */
+struct RandomMix
+{
+    RandomCell cell;
+    std::vector<std::string> benches;
+};
+
+RandomMix
+drawMix(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    RandomMix mix;
+    mix.benches.assign(std::begin(kMixBenches), std::end(kMixBenches));
+    std::shuffle(mix.benches.begin(), mix.benches.end(), rng);
+    mix.benches.resize(2 + rng() % 3);
+    mix.cell.spec.bench = mix.benches.front();
+    drawKnobs(rng, mix.cell);
+    return mix;
+}
+
+/** The fixed mix seed list, seeds 1 to 17: its draws reach 2, 3 and
+ *  4 cores and every policy (RandomCellOracle.MixSeedsCoverTheTables).
+ *  The 17 mixes take about 3 s of CPU. */
+constexpr std::uint64_t kMixSeedEnd = 18;
+
+class RandomMixIsExact : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(RandomMixIsExact, StatsJsonIsByteIdentical)
+{
+    const RandomMix mix = drawMix(GetParam());
+    std::string benches;
+    for (const std::string &bench : mix.benches)
+        benches += (benches.empty() ? "" : ",") + bench;
+    // The reproducer: `ecdpsim --multicore` of these benches with
+    // the cell's fields as flags, and the block size.
+    SCOPED_TRACE("mix " + benches + " under " +
+                 server::canonicalCellJson(mix.cell.spec) + " with " +
+                 std::to_string(mix.cell.blockBytes) + " B blocks");
+    // The members' train hints, merged as ExperimentContext::mixHints
+    // merges them.
+    const bool needsHints = server::cellNeedsHints(mix.cell.spec);
+    HintTable hints;
+    for (const std::string &bench : mix.benches) {
+        if (needsHints) {
+            for (const auto &[pc, hint] : cells::trainHints(bench))
+                hints.entry(pc) = hint;
+        }
+    }
+    const MultiCoreResult result = expectMultiCoreExact(
+        mix.benches,
+        randomCellConfig(mix.cell, needsHints ? &hints : nullptr));
+    EXPECT_FALSE(result.timedOut);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomMixIsExact,
+                         ::testing::Range<std::uint64_t>(1, kMixSeedEnd),
                          [](const ::testing::TestParamInfo<std::uint64_t> &p) {
                              return "seed_" + std::to_string(p.param);
                          });
@@ -302,6 +445,22 @@ TEST(RandomCellOracle, SeedsCoverTheTables)
     for (const PolicyRow &row : policyTable())
         EXPECT_TRUE(policies.count(std::string(row.name))) << row.name;
     EXPECT_EQ(blocks, (std::set<std::uint32_t>{64, 128, 256}));
+}
+
+TEST(RandomCellOracle, MixSeedsCoverTheTables)
+{
+    std::set<std::size_t> cores;
+    std::set<std::string> policies;
+    for (std::uint64_t seed = 1; seed < kMixSeedEnd; ++seed) {
+        const RandomMix mix = drawMix(seed);
+        cores.insert(mix.benches.size());
+        policies.insert(mix.cell.spec.throttlePolicy);
+        EXPECT_NO_THROW(server::validateCellSpec(mix.cell.spec))
+            << server::canonicalCellJson(mix.cell.spec);
+    }
+    EXPECT_EQ(cores, (std::set<std::size_t>{2, 3, 4}));
+    for (const PolicyRow &row : policyTable())
+        EXPECT_TRUE(policies.count(std::string(row.name))) << row.name;
 }
 
 // ---------------------------------------------------------------

@@ -530,8 +530,8 @@ TEST(MemorySystemWakeup, EndIntervalDisablingTheHeadsEngineWakesNextCycle)
 /**
  * Let a prefetch head meet a DRAM request buffer that writebacks
  * have filled past the prefetch reserve, then drive the memory
- * system to @p end either every cycle or only at its (and the
- * DRAM's) wakeup bound. Returns the whole counter set.
+ * system to @p end either every cycle or only at its own wakeup
+ * bound (the DRAM has none). Returns the whole counter set.
  */
 std::vector<std::pair<std::string, std::uint64_t>>
 runDramRejectScenario(bool skipping, Cycle end, Cycle &fill_out)
@@ -557,9 +557,7 @@ runDramRejectScenario(bool skipping, Cycle end, Cycle &fill_out)
             if (cycle == fill) {
                 EXPECT_EQ(rig.mem.nextEventCycle(cycle), cycle + 1);
             }
-            next = std::max(next,
-                            std::min(rig.mem.nextEventCycle(cycle),
-                                     rig.dram.nextEventCycle(cycle)));
+            next = std::max(next, rig.mem.nextEventCycle(cycle));
         }
         cycle = next;
     }
