@@ -14,22 +14,25 @@
  * compare bits, A_low/A_high, hints profiled differently) are a
  * figure-local tweak of the resolved config.
  *
- * The union of the selected figures' cells is simulated up front
- * through one ExperimentRunner (ECDP_JOBS workers) into one
+ * The selected figures' cells on their benchmarks, each unique one
+ * once, and their multi-core mixes (Figs. 14 and 15) form one job
+ * list, run on one ThreadPool (ECDP_JOBS workers) into one
  * ExperimentContext, so each unique (benchmark, configuration) runs
- * and profiles once per process; the multi-core mixes of Figs. 14
- * and 15 follow on one ThreadPool of the same size. The figures then
- * print serially from the memo, so stdout is byte-identical for any
- * ECDP_JOBS, and a figure prints the same bytes alone or next to
- * others.
+ * and profiles once per process. Each finished job writes a progress
+ * line to stderr. The figures then print serially from the memo, so
+ * stdout is byte-identical for any ECDP_JOBS, and a figure prints the
+ * same bytes alone or next to others.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <functional>
 #include <iostream>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,12 +40,13 @@
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "compiler/profiling_compiler.hh"
+#include "memsim/thread_annotations.hh"
 #include "prefetch/dbp.hh"
 #include "prefetch/ghb_prefetcher.hh"
 #include "prefetch/hardware_filter.hh"
 #include "prefetch/markov_prefetcher.hh"
 #include "prefetch/stream_prefetcher.hh"
-#include "runner/runner.hh"
+#include "runner/thread_pool.hh"
 #include "server/cell.hh"
 #include "sim/experiment.hh"
 #include "stats/stats.hh"
@@ -1151,6 +1155,51 @@ ablationThresholds()
 }
 
 /**
+ * Beyond the paper: the same stream+CDP stack under each registered
+ * interval-end policy — static (never adapts), coordinated (Table
+ * 3/4), FDP (Srinath-style per-prefetcher rules) and tabular-rl
+ * (epsilon-greedy Q-learning over discretized feedback state) —
+ * answering "what does the adaptive loop itself buy, holding the
+ * engines fixed?".
+ */
+Figure
+policyCompare()
+{
+    std::vector<Cell> cells;
+    for (const char *policy : {"static", "coordinated", "fdp", "tabular-rl"}) {
+        Cell cell = named("cdp+throttle");
+        cell.spec.throttlePolicy = policy;
+        cells.push_back(cell);
+    }
+    auto print = [=](ExperimentContext &ctx, const Names &names) {
+        TablePrinter table(
+            "Throttle-policy comparison (stream+CDP stack, IPC and "
+            "BPKI per policy)");
+        table.header({"bench", "static-ipc", "coord-ipc", "fdp-ipc",
+                      "rl-ipc", "static-bpki", "coord-bpki", "fdp-bpki",
+                      "rl-bpki"});
+        for (const std::string &name : names) {
+            auto &row = table.row().cell(name);
+            for (const Cell &cell : cells)
+                row.cell(run(ctx, name, cell).ipc, 3);
+            for (const Cell &cell : cells)
+                row.cell(run(ctx, name, cell).bpki, 1);
+        }
+        auto &gmeanRow = table.row().cell("gmean-vs-static");
+        for (const Cell &cell : cells)
+            gmeanRow.cell(gmeanSpeedup(ctx, names, cell, cells[0]), 3);
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            gmeanRow.cell("-");
+        table.print(std::cout);
+        std::cout << "\nThe rule policies reproduce the paper's throttlers "
+                     "byte-for-byte\n(see tests/test_throttle_policy.cc); "
+                     "tabular-rl is the learned\nbaseline ROADMAP.md asks "
+                     "for, seeded and deterministic.\n";
+    };
+    return {"policy_compare", pointerIntensiveNames(), cells, print};
+}
+
+/**
  * Diagnostic overview of the whole benchmark suite: for each workload,
  * the key statistics under the main configurations. Not a paper
  * table; used to sanity-check workload shapes (footprints, miss
@@ -1277,7 +1326,132 @@ figures()
             fig09(), fig10(), fig11(), fig12(), fig13(),
             fig14(), fig15(), sec3(),  sec4(),  sec616(),
             sec67(), sec71(), sec74(), ablationCdpParams(),
-            ablationThresholds(), suiteOverview(), table7()};
+            ablationThresholds(), policyCompare(), suiteOverview(),
+            table7()};
+}
+
+/** One entry of the job list: a (cell, bench) run or a (cell, mix)
+ *  run, named on its progress line as "<name>/<label>". */
+struct Job
+{
+    std::string name;
+    std::string label;
+    /** Runs the job into the memo and returns its progress-line
+     *  result ("ipc=…" or "ws=…", then " TIMEOUT" if it timed out). */
+    std::function<std::string(ExperimentContext &)> run;
+};
+
+std::string
+outcome(const char *metric, double value, bool timedOut)
+{
+    std::ostringstream os;
+    os << metric << '=' << value << (timedOut ? " TIMEOUT" : "");
+    return os.str();
+}
+
+/**
+ * Every (cell, mix) of the selected figures, widest mixes first so
+ * the slowest jobs do not form the tail, then every selected cell on
+ * every benchmark, each unique one once (the memo keys by content, so
+ * even two cells spelled apart that resolve alike simulate once).
+ * Mixes first measured faster than cells first (EXPERIMENTS.md).
+ */
+std::vector<Job>
+jobList(const std::vector<const Figure *> &chosen)
+{
+    std::vector<std::pair<const Names *, const Cell *>> mixes;
+    for (const Figure *figure : chosen)
+        for (const Cell &cell : figure->cells)
+            for (const Names &mix : figure->mixes)
+                mixes.emplace_back(&mix, &cell);
+    std::ranges::stable_sort(
+        mixes, std::greater{},
+        [](const auto &job) { return job.first->size(); });
+    std::vector<Job> jobs;
+    for (const auto &[mix, cell] : mixes)
+        jobs.push_back({mixName(*mix), server::cellLabel(cell->spec),
+                        [mix, cell](ExperimentContext &ctx) {
+                            const MultiCoreResult &r =
+                                server::runMix(cell->spec, *mix, ctx);
+                            return outcome("ws", r.weightedSpeedup,
+                                           r.timedOut);
+                        }});
+    std::set<std::pair<std::string, std::string>> submitted;
+    for (const Figure *figure : chosen) {
+        for (const Cell &cell : figure->cells) {
+            for (const std::string &bench : figure->benches) {
+                CellSpec at = cell.spec;
+                at.bench = bench;
+                if (!submitted
+                         .emplace(server::canonicalCellJson(at),
+                                  cell.tweakName)
+                         .second)
+                    continue;
+                jobs.push_back({bench, cell.label(),
+                                [&cell, bench](ExperimentContext &ctx) {
+                                    const RunStats &s =
+                                        run(ctx, bench, cell);
+                                    return outcome("ipc", s.ipc,
+                                                   s.timedOut);
+                                }});
+            }
+        }
+    }
+    return jobs;
+}
+
+/** Counts finished jobs and writes each one's progress line. */
+class Progress
+{
+  public:
+    explicit Progress(std::size_t total) : total_(total) {}
+
+    void report(const Job &job, const std::string &result,
+                std::chrono::steady_clock::time_point start)
+        ECDP_EXCLUDES(mutex_)
+    {
+        const std::chrono::duration<double, std::milli> wall =
+            std::chrono::steady_clock::now() - start;
+        MutexLock lock(mutex_);
+        std::cerr << '[' << ++done_ << '/' << total_ << "] " << job.name
+                  << '/' << job.label << ' ' << result << " ("
+                  << wall.count() << " ms)" << std::endl;
+    }
+
+  private:
+    const std::size_t total_;
+    AnnotatedMutex mutex_;
+    std::size_t done_ ECDP_GUARDED_BY(mutex_) = 0;
+};
+
+/**
+ * Runs @p jobs on one ThreadPool (ECDP_JOBS workers) and waits once.
+ * A mix job waits on its members' baseline runs through the memo,
+ * never on a mix, so no job waits on one still queued behind it. A
+ * failed job's exception names the job.
+ */
+void
+runJobs(ExperimentContext &ctx, const std::vector<Job> &jobs)
+{
+    Progress progress(jobs.size());
+    runner::ThreadPool pool;
+    for (const Job &job : jobs) {
+        pool.submit([&ctx, &progress, &job] {
+            const auto start = std::chrono::steady_clock::now();
+            std::string result;
+            try {
+                result = job.run(ctx);
+            } catch (const std::exception &e) {
+                progress.report(job, std::string("FAILED: ") + e.what(),
+                                start);
+                throw std::runtime_error("experiment job " + job.name +
+                                         "/" + job.label +
+                                         " failed: " + e.what());
+            }
+            progress.report(job, result, start);
+        });
+    }
+    pool.wait();
 }
 
 int
@@ -1319,52 +1493,7 @@ main(int argc, char **argv)
 
     try {
         ExperimentContext ctx;
-        {
-            // Every selected cell up front, each unique one once; the
-            // memo keys by content, so even two cells spelled apart
-            // that resolve alike simulate once.
-            runner::ExperimentRunner grid(ctx);
-            std::set<std::pair<std::string, std::string>> submitted;
-            for (const Figure *figure : chosen) {
-                for (const Cell &cell : figure->cells) {
-                    for (const std::string &bench : figure->benches) {
-                        CellSpec at = cell.spec;
-                        at.bench = bench;
-                        if (!submitted
-                                 .emplace(server::canonicalCellJson(at),
-                                          cell.tweakName)
-                                 .second)
-                            continue;
-                        grid.submit(bench, cell.label(),
-                                    [cell](ExperimentContext &c,
-                                           const std::string &b) {
-                                        return cell.resolve(c, b);
-                                    });
-                    }
-                }
-            }
-            grid.wait();
-        }
-        {
-            // Then every (mix, column) as one job, widest mixes first
-            // so the slowest jobs do not form the tail, and column by
-            // column so concurrent jobs rarely wait on one member's
-            // alone run (alone runs and hints come from the memo).
-            std::vector<std::pair<const Names *, const Cell *>> mixes;
-            for (const Figure *figure : chosen)
-                for (const Cell &cell : figure->cells)
-                    for (const Names &mix : figure->mixes)
-                        mixes.emplace_back(&mix, &cell);
-            std::ranges::stable_sort(
-                mixes, std::greater{},
-                [](const auto &job) { return job.first->size(); });
-            runner::ThreadPool pool;
-            for (const auto &[mix, cell] : mixes)
-                pool.submit([&ctx, mix, cell] {
-                    server::runMix(cell->spec, *mix, ctx);
-                });
-            pool.wait();
-        }
+        runJobs(ctx, jobList(chosen));
         for (const Figure *figure : chosen)
             figure->print(ctx, figure->benches);
     } catch (const std::exception &e) {

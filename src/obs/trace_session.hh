@@ -7,7 +7,7 @@
  * completed simulation run flushes its tracer into the session under
  * its own pid, labelled with the run's "<workload>:<config>" string;
  * within a run, tid is the core index. flush() is thread-safe so the
- * parallel experiment runner's workers can flush concurrently; only
+ * workers of `repro`'s job list can flush concurrently; only
  * the cross-run event order in the file depends on worker timing,
  * the per-run content never does.
  *

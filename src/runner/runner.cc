@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 
 namespace ecdp
@@ -28,7 +27,7 @@ ExperimentRunner::setProgressStream(std::ostream *os)
     progress_ = os;
 }
 
-std::shared_future<const RunStats *>
+void
 ExperimentRunner::submit(std::string name, std::string key,
                          ConfigFn make)
 {
@@ -43,34 +42,22 @@ ExperimentRunner::submit(std::string name, std::string key,
         slot = &results_.back();
         ++submitted_;
     }
-    auto promise =
-        std::make_shared<std::promise<const RunStats *>>();
-    std::shared_future<const RunStats *> future =
-        promise->get_future().share();
-    pool_.submit([this, slot, promise, make = std::move(make)] {
-        runJob(slot, make, *promise);
-    });
-    return future;
+    pool_.submit(
+        [this, slot, make = std::move(make)] { runJob(slot, make); });
 }
 
 void
-ExperimentRunner::runJob(JobResult *slot, const ConfigFn &make,
-                         std::promise<const RunStats *> &promise)
+ExperimentRunner::runJob(JobResult *slot, const ConfigFn &make)
 {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
     try {
         SystemConfig cfg = make(ctx_, slot->name);
         slot->stats = &ctx_.run(slot->name, cfg, slot->key);
-        promise.set_value(slot->stats);
     } catch (const std::exception &e) {
         slot->error = e.what();
-        // The future carries the ORIGINAL exception, not the
-        // flattened string wait() reports.
-        promise.set_exception(std::current_exception());
     } catch (...) {
         slot->error = "unknown error";
-        promise.set_exception(std::current_exception());
     }
     slot->wallMs = std::chrono::duration<double, std::milli>(
                        Clock::now() - start)

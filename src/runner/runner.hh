@@ -1,19 +1,16 @@
 /**
  * @file
- * Parallel experiment runner.
+ * Grid runner kept for one caller, perfbench: its `fig07-grid`
+ * workload (and its reference writer) submit cells here and read
+ * each job's stats and wall time back from wait(). `repro` runs its
+ * own job list on a ThreadPool; the next change to the benchmark
+ * moves `fig07-grid` onto one too and deletes this class.
  *
- * `repro` submits its whole (workload x configuration) grid
- * up front; a fixed-size worker pool executes the independent
- * simulate() calls concurrently (each simulation owns its cloned
- * SimMemory image, so runs are embarrassingly parallel) and results
- * land in the shared ExperimentContext's memo tables. Results are
- * also returned in deterministic submission order, so table output
- * generated from them is bit-for-bit identical to a serial run —
- * ECDP_JOBS=1 and ECDP_JOBS=N produce the same stdout.
- *
- * Worker count: the ECDP_JOBS environment variable, defaulting to
- * the hardware thread count. Per-job progress/timing lines go to
- * stderr (never stdout, which carries the tables).
+ * Each job resolves its SystemConfig and runs it through the shared
+ * ExperimentContext on a worker of a fixed-size pool, so results land
+ * in the context's memo. wait() returns them in submission order.
+ * Worker count: ECDP_JOBS, defaulting to the hardware thread count.
+ * Per-job progress lines go to stderr unless silenced.
  */
 
 #ifndef ECDP_RUNNER_RUNNER_HH
@@ -21,7 +18,6 @@
 
 #include <deque>
 #include <functional>
-#include <future>
 #include <iosfwd>
 #include <string>
 
@@ -68,15 +64,8 @@ class ExperimentRunner
     /** Progress sink (default stderr); nullptr silences progress. */
     void setProgressStream(std::ostream *os) ECDP_EXCLUDES(mutex_);
 
-    /**
-     * Queue one simulation; returns immediately with a future for
-     * THIS job: it resolves to the memoized stats on success and
-     * carries the worker's original exception (not a flattened
-     * string) on failure. Callers that only care about the whole
-     * grid can ignore it and use wait().
-     */
-    std::shared_future<const RunStats *>
-    submit(std::string name, std::string key, ConfigFn make)
+    /** Queue one simulation of benchmark @p name, labelled @p key. */
+    void submit(std::string name, std::string key, ConfigFn make)
         ECDP_EXCLUDES(mutex_);
 
     /**
@@ -86,11 +75,8 @@ class ExperimentRunner
      */
     const std::deque<JobResult> &wait() ECDP_EXCLUDES(mutex_);
 
-    unsigned threadCount() const { return pool_.threadCount(); }
-
   private:
-    void runJob(JobResult *slot, const ConfigFn &make,
-                std::promise<const RunStats *> &promise);
+    void runJob(JobResult *slot, const ConfigFn &make);
 
     ExperimentContext &ctx_;
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Fixed-size worker pool for the experiment runner and the ecdpd
+ * Fixed-size worker pool for `repro`'s job list and the ecdpd
  * daemon. Deliberately minimal: FIFO job queue, a wait() barrier,
  * stop(), and drain-then-join on destruction. Jobs are opaque void()
- * callables; result plumbing and ordering live in the caller
- * (ExperimentRunner stores into pre-allocated slots, the daemon
- * completes a ResultStore flight).
+ * callables; result plumbing and ordering live in the caller (a
+ * `repro` job fills the ExperimentContext memo, the daemon completes
+ * a ResultStore flight).
  */
 
 #ifndef ECDP_RUNNER_THREAD_POOL_HH

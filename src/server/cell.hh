@@ -12,7 +12,7 @@
  * --worker`) and the in-process path the byte-identity tests diff
  * against: both call runCell()/cellStatsJson(), which route through
  * the same ExperimentContext machinery `repro` uses — so
- * daemon results are byte-identical to ExperimentRunner results by
+ * daemon results are byte-identical to in-process results by
  * construction, and the integration test enforces it.
  */
 

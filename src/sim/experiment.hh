@@ -102,8 +102,8 @@ std::string mixName(const std::vector<std::string> &mix);
  * configurations of fifteen benchmarks pays each workload build and
  * profiling pass once.
  *
- * Every accessor is thread-safe: the parallel experiment runner calls
- * them from its worker pool. Memoization is future-based — when two
+ * Every accessor is thread-safe: `repro`'s job list calls them from
+ * its worker pool. Memoization is future-based — when two
  * jobs need the same workload build, profiling pass or simulation,
  * the second blocks on the first's in-flight computation instead of
  * duplicating or racing it. Returned references are stable for the

@@ -3,8 +3,8 @@
  * Tests for the observability layer itself: metric-registry
  * semantics, event-ring wraparound, Chrome trace JSON export, and
  * the guarantees the rest of the harness depends on — observability
- * never changes simulated behaviour, and tracing composes with the
- * parallel experiment runner.
+ * never changes simulated behaviour, and tracing composes with runs
+ * on a thread pool.
  */
 
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment runner: the thread pool (also
- * ecdpd's: FIFO behind a slow job, stop() discarding the queue), the
+ * Tests for the runner layer: the thread pool (repro's and ecdpd's:
+ * FIFO behind a slow job, stop() discarding the queue), the
  * collision-free run memoization (configHash), timeout reporting,
  * the RunStats codec and the ECDP_RESULT_CACHE spill, and — most
  * importantly — that a parallel run produces exactly the statistics
@@ -452,42 +452,6 @@ TEST(ExperimentRunnerTest, FailedJobsSurfaceInWait)
                        const std::string &) -> SystemConfig {
                         throw std::runtime_error("no such config");
                     });
-    EXPECT_THROW(parallel.wait(), std::runtime_error);
-}
-
-TEST(ExperimentRunnerTest, SubmitFutureCarriesStatsOrException)
-{
-    ExperimentContext ctx;
-    ExperimentRunner parallel(ctx, 2);
-    parallel.setProgressStream(nullptr);
-    std::shared_future<const RunStats *> good = parallel.submit(
-        "parser", "np",
-        [](ExperimentContext &, const std::string &) {
-            return configs::byName("noprefetch");
-        });
-    std::shared_future<const RunStats *> bad = parallel.submit(
-        "parser", "boom",
-        [](ExperimentContext &,
-           const std::string &) -> SystemConfig {
-            throw std::logic_error("deliberately broken config");
-        });
-
-    // The success future resolves to the memoized stats object.
-    const RunStats *stats = good.get();
-    ASSERT_NE(stats, nullptr);
-    EXPECT_EQ(stats, &ctx.run("parser", configs::byName("noprefetch"), "np"));
-
-    // The failure future rethrows the worker's ORIGINAL exception
-    // (std::logic_error, not a flattened runtime_error).
-    EXPECT_THROW(bad.get(), std::logic_error);
-    try {
-        bad.get();
-        FAIL() << "expected the job exception";
-    } catch (const std::logic_error &e) {
-        EXPECT_STREQ(e.what(), "deliberately broken config");
-    }
-
-    // wait() still reports the grid-level failure.
     EXPECT_THROW(parallel.wait(), std::runtime_error);
 }
 

@@ -1,6 +1,6 @@
 // End-to-end daemon tests over real HTTP with real forked worker
 // processes (`ecdpd --worker`): the byte-identity contract against
-// the in-process ExperimentRunner path, the single-flight guarantee
+// the in-process runCell() path, the single-flight guarantee
 // (N identical concurrent submissions -> exactly 1 simulation),
 // store replay, admission/quota backpressure and the error surface.
 
